@@ -19,7 +19,6 @@
 #include "assembler/assembler.hh"
 #include "kernels/runner.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_batch.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/lockstep.hh"
 #include "sim/core_sim.hh"
@@ -51,6 +50,9 @@ BM_CoreSimInstructionRate(benchmark::State &state)
 }
 BENCHMARK(BM_CoreSimInstructionRate);
 
+/** One die through the Netlist API: the compiled engine's one-lane
+ *  path that runLockstep, runChecked and the fleet's dirty lanes
+ *  take. */
 void
 BM_NetlistCycleRate(benchmark::State &state)
 {
@@ -74,8 +76,8 @@ BM_NetlistCycleRate(benchmark::State &state)
 }
 BENCHMARK(BM_NetlistCycleRate);
 
-/** The retained cell-by-cell interpreter, as the speedup yardstick
- *  for the compiled evaluation plan. */
+/** The cell-by-cell reference interpreter, as the speedup yardstick
+ *  for the compiled engine. */
 void
 BM_NetlistCycleRateReference(benchmark::State &state)
 {
@@ -151,40 +153,6 @@ BM_WaferStudyStatistical(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WaferStudyStatistical);
-
-/** 64 dies per pass through the word-parallel compiled plan. */
-void
-BM_LaneBatchCycleRate(benchmark::State &state)
-{
-    auto nl = buildFlexiCore4Netlist();
-    LaneBatch batch(*nl);
-    Program p = makeTestProgram(IsaKind::FlexiCore4, 1);
-    const auto &image = p.page(0);
-    BusHandle pc = nl->outputBus("pc", 7);
-    BusHandle instr = nl->inputBus("instr", 8);
-    BusHandle iport = nl->inputBus("iport", 4);
-    batch.setBus(iport, 0x5);
-    uint32_t die_pc[LaneBatch::kMaxLanes] = {};
-    uint32_t die_instr[LaneBatch::kMaxLanes] = {};
-    for (auto _ : state) {
-        for (int i = 0; i < 100; ++i) {
-            for (unsigned lane = 0; lane < batch.lanes(); ++lane)
-                die_instr[lane] = die_pc[lane] < image.size()
-                                      ? image[die_pc[lane]]
-                                      : 0;
-            batch.setBusLanes(instr, die_instr);
-            batch.evaluate();
-            batch.clockEdge();
-            batch.evaluate();
-            batch.gatherBus(pc, die_pc);
-        }
-    }
-    // One item = one simulated die-cycle: 100 batch cycles x 64
-    // lanes per iteration.
-    state.SetItemsProcessed(state.iterations() * 100 *
-                            LaneBatch::kMaxLanes);
-}
-BENCHMARK(BM_LaneBatchCycleRate);
 
 /** Up to 512 dies per pass through the fused-run wide evaluator —
  *  the exact per-cycle work of the wafer/campaign inner loop

@@ -423,28 +423,9 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
             addGateClauses(cnf, cell.type, getLit(cell.output), a, b,
                            c);
         }
-    } else if (opts.mode == NetlistEncodeMode::Plan) {
-        // The compiled plan: one 8-bit truth table per step, padded
-        // input slots reading the scratch net.
-        for (const auto &step : nl.planSteps()) {
-            if (faulted[step.out])
-                continue;
-            SatLit in[3] = {getLit(step.in[0]), getLit(step.in[1]),
-                            getLit(step.in[2])};
-            SatLit out = getLit(step.out);
-            for (unsigned idx = 0; idx < 8; ++idx) {
-                bool v = (step.lut >> idx) & 1;
-                std::vector<SatLit> clause;
-                for (unsigned k = 0; k < 3; ++k)
-                    clause.push_back((idx >> k) & 1 ? ~in[k]
-                                                    : in[k]);
-                clause.push_back(v ? out : ~out);
-                cnf.addClause(std::move(clause));
-            }
-        }
     } else {
         // The fused-run word program: walk the exact straight-line
-        // program the wide-lane backend dispatches (planRuns()),
+        // program the compiled engine dispatches (planRuns()),
         // encoding each step from its WordOp's gate semantics — the
         // kernel bodies, not the truth tables — so the fusion and
         // the per-op word kernels are both inside the proof.

@@ -7,24 +7,21 @@
  * constant folding, and little-endian word helpers (ripple adders,
  * muxes) used by the behavioral ISA specifications.
  *
- * encodeNetlist() turns a netlist into CNF in one of three
+ * encodeNetlist() turns a netlist into CNF in one of two
  * deliberately independent ways:
  *
  *  - Reference: clauses derived from each CellInst's gate semantics
  *    (NAND2 becomes the three NAND clauses, and so on) — the same
  *    semantics evaluateReference() interprets;
- *  - Plan: clauses derived from the compiled evaluation plan's 8-bit
- *    truth tables and padded input slots — the artifact evaluate()
- *    executes;
  *  - WordPlan: clauses derived by walking the fused-run program
  *    (Netlist::planRuns()) with each step encoded from its WordOp's
- *    gate semantics — the exact straight-line program the wide-lane
- *    compiled backend (LaneGroup/LaneBatch) dispatches.
+ *    gate semantics — the exact straight-line program the compiled
+ *    engine (LaneGroup, which also backs Netlist::evaluate())
+ *    dispatches.
  *
- * A miter between encodings (shared primary-input and DFF-Q
- * variables) therefore proves the compiled plan — and the fused
- * word-op dispatch program — bit-equal to the reference interpreter
- * for every cell cone.
+ * A miter between the two (shared primary-input and DFF-Q
+ * variables) therefore proves the fused word-op dispatch program
+ * bit-equal to the reference interpreter for every cell cone.
  */
 
 #ifndef FLEXI_ANALYSIS_CNF_ENCODER_HH
@@ -119,7 +116,7 @@ struct NetlistEncoding
     SatLit lit(NetId n) const { return net[n]; }
 };
 
-enum class NetlistEncodeMode { Reference, Plan, WordPlan };
+enum class NetlistEncodeMode { Reference, WordPlan };
 
 struct NetlistEncodeOptions
 {

@@ -4,13 +4,12 @@
  *
  * Three checkers, all built on the CNF encoder and the CDCL solver:
  *
- *  - checkPlanEquivalence(): proves the compiled evaluation plan
- *    (what evaluate() executes) AND the fused-run word-op program
- *    (what the wide-lane compiled backend dispatches) bit-equal to
- *    the CellInst reference semantics (what evaluateReference()
- *    interprets), one cell cone at a time. The sweep runs in plan
- *    order and hardens each proven equality into the CNF, so every
- *    cone check is effectively local.
+ *  - checkPlanEquivalence(): proves the compiled fused-run word-op
+ *    program (what the LaneGroup engine behind evaluate()
+ *    dispatches) bit-equal to the CellInst reference semantics (what
+ *    evaluateReference() interprets), one cell cone at a time. The
+ *    sweep runs in plan order and hardens each proven equality into
+ *    the CNF, so every cone check is effectively local.
  *
  *  - checkNetlistEquivalence(): proves two netlist instances (e.g. a
  *    cloned die against its template) produce identical primary
@@ -97,9 +96,8 @@ struct IsaEquivResult
 };
 
 /**
- * Prove the compiled evaluation plan of @p nl — both the scalar
- * truth-table artifact and the fused-run WordOp program the
- * wide-lane backend dispatches — equivalent to its reference cell
+ * Prove the compiled evaluation plan of @p nl — the fused-run WordOp
+ * program the engine dispatches — equivalent to its reference cell
  * semantics (a SAT sweep over every cell cone and every DFF's
  * effective captured value).
  */

@@ -16,11 +16,10 @@
  * method complete in k for the properties the catalog cares about;
  * docs/FORMAL.md carries the soundness argument.
  *
- * replayMcTrace() / replayMcTraceWide() close the loop with the
- * simulators: the trace is driven cycle by cycle through the scalar
- * netlist and through a LaneGroup lane, checking the state
- * evolution frame by frame and re-evaluating the property
- * concretely at the violation step.
+ * replayMcTrace() closes the loop with simulation: the trace is
+ * driven cycle by cycle through the netlist's reference interpreter,
+ * checking the state evolution frame by frame and re-evaluating the
+ * property concretely at the violation step.
  */
 
 #ifndef FLEXI_ANALYSIS_MC_BMC_HH
@@ -96,22 +95,15 @@ McResult checkInduction(const Netlist &nl, const McModel &model,
                         bool simplePath = true);
 
 /**
- * Drive @p trace through a scalar clone of @p nl. Returns true iff
- * the simulator reproduces the recorded state evolution *and* the
- * property violation at the recorded step; a divergence is
- * described in @p what.
+ * Drive @p trace through a clone of @p nl stepped with
+ * evaluateReference() — semantics independent of both the CNF
+ * encoding and the compiled engine. Returns true iff the replay
+ * reproduces the recorded state evolution *and* the property
+ * violation at the recorded step; a divergence is described in
+ * @p what.
  */
 bool replayMcTrace(const Netlist &nl, const McProperty &p,
                    const McTrace &trace, std::string *what = nullptr);
-
-/**
- * The same replay through lane 0 of a LaneGroup built over @p nl —
- * the wide compiled backend — so solver, scalar interpreter, and
- * word-parallel dispatch all agree on the counterexample.
- */
-bool replayMcTraceWide(const Netlist &nl, const McProperty &p,
-                       const McTrace &trace,
-                       std::string *what = nullptr);
 
 /** Outcome of the sequential reset-coverage (xfree) analysis. */
 struct SeqResetCoverageResult

@@ -63,20 +63,19 @@ checkProperty(const Netlist &nl, const McLintOptions &opts,
         break;
     }
 
-    // Never report a solver trace the simulators won't reproduce.
+    // Never report a solver trace the reference interpreter won't
+    // reproduce.
     std::string why;
-    bool scalar = replayMcTrace(nl, p, res.trace, &why);
-    bool wide = scalar && replayMcTraceWide(nl, p, res.trace, &why);
-    if (!scalar || !wide) {
+    if (!replayMcTrace(nl, p, res.trace, &why)) {
         out.report.add(mcDiag(
             Severity::Error, "prop-replay-diverged",
-            strfmt("%s (%s replay: %s)", res.detail.c_str(),
-                   scalar ? "wide" : "scalar", why.c_str())));
+            strfmt("%s (reference replay: %s)", res.detail.c_str(),
+                   why.c_str())));
         return;
     }
     out.report.add(mcDiag(
         Severity::Error, "prop-cex",
-        strfmt("%s; confirmed by scalar and wide replay\n%s",
+        strfmt("%s; confirmed by reference replay\n%s",
                res.detail.c_str(), res.trace.text().c_str())));
     out.traces.push_back(res.trace);
 }

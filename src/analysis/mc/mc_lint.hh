@@ -10,16 +10,17 @@
  *                            sequentially covered, for xfree)
  *   prop-bmc-clean  Note     no violation within the BMC bound
  *   prop-cex        Error    concrete multi-cycle counterexample,
- *                            confirmed by simulator replay; the
- *                            rendered trace is part of the message
+ *                            confirmed by reference-interpreter
+ *                            replay; the rendered trace is part of
+ *                            the message
  *   prop-unknown    Warning  induction did not close within maxK
  *   prop-invalid    Error    malformed spec or inapplicable model
  *   x-after-reset-seq Warning state bits that stay power-on-
  *                            dependent past the xfree window even
  *                            under the sequential (two-copy) model
- *   prop-replay-diverged Error a solver counterexample a simulator
- *                            refuses to reproduce (an encoder bug —
- *                            should never fire)
+ *   prop-replay-diverged Error a solver counterexample the reference
+ *                            interpreter refuses to reproduce (an
+ *                            encoder bug — should never fire)
  */
 
 #ifndef FLEXI_ANALYSIS_MC_MC_LINT_HH

@@ -3,12 +3,11 @@
  * Counterexample trace rendering and simulator replay.
  *
  * A trace leaving the solver is only as trustworthy as the encoding
- * it came from, so every BMC counterexample is replayed against the
- * simulators before it is reported: the scalar interpreter
- * (replayMcTrace) and lane 0 of the wide compiled backend
- * (replayMcTraceWide) must both reproduce the recorded state
- * evolution cycle by cycle and the concrete property violation at
- * the recorded step.
+ * it came from, so every BMC counterexample is replayed before it is
+ * reported: the cell-by-cell reference interpreter
+ * (evaluateReference(), independent of both the CNF encoding and the
+ * compiled engine) must reproduce the recorded state evolution cycle
+ * by cycle and the concrete property violation at the recorded step.
  */
 
 #include <map>
@@ -16,7 +15,6 @@
 #include "analysis/equiv.hh"
 #include "analysis/mc/bmc.hh"
 #include "common/logging.hh"
-#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -164,7 +162,7 @@ replayMcTrace(const Netlist &nl, const McProperty &p,
     for (size_t t = 0; t < trace.frames.size(); ++t) {
         for (const auto &kv : trace.frames[t].inputs)
             sim->setInput(kv.first, kv.second);
-        sim->evaluate();
+        sim->evaluateReference();
         for (const auto &kv : trace.frames[t].state)
             if (sim->dffValue(dff_index[kv.first]) != kv.second)
                 return failReplay(
@@ -183,66 +181,6 @@ replayMcTrace(const Netlist &nl, const McProperty &p,
     if (propertyHoldsConcrete(p, pcs, bits, trace.violationStep))
         return failReplay(what, strfmt("simulator says '%s' holds "
                                        "at cycle %u",
-                                       p.spec.c_str(),
-                                       trace.violationStep));
-    return true;
-}
-
-bool
-replayMcTraceWide(const Netlist &nl, const McProperty &p,
-                  const McTrace &trace, std::string *what)
-{
-    if (trace.frames.empty() ||
-        trace.violationStep + p.window() > trace.frames.size())
-        return failReplay(what, "trace too short for the property");
-
-    auto dffs = nl.dffs();
-    std::map<std::string, size_t> dff_index;
-    for (size_t i = 0; i < dffs.size(); ++i)
-        dff_index[nl.netName(dffs[i].q)] = i;
-
-    LaneGroup group(nl, LaneGroup::kWordLanes);
-    group.reset();
-    for (const auto &kv : trace.frames[0].state) {
-        auto it = dff_index.find(kv.first);
-        if (it == dff_index.end())
-            return failReplay(what, strfmt("trace names unknown "
-                                           "state bit '%s'",
-                                           kv.first.c_str()));
-        if (dffs[it->second].init != kv.second)
-            group.flipDff(0, it->second);
-    }
-
-    ReplayProbe probe(nl, p);
-    std::vector<unsigned> pcs, bits;
-    uint64_t lane_word[LaneGroup::kMaxWords] = {};
-    for (size_t t = 0; t < trace.frames.size(); ++t) {
-        for (const auto &kv : trace.frames[t].inputs) {
-            lane_word[0] = kv.second ? ~uint64_t(0) : 0;
-            group.setInputLanes(kv.first, lane_word);
-        }
-        group.evaluate();
-        // A DFF's Q net carries the committed state once evaluate()
-        // has re-exposed it; check the recorded evolution there.
-        for (const auto &kv : trace.frames[t].state)
-            if (group.netValue(dffs[dff_index[kv.first]].q, 0) !=
-                kv.second)
-                return failReplay(
-                    what, strfmt("wide backend diverges from the "
-                                 "trace at cycle %zu on %s",
-                                 t, kv.first.c_str()));
-        auto net_of = [&](NetId n) { return group.netValue(n, 0); };
-        pcs.push_back(packNets(probe.pc, net_of));
-        bits.push_back(probe.net != kNoNet
-                           ? group.netValue(probe.net, 0)
-                           : packNets(probe.bus, net_of));
-        if (t + 1 < trace.frames.size())
-            group.clockEdge();
-    }
-
-    if (propertyHoldsConcrete(p, pcs, bits, trace.violationStep))
-        return failReplay(what, strfmt("wide backend says '%s' "
-                                       "holds at cycle %u",
                                        p.spec.c_str(),
                                        trace.violationStep));
     return true;

@@ -39,9 +39,9 @@ namespace
 
 /** Generic fallback: minterm expansion of the step's 8-bit truth
  *  table. Padded slots read the always-zero scratch group, whose
- *  complemented literal is all-ones — exactly the scalar semantics
- *  of a padded index bit. Computes the identical function to the
- *  native expression for every op. */
+ *  complemented literal is all-ones — exactly the semantics of a
+ *  truth-table index bit padded with 0. Computes the identical
+ *  function to the native expression for every op. */
 inline uint64_t
 lutWord(uint64_t av, uint64_t bv, uint64_t cv, uint8_t lut)
 {
@@ -177,17 +177,11 @@ LaneGroup::LaneGroup(const Netlist &golden, unsigned lanes)
             laneMask_[w] = (1ull << (lanes_ - base)) - 1;
     }
     // One extra trailing group: the always-0 scratch net backing the
-    // padded input slots of the plan (same layout as the scalar
-    // evaluator's trailing scratch byte, W words wide).
+    // padded input slots of the plan.
     val_.assign(size_t(s_->nextNet + 1) * words_, 0);
     dffState_.assign(s_->dffCells.size() * words_, 0);
     mask_.assign(size_t(s_->nextNet) * words_, 0);
     fval_.assign(size_t(s_->nextNet) * words_, 0);
-    covered_.assign(s_->nextNet, 0);
-    for (NetId net : s_->plan.out)
-        covered_[net] = 1;
-    for (NetId net : s_->plan.dffQ)
-        covered_[net] = 1;
     reset();
 }
 
@@ -212,11 +206,11 @@ LaneGroup::rebuildForceIndex()
     }
     primaryFaults_.clear();
     for (size_t k = 0; k < faults_.size(); ++k)
-        if (!covered_[faults_[k].f.net])
+        if (!plan.blendCovered[faults_[k].f.net])
             primaryFaults_.push_back(static_cast<uint32_t>(k));
     primaryTransients_.clear();
     for (size_t k = 0; k < transients_.size(); ++k)
-        if (!covered_[transients_[k].f.net])
+        if (!plan.blendCovered[transients_[k].f.net])
             primaryTransients_.push_back(static_cast<uint32_t>(k));
 
     // Select a kernel flavor per fused run: blending a step whose
@@ -227,7 +221,6 @@ LaneGroup::rebuildForceIndex()
     // count — and its branch-prediction footprint — independent of
     // the fault population.
     size_t nruns = plan.runOp.size();
-    fsRunBegin_.assign(plan.runBegin.begin(), plan.runBegin.end());
     fsRunOp_.resize(nruns);
     for (size_t r = 0; r < nruns; ++r) {
         bool forced = false;
@@ -297,8 +290,7 @@ void
 LaneGroup::clearTransients()
 {
     // Release any currently forced windows, then let the stuck-at
-    // faults reassert their own force bits (mirrors the scalar
-    // clearTransients at bit granularity).
+    // faults reassert their own force bits.
     for (const auto &t : transients_) {
         size_t idx = size_t(t.f.net) * words_ + t.lane / kWordLanes;
         uint64_t bit = 1ull << (t.lane % kWordLanes);
@@ -370,9 +362,9 @@ LaneGroup::reset()
 void
 LaneGroup::applyFaultForces()
 {
-    // Per-lane mirror of the scalar force rebuild: transient windows
-    // open and close against the group cycle counter; stuck-at bits
-    // reassert themselves once a lane's window closes. The rebuild
+    // Per-lane force rebuild: transient windows open and close
+    // against the group cycle counter; stuck-at bits reassert
+    // themselves once a lane's window closes. The rebuild
     // only has to run when a window actually opened or closed (or
     // the fault set itself changed) — between boundaries the masks
     // are already exact.
@@ -433,8 +425,8 @@ LaneGroup::applyFaultForces()
     // exception: the counters difference each step against the
     // previously *stored* word, so a force window opening must land
     // in val_ before the pass for every faulted net — exactly the
-    // scalar evaluator's order — or the blend would count an edge
-    // the scalar run never saw.
+    // reference interpreter's order — or the blend would count an
+    // edge the reference run never saw.
     if (countToggles_) {
         for (const LaneFault &f : faults_) {
             size_t idx =
@@ -505,15 +497,14 @@ LaneGroup::evaluateImpl()
                plan.cell.data(),
                laneMask_.data()};
 
-    // The toggle-counting path sticks to the shared always-blend
-    // program (its kernels blend unconditionally anyway); the plain
-    // path runs the force-split program, whose codes at or above
-    // kNumWordOps select the blend-free kernel variants.
-    const uint32_t *rb =
-        kToggles ? plan.runBegin.data() : fsRunBegin_.data();
+    // The toggle-counting path sticks to the shared always-blend op
+    // codes (its kernels blend unconditionally anyway); the plain
+    // path runs the force-split codes, where a code at or above
+    // kNumWordOps selects the blend-free kernel variant.
+    const uint32_t *rb = plan.runBegin.data();
     const uint8_t *rop =
         kToggles ? plan.runOp.data() : fsRunOp_.data();
-    size_t nruns = kToggles ? plan.runOp.size() : fsRunOp_.size();
+    size_t nruns = plan.runOp.size();
 
 #if FLEXI_THREADED_DISPATCH
     // Threaded code: each fused run jumps straight to its op block

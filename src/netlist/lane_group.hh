@@ -1,37 +1,36 @@
 /**
  * @file
- * Wide-lane compiled netlist evaluator: structure-of-arrays lane
- * groups of W uint64_t words per net (W = 1/4/8 -> 64/256/512
- * lanes) executed through the fused-run program compiled at
- * elaborate() time.
+ * The compiled netlist engine: structure-of-arrays lane groups of W
+ * uint64_t words per net (W = 1/4/8 -> 64/256/512 lanes) executed
+ * through the fused-run program compiled at elaborate() time. It is
+ * the only compiled evaluator: the wafer studies, fault campaigns and
+ * prescreens run up to 512 dies per group, and every Netlist keeps
+ * its own instance state in a one-lane group.
  *
- * A LaneGroup generalizes LaneBatch past the 64 lanes of a single
- * machine word. Net values become lane *groups* — W contiguous
- * uint64_t words per net, laid out `val[net * W + w]` so bit L of
- * word w is the value of net N in lane w*64 + L — and the per-step
- * inner loop strides the W words of each net at unit distance, which
- * the compiler auto-vectorizes. Force-mask blending, DFF commits,
- * and toggle counting all run over the same unit-stride groups.
+ * Net values are lane *groups* — W contiguous uint64_t words per
+ * net, laid out `val[net * W + w]` so bit L of word w is the value of
+ * net N in lane w*64 + L — and the per-step inner loop strides the W
+ * words of each net at unit distance, which the compiler
+ * auto-vectorizes. Force-mask blending, DFF commits, and toggle
+ * counting all run over the same unit-stride groups.
  *
  * Dispatch is compiled, not interpreted: elaborate() fuses adjacent
  * same-WordOp plan steps into straight-line runs (EvalPlan::runBegin
  * / runOp), and the evaluator threads between per-op code blocks via
  * computed goto (GCC/Clang `&&label`), falling back to an
- * indirect-threaded function table on other compilers. Per-step op
- * classification — the switch LaneBatch executes 64 lanes at a time
- * — disappears entirely; the formal checker's word-plan encoding
- * (NetlistEncodeMode::WordPlan) proves the fused-run program cone-
- * equivalent to the CellInst reference semantics, so the dispatch
- * path itself is inside the SAT proof.
+ * indirect-threaded function table on other compilers. There is no
+ * per-step op classification; the formal checker's word-plan
+ * encoding (NetlistEncodeMode::WordPlan) proves the fused-run program
+ * cone-equivalent to the CellInst reference semantics, so the
+ * dispatch path itself is inside the SAT proof.
  *
- * State semantics mirror LaneBatch (and the scalar Netlist) exactly,
- * at bit granularity: per-lane stuck/transient force groups blended
- * with `v = (v & ~m) | (fval & m)`, DFF state committed with the
- * force-masked blend on the Q net, opt-in per-lane toggle counts
- * bit-identical to a scalar run of the same faulted instance, and a
- * trailing always-zero scratch group backing the plan's padded input
- * slots. Differential tests pit this evaluator against the scalar
- * compiled plan, evaluateReference(), and the 64-lane LaneBatch.
+ * State semantics, at bit granularity: per-lane stuck/transient force
+ * groups blended with `v = (v & ~m) | (fval & m)`, DFF state
+ * committed with the force-masked blend on the Q net, opt-in
+ * per-lane toggle counts, and a trailing always-zero scratch group
+ * backing the plan's padded input slots. Differential tests pit every
+ * lane against Netlist::evaluateReference(), the independent
+ * cell-by-cell interpreter.
  *
  * Lanes above lanes() exist physically but are dead: their fault
  * state can't be set, their values are never read, and the lane
@@ -234,6 +233,11 @@ class LaneGroup
     ///@}
 
   private:
+    /// A Netlist keeps its instance state in a one-lane group; its
+    /// evaluateReference() oracle reads and writes lane 0 directly,
+    /// bypassing the force index and the kernels.
+    friend class Netlist;
+
     template <unsigned W, bool kToggles> void evaluateImpl();
     template <unsigned W, bool kToggles> void clockEdgeImpl();
     template <unsigned W> void exposeStateImpl(const PadCone &cone);
@@ -268,25 +272,22 @@ class LaneGroup
 
     /**
      * Sparse force index, rebuilt lazily whenever the force masks
-     * change. A net is blend-covered when a plan step produces it or
-     * it is a DFF Q — its forces are applied by the per-step /
-     * per-commit blends, so only faults on the remaining (primary)
-     * nets need the direct value writes in applyFaultForces, and
-     * only DFFs with a forced Q need the Q-expose blend at all.
+     * change. Forces on blend-covered nets (EvalPlan::blendCovered)
+     * are applied by the per-step / per-commit blends, so only
+     * faults on the remaining (primary) nets need the direct value
+     * writes in applyFaultForces, and only DFFs with a forced Q need
+     * the Q-expose blend at all.
      */
-    std::vector<uint8_t> covered_;          ///< per net
     std::vector<uint8_t> qForced_;          ///< per DFF
     std::vector<uint32_t> qForcedList_;     ///< DFFs with forced Q
     std::vector<uint32_t> qFreeList_;       ///< DFFs without
     std::vector<uint32_t> primaryFaults_;   ///< indices into faults_
     std::vector<uint32_t> primaryTransients_;
     /**
-     * Force-split run program: the shared fused runs re-split so
-     * that only steps whose output group carries a force bit
-     * dispatch to a blending kernel; every other step runs
-     * blend-free. Codes 0..kNumWordOps-1 blend, +kNumWordOps don't.
+     * Force-split op code per shared fused run: the run's op when
+     * any of its steps has a forced output group (blending kernel),
+     * op + kNumWordOps otherwise (blend-free kernel).
      */
-    std::vector<uint32_t> fsRunBegin_;
     std::vector<uint8_t> fsRunOp_;
     /** Last seen in-window state per transient (change detector). */
     std::vector<uint8_t> transientActive_;

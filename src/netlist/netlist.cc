@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "common/logging.hh"
+#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -51,6 +52,22 @@ lutFor(CellType type)
             lut |= static_cast<uint8_t>(1u << idx);
     }
     return lut;
+}
+
+/**
+ * Lane 0 of the one-word engine state the reference interpreter
+ * walks: bit 0 of a net's value word or a DFF's state word.
+ */
+bool
+lane0(uint64_t word)
+{
+    return word & 1;
+}
+
+void
+setLane0(uint64_t &word, bool v)
+{
+    word = (word & ~uint64_t(1)) | uint64_t(v);
 }
 
 } // namespace
@@ -108,12 +125,15 @@ Netlist::Netlist(std::string name)
 
 Netlist::Netlist(const Netlist &other, bool)
     : s_(other.s_), elaborated_(other.elaborated_),
-      netVal_(other.netVal_), dffState_(other.dffState_),
+      engine_(std::make_unique<LaneGroup>(*other.engine_)),
       faults_(other.faults_), transients_(other.transients_),
-      cycle_(other.cycle_), forceMask_(other.forceMask_),
-      forceVal_(other.forceVal_), toggles_(other.toggles_)
+      referenceEdge_(other.referenceEdge_)
 {
 }
+
+Netlist::Netlist(Netlist &&) noexcept = default;
+Netlist &Netlist::operator=(Netlist &&) noexcept = default;
+Netlist::~Netlist() = default;
 
 std::unique_ptr<Netlist>
 Netlist::clone() const
@@ -505,6 +525,12 @@ Netlist::compilePlan()
         plan.dffQ[i] = cells[idx].output;
         plan.dffCell[i] = static_cast<uint32_t>(idx);
     }
+
+    plan.blendCovered.assign(s_->nextNet, 0);
+    for (NetId net : plan.out)
+        plan.blendCovered[net] = 1;
+    for (NetId net : plan.dffQ)
+        plan.blendCovered[net] = 1;
 }
 
 void
@@ -605,16 +631,10 @@ Netlist::elaborate()
 
     compilePlan();
 
-    // One extra trailing byte: the always-0 scratch net backing the
-    // padded input slots of the plan.
-    netVal_.assign(s_->nextNet + 1, 0);
-    netVal_[s_->one] = 1;
-    dffState_.assign(s_->dffCells.size(), 0);
-    forceMask_.assign(s_->nextNet, 0);
-    forceVal_.assign(s_->nextNet, 0);
-    toggles_.assign(cells.size(), 0);
+    // The instance state: one lane of the compiled engine, built at
+    // power-on values.
     elaborated_ = true;
-    reset();
+    engine_ = std::make_unique<LaneGroup>(*this, 1);
 }
 
 void
@@ -629,10 +649,8 @@ void
 Netlist::setInput(const std::string &name, bool value)
 {
     checkElaborated(true);
-    auto it = s_->inputs.find(name);
-    if (it == s_->inputs.end())
-        panic("no input named '%s'", name.c_str());
-    netVal_[it->second] = value;
+    uint64_t word = value;
+    engine_->setInputLanes(name, &word);
 }
 
 void
@@ -676,157 +694,118 @@ void
 Netlist::setBus(const BusHandle &bus, unsigned value)
 {
     checkElaborated(true);
-    if (!bus.input_)
-        panic("setBus: handle does not name an input bus");
-    for (unsigned i = 0; i < bus.nets_.size(); ++i)
-        netVal_[bus.nets_[i]] = (value >> i) & 1u;
+    engine_->setBus(bus, value);
 }
 
 unsigned
 Netlist::bus(const BusHandle &bus) const
 {
     checkElaborated(true);
-    unsigned v = 0;
-    for (unsigned i = 0; i < bus.nets_.size(); ++i)
-        v |= static_cast<unsigned>(netVal_[bus.nets_[i]]) << i;
-    return v;
-}
-
-void
-Netlist::applyFaultForces()
-{
-    // Transient windows open and close against the instance cycle
-    // counter: rebuild the force state of every transient-touched
-    // net each call (stuck-at faults reassert themselves once a
-    // window closes). The rebuild is O(faults + transients), both
-    // tiny, and skipped entirely on the fault-free fast path.
-    if (!transients_.empty()) {
-        for (const auto &t : transients_) {
-            forceMask_[t.net] = 0;
-            forceVal_[t.net] = 0;
-        }
-        for (const auto &f : faults_) {
-            forceMask_[f.net] = 0xFF;
-            forceVal_[f.net] = f.value;
-        }
-        for (const auto &t : transients_) {
-            if (cycle_ >= t.fromCycle && cycle_ < t.untilCycle) {
-                forceMask_[t.net] = 0xFF;
-                forceVal_[t.net] = t.value;
-            }
-        }
-    }
-
-    // Apply fault forcing to primary/state nets (cell outputs and
-    // DFF Q nets are handled by the force-mask blends).
-    for (const auto &f : faults_)
-        netVal_[f.net] = f.value;
-    for (const auto &t : transients_)
-        if (cycle_ >= t.fromCycle && cycle_ < t.untilCycle)
-            netVal_[t.net] = t.value;
+    return engine_->bus(bus, 0);
 }
 
 void
 Netlist::evaluate()
 {
     checkElaborated(true);
+    engine_->evaluate();
+    referenceEdge_ = false;
+}
 
-    applyFaultForces();
-
-    // Expose DFF state on Q nets (force-masked blend).
-    const EvalPlan &plan = s_->plan;
-    size_t nd = plan.dffQ.size();
-    for (size_t i = 0; i < nd; ++i) {
-        NetId q = plan.dffQ[i];
-        uint8_t m = forceMask_[q];
-        netVal_[q] = (dffState_[i] & ~m) | (forceVal_[q] & m);
-    }
-
-    const NetId *in = plan.in.data();
-    const NetId *out = plan.out.data();
-    const uint8_t *lut = plan.lut.data();
-    const uint32_t *cell = plan.cell.data();
-    uint8_t *val = netVal_.data();
-    const uint8_t *mask = forceMask_.data();
-    const uint8_t *fval = forceVal_.data();
-    uint64_t *toggles = toggles_.data();
-
-    size_t n = plan.out.size();
-    for (size_t i = 0; i < n; ++i) {
-        unsigned idx = val[in[3 * i]] | (val[in[3 * i + 1]] << 1) |
-                       (val[in[3 * i + 2]] << 2);
-        uint8_t v = (lut[i] >> idx) & 1;
-        NetId o = out[i];
-        uint8_t m = mask[o];
-        v = static_cast<uint8_t>((v & ~m) | (fval[o] & m));
-        toggles[cell[i]] += val[o] ^ v;
-        val[o] = v;
-    }
+std::map<NetId, bool>
+Netlist::referenceForces() const
+{
+    std::map<NetId, bool> forces;
+    for (const auto &f : faults_)
+        forces[f.net] = f.value;
+    uint64_t now = engine_->cycle();
+    for (const auto &t : transients_)
+        if (now >= t.fromCycle && now < t.untilCycle)
+            forces[t.net] = t.value;
+    return forces;
 }
 
 void
 Netlist::evaluateReference()
 {
     checkElaborated(true);
+    LaneGroup &g = *engine_;
+    const std::map<NetId, bool> forces = referenceForces();
 
-    applyFaultForces();
+    // Forced nets take their value before the pass: a primary input
+    // or constant has no producing cell to apply it, and a forced
+    // cell output then counts no toggle when its window opens.
+    for (const auto &[net, v] : forces)
+        setLane0(g.val_[net], v);
 
     const auto &cells = s_->cells;
     const auto &dffCells = s_->dffCells;
     for (size_t i = 0; i < dffCells.size(); ++i) {
         NetId q = cells[dffCells[i]].output;
-        if (!forceMask_[q])
-            netVal_[q] = dffState_[i];
-        else
-            netVal_[q] = forceVal_[q];
+        auto f = forces.find(q);
+        setLane0(g.val_[q],
+                 f != forces.end() ? f->second : lane0(g.dffState_[i]));
     }
 
     for (size_t idx : s_->evalOrder) {
         const CellInst &cell = cells[idx];
-        auto in = [&](size_t k) {
-            return netVal_[cell.inputs[k]] != 0;
-        };
+        auto in = [&](size_t k) { return lane0(g.val_[cell.inputs[k]]); };
         bool v = combValue(cell.type, in(0),
                            cell.inputs.size() > 1 && in(1),
                            cell.inputs.size() > 2 && in(2));
         NetId out = cell.output;
-        if (forceMask_[out])
-            v = forceVal_[out];
-        if ((netVal_[out] != 0) != v)
-            ++toggles_[idx];
-        netVal_[out] = v;
+        if (auto f = forces.find(out); f != forces.end())
+            v = f->second;
+        if (g.countToggles_ && lane0(g.val_[out]) != v)
+            ++g.toggles_[idx * LaneGroup::kWordLanes];
+        setLane0(g.val_[out], v);
     }
+    referenceEdge_ = true;
+}
+
+void
+Netlist::commitReference()
+{
+    LaneGroup &g = *engine_;
+    const std::map<NetId, bool> forces = referenceForces();
+    const auto &cells = s_->cells;
+    const auto &dffCells = s_->dffCells;
+    for (size_t i = 0; i < dffCells.size(); ++i) {
+        const CellInst &cell = cells[dffCells[i]];
+        bool d = lane0(g.val_[cell.inputs[0]]);
+        if (auto f = forces.find(cell.output); f != forces.end())
+            d = f->second;
+        if (g.countToggles_ && lane0(g.dffState_[i]) != d)
+            ++g.toggles_[dffCells[i] * LaneGroup::kWordLanes];
+        setLane0(g.dffState_[i], d);
+    }
+    ++g.cycle_;
 }
 
 void
 Netlist::clockEdge()
 {
     checkElaborated(true);
-    const EvalPlan &plan = s_->plan;
-    size_t nd = plan.dffD.size();
-    for (size_t i = 0; i < nd; ++i) {
-        uint8_t d = netVal_[plan.dffD[i]];
-        NetId q = plan.dffQ[i];
-        uint8_t m = forceMask_[q];
-        d = static_cast<uint8_t>((d & ~m) | (forceVal_[q] & m));
-        toggles_[plan.dffCell[i]] += dffState_[i] ^ d;
-        dffState_[i] = d;
-    }
-    ++cycle_;
+    if (referenceEdge_)
+        commitReference();
+    else
+        engine_->clockEdge();
 }
 
 bool
 Netlist::output(const std::string &name) const
 {
+    checkElaborated(true);
     auto it = s_->outputs.find(name);
     if (it == s_->outputs.end())
         panic("no output named '%s'", name.c_str());
-    return netVal_[it->second];
+    return engine_->netValue(it->second, 0);
 }
 
 unsigned
 Netlist::bus(const std::string &prefix, unsigned width) const
 {
+    checkElaborated(true);
     unsigned v = 0;
     for (unsigned i = 0; i < width; ++i)
         v |= static_cast<unsigned>(
@@ -838,40 +817,35 @@ bool
 Netlist::netValue(NetId net) const
 {
     checkElaborated(true);
-    if (net >= s_->nextNet)
-        panic("netValue: bad net %u", net);
-    return netVal_[net];
+    return engine_->netValue(net, 0);
 }
 
 void
 Netlist::reset()
 {
     checkElaborated(true);
-    for (size_t i = 0; i < dffState_.size(); ++i)
-        dffState_[i] = s_->dffInit[i];
-    std::fill(netVal_.begin(), netVal_.end(), 0);
-    netVal_[s_->one] = 1;
+    engine_->reset();
+}
+
+uint64_t
+Netlist::cycle() const
+{
+    return engine_ ? engine_->cycle() : 0;
 }
 
 void
 Netlist::injectFault(const StuckFault &fault)
 {
     checkElaborated(true);
-    if (fault.net >= s_->nextNet)
-        panic("injectFault: bad net %u", fault.net);
+    engine_->injectFault(0, fault);
     faults_.push_back(fault);
-    forceMask_[fault.net] = 0xFF;
-    forceVal_[fault.net] = fault.value;
 }
 
 void
 Netlist::clearFaults()
 {
     checkElaborated(true);
-    for (const auto &f : faults_) {
-        forceMask_[f.net] = 0;
-        forceVal_[f.net] = 0;
-    }
+    engine_->clearFaults();
     faults_.clear();
 }
 
@@ -879,12 +853,7 @@ void
 Netlist::injectTransient(const TransientFault &fault)
 {
     checkElaborated(true);
-    if (fault.net >= s_->nextNet)
-        panic("injectTransient: bad net %u", fault.net);
-    if (fault.untilCycle <= fault.fromCycle)
-        panic("injectTransient: empty window [%llu, %llu)",
-              static_cast<unsigned long long>(fault.fromCycle),
-              static_cast<unsigned long long>(fault.untilCycle));
+    engine_->injectTransient(0, fault);
     transients_.push_back(fault);
 }
 
@@ -892,52 +861,38 @@ void
 Netlist::clearTransients()
 {
     checkElaborated(true);
-    // Release any currently forced windows, then let the stuck-at
-    // faults reassert their own force state.
-    for (const auto &t : transients_) {
-        forceMask_[t.net] = 0;
-        forceVal_[t.net] = 0;
-    }
+    engine_->clearTransients();
     transients_.clear();
-    for (const auto &f : faults_) {
-        forceMask_[f.net] = 0xFF;
-        forceVal_[f.net] = f.value;
-    }
 }
 
 bool
 Netlist::dffValue(size_t index) const
 {
     checkElaborated(true);
-    if (index >= dffState_.size())
+    if (index >= numDffs())
         panic("dffValue: bad DFF %zu", index);
-    return dffState_[index] != 0;
+    return lane0(engine_->dffState_[index]);
 }
 
 void
 Netlist::flipDff(size_t index)
 {
     checkElaborated(true);
-    if (index >= dffState_.size())
-        panic("flipDff: bad DFF %zu", index);
-    dffState_[index] ^= 1;
+    engine_->flipDff(0, index);
 }
 
 std::vector<uint8_t>
 Netlist::saveDffState() const
 {
     checkElaborated(true);
-    return dffState_;
+    return engine_->saveDffState(0);
 }
 
 void
 Netlist::restoreDffState(const std::vector<uint8_t> &state)
 {
     checkElaborated(true);
-    if (state.size() != dffState_.size())
-        panic("restoreDffState: %zu bits, netlist has %zu",
-              state.size(), dffState_.size());
-    dffState_ = state;
+    engine_->restoreDffState(0, state);
 }
 
 unsigned
@@ -1010,36 +965,39 @@ Netlist::criticalPathDelayUnits() const
     return worst;
 }
 
-const std::vector<uint64_t> &
+std::vector<uint64_t>
 Netlist::toggleCounts() const
 {
-    return toggles_;
+    checkElaborated(true);
+    return engine_->toggleCounts(0);
 }
 
 void
-Netlist::resetToggles()
+Netlist::enableToggles(bool on)
 {
-    std::fill(toggles_.begin(), toggles_.end(), 0);
+    checkElaborated(true);
+    engine_->enableToggles(on);
 }
 
 uint64_t
 Netlist::minCellToggles() const
 {
-    uint64_t m = ~0ull;
-    for (uint64_t t : toggles_)
-        m = std::min(m, t);
-    return toggles_.empty() ? 0 : m;
+    std::vector<uint64_t> toggles = toggleCounts();
+    return toggles.empty()
+               ? 0
+               : *std::min_element(toggles.begin(), toggles.end());
 }
 
 double
 Netlist::meanCellToggles() const
 {
-    if (toggles_.empty())
+    std::vector<uint64_t> toggles = toggleCounts();
+    if (toggles.empty())
         return 0.0;
     double sum = 0.0;
-    for (uint64_t t : toggles_)
+    for (uint64_t t : toggles)
         sum += static_cast<double>(t);
-    return sum / static_cast<double>(toggles_.size());
+    return sum / static_cast<double>(toggles.size());
 }
 
 } // namespace flexi

@@ -16,26 +16,27 @@
  *
  * Internally a netlist is split into a *shared immutable structure*
  * (cells, connectivity, the compiled evaluation plan) and cheap
- * *per-instance state* (net values, DFF state, fault forces, toggle
- * counters). elaborate() freezes the structure and compiles the
- * evaluation plan:
+ * *per-instance state*. elaborate() freezes the structure and
+ * compiles the evaluation plan: combinational cells flattened, in
+ * topological order, into contiguous input-index / output-index
+ * arrays (three padded input slots per cell — unused slots point at
+ * a dedicated always-zero scratch net), each tagged with its WordOp
+ * and fused with its same-op neighbours into straight-line runs.
  *
- *  - combinational cells are flattened, in topological order, into
- *    contiguous input-index / output-index / truth-table arrays
- *    (three padded input slots per cell — unused slots point at a
- *    dedicated always-zero scratch net),
- *  - each cell evaluates branchlessly as one 8-bit truth-table
- *    lookup indexed by its (up to three) input bits,
- *  - net values are byte-packed (one byte per net, strictly 0/1),
- *  - stuck-at faults become per-net force masks applied with
- *    bitwise blends instead of branches.
+ * The one engine that executes that plan is LaneGroup
+ * (lane_group.hh). A Netlist's instance state — net values, DFF
+ * state, stuck-at / transient force words, toggle counters, cycle()
+ * — is a one-lane LaneGroup, so evaluate(), clockEdge() and every
+ * state accessor forward to the same kernels the wafer studies and
+ * campaigns run 512 dies at a time on.
  *
  * clone() then produces an independent simulation instance in a few
- * memcpys: the structure is shared by reference, only the mutable
- * state is copied. This is what lets the Monte-Carlo wafer study
- * fault-simulate hundreds of defective dies without rebuilding the
- * core netlist per die. evaluateReference() retains the original
- * cell-by-cell interpreter as a differential-testing oracle.
+ * memcpys: the structure is shared by reference, only the one-lane
+ * state is copied. This is what lets the checked runtime and the
+ * fleet's scalar phase fault-simulate dies one at a time without
+ * rebuilding the core netlist per die. evaluateReference() is the
+ * independent cell-by-cell interpreter, kept as the
+ * differential-testing oracle for the engine.
  */
 
 #ifndef FLEXI_NETLIST_NETLIST_HH
@@ -53,7 +54,6 @@
 namespace flexi
 {
 
-class LaneBatch;
 class LaneGroup;
 
 using NetId = uint32_t;
@@ -62,12 +62,11 @@ constexpr NetId kNoNet = ~0u;
 /**
  * Word-parallel opcode of one compiled plan step. elaborate()
  * assigns each combinational cell the op matching its boolean
- * function so the 64-lane evaluator (LaneBatch) can compute all 64
- * lanes of a step in a handful of bitwise word instructions instead
- * of 64 truth-table lookups. Lut is the generic fallback: expand the
- * step's 8-bit truth table as a sum of minterms over the three input
- * words (padded slots read the always-zero scratch word, exactly
- * like the scalar index bits).
+ * function so the engine (LaneGroup) computes 64 lanes of a step per
+ * machine word in a handful of bitwise instructions. Lut is the
+ * generic fallback: expand the step's 8-bit truth table as a sum of
+ * minterms over the three input words (padded slots read the
+ * always-zero scratch word).
  */
 enum class WordOp : uint8_t
 {
@@ -147,15 +146,14 @@ class BusHandle
 
   private:
     friend class Netlist;
-    friend class LaneBatch;
     friend class LaneGroup;
     std::vector<NetId> nets_;   ///< LSB first
     bool input_ = false;
 };
 
 /**
- * Combinational semantics of a cell as the 8-bit truth table the
- * evaluation plan executes: the output for inputs (i0, i1, i2) is
+ * Combinational semantics of a cell as the 8-bit truth table each
+ * evaluation-plan step carries: the output for inputs (i0, i1, i2) is
  * bit (i0 | i1<<1 | i2<<2). Inputs beyond the cell's arity are
  * don't-cares padded with 0 (matching the scratch-net convention).
  * Fatal on sequential cell types.
@@ -171,8 +169,9 @@ class Netlist
     // Netlist wholesale is never what callers want (use clone()).
     Netlist(const Netlist &) = delete;
     Netlist &operator=(const Netlist &) = delete;
-    Netlist(Netlist &&) = default;
-    Netlist &operator=(Netlist &&) = default;
+    Netlist(Netlist &&) noexcept;
+    Netlist &operator=(Netlist &&) noexcept;
+    ~Netlist();
 
     const std::string &name() const;
 
@@ -239,11 +238,12 @@ class Netlist
 
     /**
      * Independent simulation instance sharing this netlist's
-     * immutable structure. O(state), not O(structure): only net
-     * values, DFF state, fault forces, and toggle counters are
-     * copied (including any currently injected faults). Requires an
-     * elaborated netlist. Safe to call concurrently from multiple
-     * threads, and clones can be simulated concurrently.
+     * immutable structure. O(state), not O(structure): only the
+     * one-lane engine state (net values, DFF state, fault forces,
+     * toggle counters) and the fault lists are copied, including any
+     * currently injected faults. Requires an elaborated netlist.
+     * Safe to call concurrently from multiple threads, and clones can
+     * be simulated concurrently.
      */
     std::unique_ptr<Netlist> clone() const;
 
@@ -266,13 +266,19 @@ class Netlist
     /** Propagate combinational logic (call after setting inputs). */
     void evaluate();
     /**
-     * Reference implementation of evaluate(): the original
-     * cell-by-cell interpreter walking CellInst records. Kept as the
-     * differential-testing oracle for the compiled plan; bit-exact
-     * in outputs and toggle counts.
+     * Reference implementation of evaluate(): the cell-by-cell
+     * interpreter walking CellInst records, deciding forces from this
+     * instance's own fault and transient lists. It shares only the
+     * state storage with the engine — never its force index or
+     * kernels — and is the differential-testing oracle for it;
+     * bit-exact in outputs and toggle counts.
      */
     void evaluateReference();
-    /** Clock edge: commit DFFs (call after evaluate()). */
+    /**
+     * Clock edge: commit DFFs (call after evaluate()). After
+     * evaluateReference() the commit follows the reference rules
+     * too, so a reference run never touches the engine.
+     */
     void clockEdge();
 
     bool output(const std::string &name) const;
@@ -297,7 +303,7 @@ class Netlist
      * Clock edges seen by this instance since elaborate()/clone()
      * (monotonic; survives reset(), see above).
      */
-    uint64_t cycle() const { return cycle_; }
+    uint64_t cycle() const;
 
     /**
      * Arm a transient fault. Activation and release happen inside
@@ -419,9 +425,17 @@ class Netlist
     };
     std::vector<DffInfo> dffs() const;
 
-    /** Total output toggles per cell since last resetToggles(). */
-    const std::vector<uint64_t> &toggleCounts() const;
-    void resetToggles();
+    /**
+     * Total output toggles per cell since enableToggles(true).
+     * Requires toggle counting to be on.
+     */
+    std::vector<uint64_t> toggleCounts() const;
+    /**
+     * Turn per-cell toggle counting on or off. Off by default: only
+     * activity studies read the counts, and counting costs a bit
+     * scan per toggled cell. Enabling (re)zeroes the counters.
+     */
+    void enableToggles(bool on);
     uint64_t minCellToggles() const;
     double meanCellToggles() const;
 
@@ -429,17 +443,15 @@ class Netlist
     ///@}
 
   private:
-    /// The word-parallel evaluators share the structure and mirror
-    /// the per-instance state at bit granularity: LaneBatch packs 64
-    /// lanes into single words, LaneGroup generalizes to
-    /// structure-of-arrays lane groups of several words per net.
-    friend class LaneBatch;
+    /// The engine executes the compiled plan straight out of the
+    /// shared structure.
     friend class LaneGroup;
 
     /**
      * The compiled flat evaluation plan: combinational cells in
      * topological order with padded three-slot input indices, one
-     * 8-bit truth table per cell, plus flattened DFF D/Q indices.
+     * 8-bit truth table and WordOp per cell, plus flattened DFF D/Q
+     * indices.
      * Unused input slots point at the scratch net (index numNets()),
      * which always reads 0 and is unreachable by fault injection.
      */
@@ -461,6 +473,13 @@ class Netlist
         std::vector<NetId> dffD;
         std::vector<NetId> dffQ;
         std::vector<uint32_t> dffCell;
+        /**
+         * Per net: 1 when a plan step produces it or it is a DFF Q,
+         * so the engine's per-step / Q-expose blends apply its
+         * forces; a force on any other (primary) net needs a direct
+         * value write.
+         */
+        std::vector<uint8_t> blendCovered;
     };
 
     /** Immutable (once elaborated) shared structure. */
@@ -488,24 +507,34 @@ class Netlist
 
     void checkElaborated(bool want) const;
     void compilePlan();
-    void applyFaultForces();
+    /**
+     * The reference semantics' forces at cycle(): each forced net
+     * with its value. An open transient window overrides a stuck-at
+     * on the same net; later list entries win.
+     */
+    std::map<NetId, bool> referenceForces() const;
+    /** The DFF commit of a clockEdge() after evaluateReference(). */
+    void commitReference();
 
     std::shared_ptr<Structure> s_;
     bool elaborated_ = false;
 
     /**
-     * Per-instance state. All value vectors hold strictly 0/1 bytes
-     * (the evaluator composes truth-table indices from them);
-     * netVal_ has one extra trailing scratch byte that stays 0.
+     * Per-instance state: a one-lane group of the compiled engine
+     * (net values, DFF state, force words, toggle counters, cycle()).
+     * elaborate() builds it and clone() copies it.
      */
-    std::vector<uint8_t> netVal_;
-    std::vector<uint8_t> dffState_;
+    std::unique_ptr<LaneGroup> engine_;
+    /** The faults as injected: what faults() / transients() report
+     *  and what the reference interpreter derives its forces from. */
     std::vector<StuckFault> faults_;
     std::vector<TransientFault> transients_;
-    uint64_t cycle_ = 0;
-    std::vector<uint8_t> forceMask_;   ///< 0xFF where a fault forces
-    std::vector<uint8_t> forceVal_;
-    std::vector<uint64_t> toggles_;
+    /**
+     * evaluateReference() ran since the last evaluate(): clockEdge()
+     * then commits by the reference rules too, so a reference run
+     * never depends on the engine's force state.
+     */
+    bool referenceEdge_ = false;
 };
 
 } // namespace flexi

@@ -79,12 +79,6 @@ probeDie(const DieModel &model, const DieSample &die, double vdd,
             // gate-level branch below — so the per-die stream stays
             // aligned with the scalar path.
         } else if (cfg.gateLevelErrors && faulty_netlist) {
-            // Each probe is self-contained: runLockstep re-resets
-            // the DFF state, and clearing the toggle counters here
-            // keeps the probes from accumulating into each other's
-            // activity statistics (the 4.5 V counts used to leak
-            // into the 3 V probe's).
-            faulty_netlist->resetToggles();
             LockstepResult res =
                 runLockstep(*faulty_netlist, cfg.isa, test_prog,
                             test_inputs, cfg.testCycles);
@@ -252,7 +246,7 @@ runWaferStudy(const WaferStudyConfig &config)
                     group.injectFault(lane, f);
             LockstepGroupResult res = runLockstepGroup(
                 group, *golden, config.isa, test_prog, test_inputs,
-                config.testCycles, config.earlyExit);
+                config.testCycles, /*early_exit=*/false);
             for (unsigned lane = 0; lane < n; ++lane) {
                 DieResult &die =
                     result.dies[defective[begin + lane]];

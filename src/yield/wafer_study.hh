@@ -80,15 +80,6 @@ struct WaferStudyConfig
      * bit-identical for any value.
      */
     unsigned batchLanes = 512;
-    /**
-     * Retire a defective die's lane at its first pad mismatch
-     * instead of counting mismatches across the whole vector suite
-     * (batched gate-level path only). Yields are unchanged —
-     * functional() only asks errors == 0 — but per-die error counts
-     * become lower bounds; off by default to keep the probe-station
-     * error statistics exact.
-     */
-    bool earlyExit = false;
     DieModelParams params;
 };
 

@@ -3,14 +3,14 @@
  * Differential tests for the wide-lane compiled evaluator.
  *
  * The contract under test: every lane of a LaneGroup is bit-identical
- * to a scalar Netlist instance carrying the same fault state and
- * stimulus — against the compiled evaluation plan (evaluate()), the
- * cell-by-cell interpreter (evaluateReference()), and the 64-lane
- * LaneBatch — on all four fabricated cores, at every group width
- * (1 word / 4 words / 8 words) and at the word-boundary lane counts
- * (1, 63, 64, 65, 255, 256, 512), down to per-lane toggle counts.
- * The group lockstep harness must likewise reproduce runLockstep()
- * per lane, including its pad-cone exposeState() shortcut.
+ * to a Netlist instance carrying the same fault state and stimulus
+ * and stepped with the cell-by-cell reference interpreter
+ * (evaluateReference()) — on all four fabricated cores, at every
+ * group width (1 word / 4 words / 8 words) and at the word-boundary
+ * lane counts (1, 63, 64, 65, 255, 256, 512), down to per-lane
+ * toggle counts. The group lockstep harness must likewise reproduce
+ * runLockstep() per lane, including its pad-cone exposeState()
+ * shortcut.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 
 #include "common/rng.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_batch.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/lockstep.hh"
 #include "netlist/netlist.hh"
@@ -45,55 +44,66 @@ const Design kDesigns[] = {
 };
 
 /**
- * Drive a @p width lane group and @p width scalar mirrors with the
+ * Drive two @p width lane groups and @p width reference mirrors — one
+ * Netlist clone per lane, stepped with evaluateReference() — with the
  * same random stimulus and per-lane fault schedule for @p cycles
- * cycles, asserting every net of every lane matches after each
- * evaluate. Scalar mirrors run the compiled plan; a sample of lanes
- * additionally carries an evaluateReference() mirror so the word
- * evaluator is pitted against both scalar oracles at once.
+ * cycles, asserting every net of every lane of both groups matches
+ * after each evaluate, and every per-cell toggle count at the end.
+ * One group counts toggles; the other runs the production path
+ * (force-split blend-free runs, sparse primary-force writes), which
+ * the counting path never takes.
  */
 void
 runDifferential(const Design &design, unsigned width, int cycles,
                 uint64_t seed)
 {
     auto golden = design.build();
-    LaneGroup group(*golden, width);
-    ASSERT_EQ(group.lanes(), width);
-    ASSERT_EQ(group.words(), LaneGroup::wordsFor(width));
-    group.enableToggles(true);
+    LaneGroup counting(*golden, width);
+    LaneGroup plain(*golden, width);
+    ASSERT_EQ(counting.lanes(), width);
+    ASSERT_EQ(counting.words(), LaneGroup::wordsFor(width));
+    counting.enableToggles(true);
+    LaneGroup *groups[] = {&counting, &plain};
 
-    // Per-lane scalar mirrors of the compiled plan, plus reference
-    // (interpreter) mirrors on the first, middle and last lanes.
-    std::vector<std::unique_ptr<Netlist>> mirrors(width);
     std::vector<std::unique_ptr<Netlist>> refs(width);
-    for (unsigned lane = 0; lane < width; ++lane) {
-        mirrors[lane] = golden->clone();
-        if (lane == 0 || lane == width / 2 || lane == width - 1)
-            refs[lane] = golden->clone();
+    for (auto &ref : refs) {
+        ref = golden->clone();
+        ref->enableToggles(true);
     }
 
     std::vector<std::string> input_names;
     for (const auto &[in_name, net] : golden->primaryInputs())
         input_names.push_back(in_name);
+    unsigned instr_width = 0;
+    while (golden->primaryInputs().count(
+        "instr" + std::to_string(instr_width)))
+        ++instr_width;
+    BusHandle instr = golden->inputBus("instr", instr_width);
     size_t nets = golden->numNets();
     size_t dffs = golden->numDffs() ? golden->numDffs() : 1;
-    unsigned words = group.words();
+    unsigned words = counting.words();
 
     Rng rng(deriveSeed(seed, width));
     std::array<uint64_t, LaneGroup::kMaxWords> bits{};
     for (int cycle = 0; cycle < cycles; ++cycle) {
-        // Independent random stimulus per lane on every input.
+        // Independent random stimulus per lane on every input...
         for (const auto &in_name : input_names) {
             for (unsigned w = 0; w < words; ++w)
                 bits[w] = rng.next();
-            group.setInputLanes(in_name, bits.data());
-            for (unsigned lane = 0; lane < width; ++lane) {
-                bool v = (bits[lane / 64] >> (lane % 64)) & 1ull;
-                mirrors[lane]->setInput(in_name, v);
-                if (refs[lane])
-                    refs[lane]->setInput(in_name, v);
-            }
+            for (LaneGroup *g : groups)
+                g->setInputLanes(in_name, bits.data());
+            for (unsigned lane = 0; lane < width; ++lane)
+                refs[lane]->setInput(
+                    in_name, (bits[lane / 64] >> (lane % 64)) & 1ull);
         }
+        // ...except the instruction bus, which carries one uniform
+        // setBus() value on every lane.
+        unsigned instr_value =
+            static_cast<unsigned>(rng.below(1u << instr_width));
+        for (LaneGroup *g : groups)
+            g->setBus(instr, instr_value);
+        for (auto &ref : refs)
+            ref->setBus(instr, instr_value);
 
         // Per-lane fault traffic: stuck-ats land on random lanes
         // early, transients open short absolute-cycle windows
@@ -106,10 +116,9 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 StuckFault f;
                 f.net = static_cast<NetId>(rng.below(nets));
                 f.value = rng.chance(0.5);
-                group.injectFault(lane, f);
-                mirrors[lane]->injectFault(f);
-                if (refs[lane])
-                    refs[lane]->injectFault(f);
+                for (LaneGroup *g : groups)
+                    g->injectFault(lane, f);
+                refs[lane]->injectFault(f);
             }
         }
         if (cycle % 9 == 4) {
@@ -119,12 +128,11 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 TransientFault t;
                 t.net = static_cast<NetId>(rng.below(nets));
                 t.value = rng.chance(0.5);
-                t.fromCycle = group.cycle() + rng.below(3);
+                t.fromCycle = counting.cycle() + rng.below(3);
                 t.untilCycle = t.fromCycle + 1 + rng.below(3);
-                group.injectTransient(lane, t);
-                mirrors[lane]->injectTransient(t);
-                if (refs[lane])
-                    refs[lane]->injectTransient(t);
+                for (LaneGroup *g : groups)
+                    g->injectTransient(lane, t);
+                refs[lane]->injectTransient(t);
             }
         }
         if (cycle % 11 == 7) {
@@ -132,77 +140,62 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 if (!rng.chance(0.3))
                     continue;
                 size_t d = rng.below(dffs);
-                group.flipDff(lane, d);
-                mirrors[lane]->flipDff(d);
-                if (refs[lane])
-                    refs[lane]->flipDff(d);
+                for (LaneGroup *g : groups)
+                    g->flipDff(lane, d);
+                refs[lane]->flipDff(d);
             }
         }
         if (cycle == (2 * cycles) / 3) {
-            group.clearFaults();
-            group.clearTransients();
-            for (unsigned lane = 0; lane < width; ++lane) {
-                mirrors[lane]->clearFaults();
-                mirrors[lane]->clearTransients();
-                if (refs[lane]) {
-                    refs[lane]->clearFaults();
-                    refs[lane]->clearTransients();
-                }
+            for (LaneGroup *g : groups) {
+                g->clearFaults();
+                g->clearTransients();
+            }
+            for (auto &ref : refs) {
+                ref->clearFaults();
+                ref->clearTransients();
             }
         }
 
-        group.evaluate();
-        group.clockEdge();
-        group.evaluate();
-        for (unsigned lane = 0; lane < width; ++lane) {
-            mirrors[lane]->evaluate();
-            mirrors[lane]->clockEdge();
-            mirrors[lane]->evaluate();
-            if (refs[lane]) {
-                refs[lane]->evaluateReference();
-                refs[lane]->clockEdge();
-                refs[lane]->evaluateReference();
-            }
+        for (LaneGroup *g : groups) {
+            g->evaluate();
+            g->clockEdge();
+            g->evaluate();
         }
-        ASSERT_EQ(group.cycle(), mirrors[0]->cycle());
+        for (auto &ref : refs) {
+            ref->evaluateReference();
+            ref->clockEdge();
+            ref->evaluateReference();
+        }
+        ASSERT_EQ(counting.cycle(), refs[0]->cycle());
 
         for (unsigned lane = 0; lane < width; ++lane) {
             for (NetId n = 0; n < static_cast<NetId>(nets); ++n) {
-                bool b = group.netValue(n, lane);
-                if (b != mirrors[lane]->netValue(n)) {
-                    FAIL() << design.name << " width " << width
-                           << " cycle " << cycle << " lane " << lane
-                           << " net " << n << ": group " << b
-                           << " vs scalar plan";
-                }
-                if (refs[lane] && b != refs[lane]->netValue(n)) {
-                    FAIL() << design.name << " width " << width
-                           << " cycle " << cycle << " lane " << lane
-                           << " net " << n << ": group " << b
-                           << " vs reference";
+                bool want = refs[lane]->netValue(n);
+                for (LaneGroup *g : groups) {
+                    if (g->netValue(n, lane) != want) {
+                        FAIL() << design.name << " width " << width
+                               << " cycle " << cycle << " lane " << lane
+                               << " net " << n << ": "
+                               << (g == &plain ? "plain" : "counting")
+                               << " group vs reference " << want;
+                    }
                 }
             }
         }
     }
 
     // Per-lane toggle counts, accumulated over the whole faulted
-    // run, against both oracles.
-    for (unsigned lane = 0; lane < width; ++lane) {
-        ASSERT_EQ(group.toggleCounts(lane),
-                  mirrors[lane]->toggleCounts())
+    // run.
+    for (unsigned lane = 0; lane < width; ++lane)
+        ASSERT_EQ(counting.toggleCounts(lane),
+                  refs[lane]->toggleCounts())
             << design.name << " width " << width << " lane " << lane;
-        if (refs[lane])
-            ASSERT_EQ(group.toggleCounts(lane),
-                      refs[lane]->toggleCounts())
-                << design.name << " width " << width << " lane "
-                << lane << " (reference)";
-    }
 }
 
 TEST(LaneGroup, OneWordWidthsMatchScalarAndReferenceAllCores)
 {
-    // W=1: the LaneBatch-equivalent group widths, plus the scalar
-    // degenerate case and the dead-top-lane boundary.
+    // W=1: the degenerate one-lane case every Netlist runs on, the
+    // dead-top-lane boundary, and the full word.
     for (const auto &design : kDesigns) {
         SCOPED_TRACE(design.name);
         runDifferential(design, 1, 30, 0x6AB1u);
@@ -231,78 +224,6 @@ TEST(LaneGroup, EightWordFullWidthMatchesScalarAndReferenceAllCores)
         SCOPED_TRACE(design.name);
         runDifferential(design, 512, 10, 0x6AB512u);
     }
-}
-
-TEST(LaneGroup, MatchesLaneBatchBitForBit)
-{
-    // The 64-lane word evaluator is the proven PR-5 oracle: a W=1
-    // group fed the same stimulus and faults must match it on every
-    // net and every toggle counter, cycle by cycle.
-    auto golden = buildFlexiCore4Netlist();
-    unsigned width = 64;
-    LaneGroup group(*golden, width);
-    LaneBatch batch(*golden, width);
-    group.enableToggles(true);
-    batch.enableToggles(true);
-
-    std::vector<std::string> input_names;
-    for (const auto &[in_name, net] : golden->primaryInputs())
-        input_names.push_back(in_name);
-    size_t nets = golden->numNets();
-    size_t dffs = golden->numDffs();
-
-    Rng rng(0xBA7C4u);
-    for (int cycle = 0; cycle < 40; ++cycle) {
-        for (const auto &in_name : input_names) {
-            uint64_t bits = rng.next();
-            group.setInputLanes(in_name, &bits);
-            batch.setInputLanes(in_name, bits);
-        }
-        if (cycle == 3) {
-            for (unsigned lane = 0; lane < width; lane += 3) {
-                StuckFault f;
-                f.net = static_cast<NetId>(rng.below(nets));
-                f.value = rng.chance(0.5);
-                group.injectFault(lane, f);
-                batch.injectFault(lane, f);
-            }
-        }
-        if (cycle == 9) {
-            for (unsigned lane = 1; lane < width; lane += 5) {
-                TransientFault t;
-                t.net = static_cast<NetId>(rng.below(nets));
-                t.value = rng.chance(0.5);
-                t.fromCycle = group.cycle() + 1;
-                t.untilCycle = t.fromCycle + 2;
-                group.injectTransient(lane, t);
-                batch.injectTransient(lane, t);
-            }
-        }
-        if (cycle == 15) {
-            for (unsigned lane = 2; lane < width; lane += 7) {
-                size_t d = rng.below(dffs);
-                group.flipDff(lane, d);
-                batch.flipDff(lane, d);
-            }
-        }
-
-        group.evaluate();
-        group.clockEdge();
-        group.evaluate();
-        batch.evaluate();
-        batch.clockEdge();
-        batch.evaluate();
-
-        for (unsigned lane = 0; lane < width; ++lane)
-            for (NetId n = 0; n < static_cast<NetId>(nets); ++n)
-                if (group.netValue(n, lane) !=
-                    batch.netValue(n, lane))
-                    FAIL() << "cycle " << cycle << " lane " << lane
-                           << " net " << n;
-    }
-    for (unsigned lane = 0; lane < width; ++lane)
-        ASSERT_EQ(group.toggleCounts(lane), batch.toggleCounts(lane))
-            << "lane " << lane;
 }
 
 TEST(LaneGroup, ResetRestoresPowerOnState)
@@ -557,11 +478,11 @@ TEST(LaneGroup, ByteBusPathsMatchGenericPaths)
 }
 
 /**
- * Round-trip fuzz for the per-lane DFF snapshot API across every
- * backend: states harvested from a live faulted scalar run —
- * including saves taken while a transient window is open and forcing
- * nets — restored into arbitrary lanes of LaneBatch and LaneGroup
- * words of every width must read back bit-identically, without
+ * Round-trip fuzz for the per-lane DFF snapshot API: states
+ * harvested from a live faulted single-die run — including saves
+ * taken while a transient window is open and forcing nets — restored
+ * into arbitrary lanes of LaneGroup words of every width must read
+ * back bit-identically, without
  * perturbing neighbouring lanes, and regardless of any fault traffic
  * the destination lane itself carries.
  */
@@ -611,7 +532,6 @@ TEST(LaneGroup, DffStateRoundTripAcrossWidthsAndMidTransient)
         for (unsigned width : kWidths) {
             SCOPED_TRACE(width);
             LaneGroup group(*golden, width);
-            LaneBatch batch(*golden, std::min(width, 64u));
             // Fault traffic on the destination does not bleed into
             // the snapshot path.
             StuckFault f{static_cast<NetId>(rng.below(nets)),
@@ -632,10 +552,6 @@ TEST(LaneGroup, DffStateRoundTripAcrossWidthsAndMidTransient)
                 laneSnap[lane] =
                     static_cast<unsigned>(rng.below(snaps.size()));
                 group.restoreDffState(lane, snaps[laneSnap[lane]]);
-                unsigned blane = lane % batch.lanes();
-                batch.restoreDffState(blane, snaps[laneSnap[lane]]);
-                ASSERT_EQ(batch.saveDffState(blane),
-                          snaps[laneSnap[lane]]);
             }
             for (unsigned lane = 0; lane < width; ++lane)
                 ASSERT_EQ(group.saveDffState(lane),

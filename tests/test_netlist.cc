@@ -133,7 +133,7 @@ TEST(Netlist, ToggleCounting)
 
     nl.setInput("a", false);
     nl.evaluate();
-    nl.resetToggles();
+    nl.enableToggles(true);
     for (int i = 0; i < 10; ++i) {
         nl.setInput("a", i % 2 == 0);
         nl.evaluate();
@@ -525,11 +525,12 @@ TEST(Lockstep, FaultyDieProducesErrors)
 // ---------------------------------------------------------------
 
 /**
- * Differential fuzz of the flattened evaluator against the retained
- * cell-by-cell interpreter: every processor netlist, random primary
- * inputs each cycle, random stuck-at faults injected mid-run. Both
- * paths must agree on every net value and every per-cell toggle
- * count after every evaluation.
+ * Differential fuzz of the compiled engine behind evaluate() against
+ * the cell-by-cell reference interpreter: every processor netlist,
+ * random primary inputs each cycle, random stuck-at faults, transient
+ * windows and DFF upsets injected mid-run. Both paths must agree on
+ * every net value and every per-cell toggle count after every
+ * evaluation.
  */
 TEST(Netlist, FlatEvaluatorMatchesReferenceUnderFaults)
 {
@@ -548,6 +549,7 @@ TEST(Netlist, FlatEvaluatorMatchesReferenceUnderFaults)
     for (const auto &design : kDesigns) {
         SCOPED_TRACE(design.name);
         auto fast = design.build();
+        fast->enableToggles(true);
         auto ref = fast->clone();   // identical structure and state
         Rng rng(deriveSeed(0xD1FFu, fast->numNets()));
 
@@ -562,12 +564,15 @@ TEST(Netlist, FlatEvaluatorMatchesReferenceUnderFaults)
                 fast->setInput(in_name, v);
                 ref->setInput(in_name, v);
             }
-            // Occasionally add a stuck-at fault (and once, clear
-            // them all) so the force-mask path is exercised in every
-            // combination with the LUT dispatch.
+            // Occasionally add a stuck-at fault, a short transient
+            // window or a latch upset (and once, clear them all) so
+            // the force paths are exercised in every combination
+            // with the word-op dispatch.
             if (cycle == 30) {
                 fast->clearFaults();
                 ref->clearFaults();
+                fast->clearTransients();
+                ref->clearTransients();
             } else if (cycle % 7 == 3) {
                 StuckFault f;
                 f.net = static_cast<NetId>(
@@ -575,6 +580,19 @@ TEST(Netlist, FlatEvaluatorMatchesReferenceUnderFaults)
                 f.value = rng.chance(0.5);
                 fast->injectFault(f);
                 ref->injectFault(f);
+            } else if (cycle % 5 == 1) {
+                TransientFault t;
+                t.net = static_cast<NetId>(
+                    rng.below(fast->numNets()));
+                t.value = rng.chance(0.5);
+                t.fromCycle = fast->cycle() + rng.below(3);
+                t.untilCycle = t.fromCycle + 1 + rng.below(3);
+                fast->injectTransient(t);
+                ref->injectTransient(t);
+            } else if (cycle % 11 == 6) {
+                size_t d = rng.below(fast->numDffs());
+                fast->flipDff(d);
+                ref->flipDff(d);
             }
 
             fast->evaluate();
@@ -630,6 +648,17 @@ TEST(Netlist, CloneOfUnelaboratedNetlistIsRejected)
     Netlist nl("t");
     nl.addInput("a");
     EXPECT_THROW(nl.clone(), std::logic_error);
+}
+
+TEST(Netlist, OutputsOfUnelaboratedNetlistAreRejected)
+{
+    // Instance state exists only after elaborate(): reading a pad
+    // before that must fail cleanly, not index missing state.
+    Netlist nl("t");
+    NetId a = nl.addInput("a");
+    nl.addOutput("y", a);
+    EXPECT_THROW(nl.output("y"), std::logic_error);
+    EXPECT_THROW(nl.bus("y", 1), std::logic_error);
 }
 
 TEST(Netlist, BusHandleMatchesStringLookup)

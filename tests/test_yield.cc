@@ -215,7 +215,7 @@ TEST_P(TestProgramTest, VectorsToggleEveryGate)
     auto inputs = makeTestInputs(isa, 256, 3);
     auto nl = isa == IsaKind::FlexiCore4 ? buildFlexiCore4Netlist()
                                          : buildFlexiCore8Netlist();
-    nl->resetToggles();
+    nl->enableToggles(true);
     runLockstep(*nl, isa, p, inputs, 4000);
     EXPECT_GT(nl->minCellToggles(), 0u);
     EXPECT_GT(nl->meanCellToggles(), 100.0);
@@ -468,19 +468,21 @@ TEST(WaferStudy, ProbesDoNotAccumulateToggles)
     // Each probe of a die must start from clean toggle counters —
     // the 4.5 V probe's activity used to leak into the 3 V probe's
     // statistics. The contract, at the netlist level: an earlier run
-    // followed by resetToggles() leaves counts identical to a fresh
-    // instance running only the second workload.
+    // followed by enableToggles(true) leaves counts identical to a
+    // fresh instance running only the second workload.
     auto nl = buildFlexiCore4Netlist();
     Program p = makeTestProgram(IsaKind::FlexiCore4, 2);
     auto inputs = makeTestInputs(IsaKind::FlexiCore4, 128, 2);
 
     auto probed_twice = nl->clone();
+    probed_twice->enableToggles(true);
     runLockstep(*probed_twice, IsaKind::FlexiCore4, p, inputs, 700);
     probed_twice->reset();
-    probed_twice->resetToggles();
+    probed_twice->enableToggles(true);
     runLockstep(*probed_twice, IsaKind::FlexiCore4, p, inputs, 300);
 
     auto probed_once = nl->clone();
+    probed_once->enableToggles(true);
     runLockstep(*probed_once, IsaKind::FlexiCore4, p, inputs, 300);
 
     EXPECT_EQ(probed_twice->toggleCounts(),
