@@ -1,5 +1,6 @@
 #include "checkpoint.hh"
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -13,23 +14,49 @@ namespace
 
 constexpr uint8_t kMagic[4] = {'F', 'L', 'F', 'T'};
 
-/** Little-endian byte-stream writer. */
+uint32_t
+load32le(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+}
+
+/**
+ * Byte counter with the Writer interface: one pass of the encoder
+ * over a Counter sizes the image exactly, so the writing pass fills
+ * one allocation through a cursor.
+ */
+struct Counter
+{
+    size_t size = 0;
+
+    void u8(uint8_t) { size += 1; }
+    void u32(uint32_t) { size += 4; }
+    void u64(uint64_t) { size += 8; }
+    void f64(double) { size += 8; }
+    void bytes(const uint8_t *, size_t n) { size += n; }
+    void blob(const std::vector<uint8_t> &v) { size += 4 + v.size(); }
+};
+
+/** Little-endian writer into a buffer a Counter pass sized. */
 struct Writer
 {
-    std::vector<uint8_t> bytes;
+    uint8_t *p;
 
-    void u8(uint8_t v) { bytes.push_back(v); }
+    void u8(uint8_t v) { *p++ = v; }
     void
     u32(uint32_t v)
     {
         for (int i = 0; i < 4; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+            *p++ = static_cast<uint8_t>(v >> (8 * i));
     }
     void
     u64(uint64_t v)
     {
         for (int i = 0; i < 8; ++i)
-            bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
+            *p++ = static_cast<uint8_t>(v >> (8 * i));
     }
     void
     f64(double v)
@@ -40,10 +67,17 @@ struct Writer
         u64(b);
     }
     void
+    bytes(const uint8_t *v, size_t n)
+    {
+        if (n)
+            std::memcpy(p, v, n);
+        p += n;
+    }
+    void
     blob(const std::vector<uint8_t> &v)
     {
         u32(static_cast<uint32_t>(v.size()));
-        bytes.insert(bytes.end(), v.begin(), v.end());
+        bytes(v.data(), v.size());
     }
 };
 
@@ -60,6 +94,16 @@ struct Reader
             fatal("fleet checkpoint: truncated (needed %zu more "
                   "bytes, %zu left)", n, left);
     }
+    /** Fail unless @p n records of at least @p minBytes each fit in
+     *  what is left, so a corrupt count never sizes an allocation. */
+    void
+    needRecords(uint64_t n, size_t minBytes) const
+    {
+        if (n > left / minBytes)
+            fatal("fleet checkpoint: truncated (%llu records of at "
+                  "least %zu bytes each, %zu bytes left)",
+                  static_cast<unsigned long long>(n), minBytes, left);
+    }
     uint8_t
     u8()
     {
@@ -67,13 +111,21 @@ struct Reader
         --left;
         return *p++;
     }
+    /** A bool byte: 0 or 1 only, so decode then re-encode is exact. */
+    bool
+    flag(const char *what)
+    {
+        uint8_t v = u8();
+        if (v > 1)
+            fatal("fleet checkpoint: bad %s flag %u", what, v);
+        return v;
+    }
     uint32_t
     u32()
     {
         need(4);
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(*p++) << (8 * i);
+        uint32_t v = load32le(p);
+        p += 4;
         left -= 4;
         return v;
     }
@@ -81,9 +133,9 @@ struct Reader
     u64()
     {
         need(8);
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(*p++) << (8 * i);
+        uint64_t v = load32le(p) |
+                     static_cast<uint64_t>(load32le(p + 4)) << 32;
+        p += 8;
         left -= 8;
         return v;
     }
@@ -110,8 +162,9 @@ struct Reader
     }
 };
 
+template <class Sink>
 void
-encodeConfig(Writer &w, const FleetConfig &c)
+encodeConfig(Sink &w, const FleetConfig &c)
 {
     w.u8(static_cast<uint8_t>(c.isa));
     w.u64(c.seed);
@@ -158,14 +211,14 @@ decodeConfig(Reader &r)
     c.workUnits = r.u64();
     c.transientsPerEpoch = r.f64();
     c.flipsPerEpoch = r.f64();
-    c.detectors.lockstep = r.u8();
-    c.detectors.outputCrc = r.u8();
-    c.detectors.watchdog = r.u8();
+    c.detectors.lockstep = r.flag("lockstep");
+    c.detectors.outputCrc = r.flag("outputCrc");
+    c.detectors.watchdog = r.flag("watchdog");
     c.detectors.watchdogCycles = r.u64();
-    c.recovery.enabled = r.u8();
+    c.recovery.enabled = r.flag("recovery");
     c.recovery.checkpointInstructions = r.u32();
     c.recovery.maxRetries = r.u32();
-    c.recovery.allowRestart = r.u8();
+    c.recovery.allowRestart = r.flag("allowRestart");
     c.maxRepages = r.u32();
     c.maxInstructions = r.u64();
     c.threads = r.u32();
@@ -175,25 +228,29 @@ decodeConfig(Reader &r)
     return c;
 }
 
-} // namespace
-
-uint32_t
-crc32(uint32_t crc, const uint8_t *bytes, size_t n)
+template <class Sink>
+void
+encodeDie(Sink &w, const FleetDie &d)
 {
-    crc = ~crc;
-    for (size_t i = 0; i < n; ++i) {
-        crc ^= bytes[i];
-        for (int b = 0; b < 8; ++b)
-            crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-    }
-    return ~crc;
+    w.u32(d.poolIndex);
+    w.u8(static_cast<uint8_t>(d.bin));
+    w.u8(d.alive);
+    w.u32(d.repages);
+    w.u32(d.epochsRun);
+    for (uint32_t n : d.outcomes)
+        w.u32(n);
+    w.u64(d.lifeCycles);
+    w.u64(d.digest);
+    w.u32(d.dffCount);
+    w.blob(d.dffBits);
 }
 
-std::vector<uint8_t>
-encodeFleetState(const FleetState &state)
+/** Every byte of the image but the trailing CRC, in format order. */
+template <class Sink>
+void
+encodeBody(Sink &w, const FleetState &state)
 {
-    Writer w;
-    w.bytes.insert(w.bytes.end(), kMagic, kMagic + 4);
+    w.bytes(kMagic, 4);
     w.u32(kFleetCheckpointVersion);
     encodeConfig(w, state.config);
 
@@ -201,19 +258,8 @@ encodeFleetState(const FleetState &state)
     w.u64(state.deaths);
 
     w.u32(static_cast<uint32_t>(state.dies.size()));
-    for (const FleetDie &d : state.dies) {
-        w.u32(d.poolIndex);
-        w.u8(static_cast<uint8_t>(d.bin));
-        w.u8(d.alive);
-        w.u32(d.repages);
-        w.u32(d.epochsRun);
-        for (uint32_t n : d.outcomes)
-            w.u32(n);
-        w.u64(d.lifeCycles);
-        w.u64(d.digest);
-        w.u32(d.dffCount);
-        w.blob(d.dffBits);
-    }
+    for (const FleetDie &d : state.dies)
+        encodeDie(w, d);
 
     w.u32(static_cast<uint32_t>(state.epochOutcomes.size()));
     for (const auto &row : state.epochOutcomes)
@@ -222,10 +268,77 @@ encodeFleetState(const FleetState &state)
     for (const auto &row : state.binOutcomes)
         for (uint64_t n : row)
             w.u64(n);
+}
 
-    uint32_t crc = crc32(0, w.bytes.data(), w.bytes.size());
-    w.u32(crc);
-    return w.bytes;
+/** Bytes of one die record with an empty DFF blob. */
+size_t
+dieRecordMinBytes()
+{
+    Counter c;
+    encodeDie(c, FleetDie{});
+    return c.size;
+}
+
+constexpr size_t kHistogramRowBytes = kNumFaultOutcomes * 8;
+
+/**
+ * Slice-by-8 tables of the reflected CRC-32: kCrcTable[0][b] is the
+ * CRC register after shifting in byte b, and kCrcTable[k][b] the
+ * same followed by k zero bytes.
+ */
+constexpr std::array<std::array<uint32_t, 256>, 8>
+makeCrcTables()
+{
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint32_t c = b;
+        for (int i = 0; i < 8; ++i)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+        t[0][b] = c;
+    }
+    for (size_t k = 1; k < 8; ++k)
+        for (uint32_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
+    return t;
+}
+
+constexpr auto kCrcTable = makeCrcTables();
+
+} // namespace
+
+uint32_t
+crc32(uint32_t crc, const uint8_t *bytes, size_t n)
+{
+    const auto &t = kCrcTable;
+    crc = ~crc;
+    // Eight bytes per step through eight tables: the lookups do not
+    // depend on each other, so they overlap.
+    for (; n >= 8; bytes += 8, n -= 8) {
+        uint32_t lo = crc ^ load32le(bytes);
+        uint32_t hi = load32le(bytes + 4);
+        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+              t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n; ++bytes, --n)
+        crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFF];
+    return ~crc;
+}
+
+std::vector<uint8_t>
+encodeFleetState(const FleetState &state)
+{
+    Counter size;
+    encodeBody(size, state);
+    std::vector<uint8_t> image(size.size + 4);
+    Writer w{image.data()};
+    encodeBody(w, state);
+    w.u32(crc32(0, image.data(), size.size));
+    if (w.p != image.data() + image.size())
+        panic("fleet checkpoint: encoder wrote %td of %zu bytes",
+              w.p - image.data(), image.size());
+    return image;
 }
 
 FleetState
@@ -234,10 +347,7 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
     if (bytes.size() < 12)
         fatal("fleet checkpoint: file too short (%zu bytes)",
               bytes.size());
-    uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i)
-        stored |= static_cast<uint32_t>(bytes[bytes.size() - 4 + i])
-                  << (8 * i);
+    uint32_t stored = load32le(bytes.data() + bytes.size() - 4);
     uint32_t actual = crc32(0, bytes.data(), bytes.size() - 4);
     if (stored != actual)
         fatal("fleet checkpoint: CRC mismatch (stored %08x, "
@@ -268,6 +378,7 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
     if (state.epochsDone > state.config.epochs)
         fatal("fleet checkpoint: epochsDone %u exceeds the %u-epoch "
               "campaign", state.epochsDone, state.config.epochs);
+    r.needRecords(numDies, dieRecordMinBytes());
     state.dies.resize(numDies);
     for (FleetDie &d : state.dies) {
         d.poolIndex = r.u32();
@@ -275,7 +386,7 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
         if (bin > static_cast<uint8_t>(DieBin::Dead))
             fatal("fleet checkpoint: bad die bin %u", bin);
         d.bin = static_cast<DieBin>(bin);
-        d.alive = r.u8() != 0;
+        d.alive = r.flag("alive");
         d.repages = r.u32();
         d.epochsRun = r.u32();
         for (uint32_t &n : d.outcomes)
@@ -283,8 +394,9 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
         d.lifeCycles = r.u64();
         d.digest = r.u64();
         d.dffCount = r.u32();
-        d.dffBits = r.blob((d.dffCount + 7) / 8);
-        if (d.dffBits.size() != (d.dffCount + 7) / 8)
+        size_t dffBytes = (static_cast<size_t>(d.dffCount) + 7) / 8;
+        d.dffBits = r.blob(dffBytes);
+        if (d.dffBits.size() != dffBytes)
             fatal("fleet checkpoint: die state holds %zu bytes for "
                   "%u DFFs", d.dffBits.size(), d.dffCount);
     }
@@ -293,6 +405,7 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
     if (epochs != state.config.epochs)
         fatal("fleet checkpoint: %u histogram rows for a %u-epoch "
               "campaign", epochs, state.config.epochs);
+    r.needRecords(epochs, kHistogramRowBytes);
     state.epochOutcomes.resize(epochs);
     for (auto &row : state.epochOutcomes)
         for (uint64_t &n : row)

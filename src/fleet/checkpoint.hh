@@ -21,8 +21,13 @@
  * Resume invariants:
  *  - loadFleetCheckpoint() fails closed (FatalError) on a short
  *    file, bad magic, unknown version, trailing garbage, any
- *    truncated record, out-of-range enum value, or CRC mismatch —
- *    a corrupt checkpoint can never silently yield a fresh state.
+ *    truncated record or record count the remaining bytes cannot
+ *    hold, out-of-range enum value, bool byte other than 0/1, or
+ *    CRC mismatch — a corrupt checkpoint can never silently yield
+ *    a fresh state, and decode-then-encode reproduces the image.
+ *  - Die records are checked against the salvage study only when
+ *    an engine runs them: FleetEngine::run() rejects a poolIndex
+ *    outside the deployable pool or a bin that disagrees with it.
  *  - The configuration is authoritative: resume rebuilds the
  *    engine (wafer + salvage studies, population pool) from the
  *    stored config, so only the path needs to be remembered.
@@ -48,7 +53,11 @@ namespace flexi
 
 constexpr uint32_t kFleetCheckpointVersion = 1;
 
-/** CRC-32 (IEEE, poly 0xEDB88320), @p crc seeded with 0. */
+/**
+ * CRC-32 (IEEE, reflected poly 0xEDB88320) — the same value as
+ * zlib's crc32(). Seed @p crc with 0; chaining continues a CRC, so
+ * crc32(crc32(0, a), b) is the CRC of a followed by b.
+ */
 uint32_t crc32(uint32_t crc, const uint8_t *bytes, size_t n);
 
 /** Serialize @p state to the checkpoint byte format. */

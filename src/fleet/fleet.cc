@@ -46,14 +46,14 @@ fnvU64(uint64_t h, uint64_t v)
     return fnv1a(h, b, 8);
 }
 
-std::vector<uint8_t>
-packBits(const std::vector<uint8_t> &bits)
+/** Pack one-byte DFF values into @p packed (bit i = DFF i), reusing
+ *  its allocation. */
+void
+packBits(const std::vector<uint8_t> &bits, std::vector<uint8_t> &packed)
 {
-    std::vector<uint8_t> packed((bits.size() + 7) / 8, 0);
+    packed.assign((bits.size() + 7) / 8, 0);
     for (size_t i = 0; i < bits.size(); ++i)
-        if (bits[i])
-            packed[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-    return packed;
+        packed[i / 8] |= static_cast<uint8_t>((bits[i] != 0) << (i % 8));
 }
 
 std::unique_ptr<Netlist>
@@ -146,7 +146,8 @@ struct FleetEngine::Impl
     std::unique_ptr<Netlist> golden;
     std::unique_ptr<Program> prog;
     SalvageReport report;
-    /** Study-die indices deployable for the configured kernel. */
+    /** Study-die indices deployable for the configured kernel,
+     *  ascending. */
     std::vector<uint32_t> pool;
     /** Per-study-die field glitch rate at the deployment supply. */
     std::vector<double> glitchRates;
@@ -310,6 +311,21 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
     if (state.dies.size() != im.cfg.numDies ||
         state.epochOutcomes.size() != im.cfg.epochs)
         fatal("fleet: state shape does not match its configuration");
+    // Die records index the salvage study: a checkpoint that decodes
+    // cleanly may still name a part this campaign never deployed.
+    for (size_t d = 0; d < state.dies.size(); ++d) {
+        const FleetDie &die = state.dies[d];
+        if (!std::binary_search(im.pool.begin(), im.pool.end(),
+                                die.poolIndex))
+            fatal("fleet: die %zu has poolIndex %u, not a deployable "
+                  "part of this campaign's %zu-die wafer", d,
+                  die.poolIndex, im.report.study.dies.size());
+        DieBin bin = im.report.dies[die.poolIndex].bin;
+        if (die.bin != bin)
+            fatal("fleet: die %zu is binned %s but its part %u is %s",
+                  d, dieBinName(die.bin), die.poolIndex,
+                  dieBinName(bin));
+    }
 
     uint32_t last = im.cfg.epochs;
     if (stopAfter && stopAfter < last)
@@ -418,16 +434,15 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
             endDff[d] = std::move(run.endDff);
         });
 
-        // Merge in die order — single-threaded, so histograms,
-        // digests and the escalation ladder are thread-invariant.
-        for (uint32_t d : live) {
+        // Merge each die's mission into its own record: digest,
+        // packed end state and escalation ladder read and write only
+        // that die, so any thread count gives the same records.
+        parallelFor(live.size(), im.cfg.threads, [&](size_t k) {
+            uint32_t d = live[k];
             FleetDie &die = state.dies[d];
             ++die.epochsRun;
             ++die.outcomes[outcome[d]];
             die.lifeCycles += cycles[d];
-            ++state.epochOutcomes[epoch][outcome[d]];
-            size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
-            ++state.binOutcomes[binIdx][outcome[d]];
 
             uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
             h = fnvU64(h, epoch);
@@ -436,14 +451,21 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
             h = fnv1a(h, endDff[d].data(), endDff[d].size());
             die.digest = h;
             die.dffCount = static_cast<uint32_t>(endDff[d].size());
-            die.dffBits = packBits(endDff[d]);
+            packBits(endDff[d], die.dffBits);
 
             // Fleet-level escalation: a Degraded mission burns one
             // firmware re-page; past the budget the die fail-stops.
-            if (degraded[d] && ++die.repages > im.cfg.maxRepages) {
+            if (degraded[d] && ++die.repages > im.cfg.maxRepages)
                 die.alive = false;
-                ++state.deaths;
-            }
+        });
+
+        // Fleet-wide counters, summed in die order.
+        for (uint32_t d : live) {
+            const FleetDie &die = state.dies[d];
+            ++state.epochOutcomes[epoch][outcome[d]];
+            size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
+            ++state.binOutcomes[binIdx][outcome[d]];
+            state.deaths += !die.alive;
         }
 
         state.epochsDone = epoch + 1;

@@ -180,8 +180,11 @@ class FleetEngine
      * run to the end), checkpointing to @p checkpointPath after
      * every epoch when non-empty (atomic tmp+rename writes). The
      * state must come from init() or a checkpoint of the same
-     * config. Killing the process between epochs and resuming from
-     * the checkpoint is bit-identical to never stopping.
+     * config: FatalError if its configuration or shape differs, or
+     * if a die's poolIndex is not a deployable part of this
+     * campaign's salvage study or its bin disagrees with the study.
+     * Killing the process between epochs and resuming from the
+     * checkpoint is bit-identical to never stopping.
      */
     void run(FleetState &state, uint32_t stopAfter = 0,
              const std::string &checkpointPath = {}) const;

@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the field-fleet lifecycle engine and its
  * checkpoint format: thread/batch-lane determinism, kill/resume
- * bit-identity, fail-closed decoding, and the fleet invariants
- * (histogram row sums, escalation-ladder accounting, salvaged-part
- * deployment).
+ * bit-identity, the CRC-32 against a bitwise reference, pinned
+ * image bytes, fail-closed decoding and resume, and the fleet
+ * invariants (histogram row sums, escalation-ladder accounting,
+ * salvaged-part deployment).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "fleet/checkpoint.hh"
 #include "fleet/fleet.hh"
 
@@ -20,6 +22,52 @@ namespace flexi
 {
 namespace
 {
+
+/** Image offsets of fields the fail-closed tests patch: the header
+ *  (magic + version, 8 bytes), the 99-byte configuration, then
+ *  epochsDone (4), deaths (8) and the die count (4). */
+constexpr size_t kNumDiesCfgOffset = 17;
+constexpr size_t kEpochsCfgOffset = 21;
+constexpr size_t kLockstepOffset = 54;
+constexpr size_t kNumDiesOffset = 119;
+/** Die 0's record: poolIndex (4), bin (1), alive (1), ... */
+constexpr size_t kDie0Offset = 123;
+
+uint32_t
+get32(const std::vector<uint8_t> &b, size_t at)
+{
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<uint32_t>(b[at + i]) << (8 * i);
+    return v;
+}
+
+void
+put32(std::vector<uint8_t> &b, size_t at, uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Rewrite the trailing CRC so only structural checks can object. */
+void
+reseal(std::vector<uint8_t> &b)
+{
+    put32(b, b.size() - 4, crc32(0, b.data(), b.size() - 4));
+}
+
+/** Bit-at-a-time CRC-32, the textbook definition. */
+uint32_t
+crc32Bitwise(uint32_t crc, const uint8_t *p, size_t n)
+{
+    crc = ~crc;
+    for (size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int b = 0; b < 8; ++b)
+            crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+    return ~crc;
+}
 
 /** Small, fast campaign shared by most tests. */
 FleetConfig
@@ -129,6 +177,35 @@ checkInvariants(const FleetState &st)
     }
 }
 
+TEST(Crc32, MatchesReference)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(0, reinterpret_cast<const uint8_t *>(check), 9),
+              0xCBF43926u);
+    EXPECT_EQ(crc32(0, nullptr, 0), 0u);
+
+    Rng rng(0xC3C32u);
+    std::vector<uint8_t> data(616);
+    for (uint8_t &b : data)
+        b = static_cast<uint8_t>(rng.below(256));
+
+    // Every length across the 8-byte steps and the byte tail, at
+    // every alignment.
+    for (size_t off = 0; off <= 8; ++off)
+        for (size_t len = 0; len <= 600; ++len)
+            ASSERT_EQ(crc32(0, data.data() + off, len),
+                      crc32Bitwise(0, data.data() + off, len))
+                << "offset " << off << ", length " << len;
+
+    // Chaining continues the CRC at any split point.
+    const uint8_t *a = data.data();
+    for (size_t len : {size_t(17), size_t(64), size_t(600)})
+        for (size_t split = 0; split <= len; ++split)
+            ASSERT_EQ(crc32(crc32(0, a, split), a + split, len - split),
+                      crc32(0, a, len))
+                << "length " << len << ", split " << split;
+}
+
 TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)
 {
     FleetConfig cfg = smallConfig();
@@ -210,6 +287,31 @@ TEST(Fleet, CheckpointRoundTripIsExact)
     EXPECT_EQ(bytes, encodeFleetState(back));
 }
 
+TEST(Fleet, CheckpointBytesArePinned)
+{
+    // Round trips cannot catch an encoder and a decoder that drift
+    // together, so the image itself is pinned: any change to these
+    // values is a format change and needs a new
+    // kFleetCheckpointVersion.
+    FleetConfig cfg = smallConfig();
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st, 2);
+
+    std::vector<uint8_t> bytes = encodeFleetState(st);
+    ASSERT_EQ(bytes.size(), 3355u);
+    EXPECT_EQ(get32(bytes, bytes.size() - 4), 0x90b4ac68u);
+    EXPECT_EQ(fleetDigest(st), 0xc4ffb2500d6aed5bull);
+
+    // The offsets the fail-closed tests patch.
+    EXPECT_EQ(get32(bytes, kNumDiesCfgOffset), cfg.numDies);
+    EXPECT_EQ(get32(bytes, kEpochsCfgOffset), cfg.epochs);
+    EXPECT_EQ(bytes[kLockstepOffset], cfg.detectors.lockstep);
+    EXPECT_EQ(get32(bytes, kNumDiesOffset), cfg.numDies);
+    EXPECT_EQ(get32(bytes, kDie0Offset), st.dies[0].poolIndex);
+    EXPECT_EQ(bytes[kDie0Offset + 5], st.dies[0].alive);
+}
+
 TEST(Fleet, KillAndResumeIsBitIdentical)
 {
     FleetConfig cfg = smallConfig();
@@ -266,9 +368,100 @@ TEST(Fleet, CheckpointFailsClosed)
     bad.push_back(0);
     EXPECT_THROW(decodeFleetState(bad), FatalError);
 
+    // Structural checks behind a valid CRC: each image below carries
+    // a correct CRC, so the CRC cannot be what rejects it.
+    {
+        // A DFF count whose byte length wraps in 32 bits, with the
+        // empty blob the wrapped length would ask for.
+        FleetState t = st;
+        t.dies[0].dffCount = 0xFFFFFFF9u;
+        t.dies[0].dffBits.clear();
+        EXPECT_THROW(decodeFleetState(encodeFleetState(t)),
+                     FatalError);
+    }
+    // Bool bytes other than 0/1 would decode as true and re-encode
+    // as 1, breaking the canonical round trip.
+    for (size_t at : {kDie0Offset + 5, kLockstepOffset}) {
+        std::vector<uint8_t> t = bytes;
+        t[at] = 0x02;
+        reseal(t);
+        EXPECT_THROW(decodeFleetState(t), FatalError)
+            << "flag byte at " << at;
+    }
+    {
+        // Record counts the file cannot hold fail before anything is
+        // sized by them.
+        std::vector<uint8_t> t = bytes;
+        put32(t, kNumDiesCfgOffset, 0x7FFFFFFFu);
+        put32(t, kNumDiesOffset, 0x7FFFFFFFu);
+        reseal(t);
+        EXPECT_THROW(decodeFleetState(t), FatalError);
+
+        // The histogram row count sits after the dies, before the
+        // epoch and bin rows (8 bytes per outcome each).
+        size_t rows = (cfg.epochs + 2) * kNumFaultOutcomes * 8;
+        t = bytes;
+        put32(t, kEpochsCfgOffset, 0x7FFFFFFFu);
+        put32(t, t.size() - 4 - rows - 4, 0x7FFFFFFFu);
+        reseal(t);
+        EXPECT_THROW(decodeFleetState(t), FatalError);
+    }
+
     // An unreadable path fails loudly, never a fresh state.
     EXPECT_THROW(loadFleetCheckpoint("/nonexistent/fleet.ckpt"),
                  FatalError);
+}
+
+TEST(Fleet, ResumeRejectsOutOfRangePoolIndex)
+{
+    // A CRC-valid checkpoint may still name a part this campaign
+    // never deployed: run() must fail closed before it indexes the
+    // salvage study or the glitch rates with it.
+    FleetConfig cfg = smallConfig();
+    cfg.numDies = 8;
+    cfg.epochs = 2;
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st, 1);
+
+    std::vector<uint8_t> bytes = encodeFleetState(st);
+    put32(bytes, kDie0Offset, 0x7FFFFFF0u);
+    reseal(bytes);
+    FleetState resumed = decodeFleetState(bytes);
+    EXPECT_EQ(resumed.dies[0].poolIndex, 0x7FFFFFF0u);
+    FleetEngine fresh(resumed.config);
+    EXPECT_THROW(fresh.run(resumed), FatalError);
+
+    const SalvageReport &rep = engine.salvage();
+    auto rejects = [&](uint32_t poolIndex, DieBin bin) {
+        FleetState t = st;
+        t.dies[3].poolIndex = poolIndex;
+        t.dies[3].bin = bin;
+        EXPECT_THROW(engine.run(t), FatalError)
+            << "poolIndex " << poolIndex << ", bin "
+            << dieBinName(bin);
+    };
+    // One past the study, and a study die that was never deployable
+    // (a Dead part), even with its own bin.
+    rejects(static_cast<uint32_t>(rep.study.dies.size()),
+            DieBin::Functional);
+    bool sawDead = false;
+    for (size_t i = 0; i < rep.dies.size() && !sawDead; ++i)
+        if (rep.dies[i].bin == DieBin::Dead) {
+            rejects(static_cast<uint32_t>(i), DieBin::Dead);
+            sawDead = true;
+        }
+    EXPECT_TRUE(sawDead);
+    // A deployed part whose recorded bin disagrees with the study.
+    uint32_t pi = st.dies[0].poolIndex;
+    rejects(pi, st.dies[0].bin == DieBin::Functional
+                    ? DieBin::Salvaged
+                    : DieBin::Functional);
+
+    // The untouched state still resumes.
+    FleetState ok = st;
+    engine.run(ok);
+    EXPECT_EQ(ok.epochsDone, cfg.epochs);
 }
 
 TEST(Fleet, CheckpointFileRoundTrip)
