@@ -15,8 +15,8 @@
  *    recovery policy and per deployment bin, emitted as benchmark
  *    counters (avail_eN and sdc_eN per epoch, avail/sdc per bin, pulled
  *    dies). The counters are the numbers EXPERIMENTS.md plots; the
- *    timing row guards the prescreen/scalar split from regressing
- *    under fault pressure.
+ *    timing row guards the prescreen/checked-runtime split from
+ *    regressing under fault pressure.
  *
  * CI re-emits BENCH_fleet.json every run and diffs the timing
  * metrics against the committed snapshot with bench_compare.py
@@ -51,8 +51,9 @@ curveConfig()
     cfg.workUnits = 1;
     cfg.transientsPerEpoch = 0.15;
     cfg.flipsPerEpoch = 0.05;
-    // Hangs burn the whole budget in the scalar authoritative rerun;
-    // keep it a few mission-lengths, not the CLI default.
+    // A hung die burns the whole budget in the checked runtime (and
+    // holds its lane group that long); keep it a few
+    // mission-lengths, not the CLI default.
     cfg.maxInstructions = 8000;
     return cfg;
 }

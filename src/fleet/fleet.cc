@@ -94,6 +94,15 @@ configsMatch(const FleetConfig &a, const FleetConfig &b)
            a.vdd == b.vdd && a.minKernels == b.minKernels;
 }
 
+/** The lane inputs of a pack of dies: each die's in-field schedule
+ *  and its part's manufacturing stuck-ats. */
+struct LanePack
+{
+    std::vector<FaultSchedule> scheds;
+    std::vector<const FaultSchedule *> schedPtrs;
+    std::vector<const std::vector<StuckFault> *> faults;
+};
+
 } // namespace
 
 uint64_t
@@ -157,6 +166,8 @@ struct FleetEngine::Impl
     FaultSchedule makeSchedule(uint32_t die, uint32_t epoch,
                                uint64_t horizon,
                                double glitchRate) const;
+    LanePack pack(const FleetState &state, const uint32_t *dies,
+                  size_t n, uint32_t epoch, uint64_t horizon) const;
 };
 
 std::vector<uint8_t>
@@ -209,6 +220,25 @@ FleetEngine::Impl::makeSchedule(uint32_t die, uint32_t epoch,
     return sched;
 }
 
+LanePack
+FleetEngine::Impl::pack(const FleetState &state, const uint32_t *dies,
+                        size_t n, uint32_t epoch,
+                        uint64_t horizon) const
+{
+    LanePack pack;
+    pack.scheds.resize(n);
+    pack.schedPtrs.resize(n);
+    pack.faults.resize(n);
+    for (size_t l = 0; l < n; ++l) {
+        uint32_t pi = state.dies[dies[l]].poolIndex;
+        pack.scheds[l] =
+            makeSchedule(dies[l], epoch, horizon, glitchRates[pi]);
+        pack.schedPtrs[l] = &pack.scheds[l];
+        pack.faults[l] = &report.study.dies[pi].faults;
+    }
+    return pack;
+}
+
 FleetEngine::FleetEngine(const FleetConfig &config)
     : impl_(new Impl)
 {
@@ -219,6 +249,12 @@ FleetEngine::FleetEngine(const FleetConfig &config)
     if (!config.epochs || config.epochs >= kEpochStride)
         fatal("fleet: epochs must be in [1, %llu)",
               static_cast<unsigned long long>(kEpochStride));
+    for (auto [name, rate] :
+         {std::pair{"transientsPerEpoch", config.transientsPerEpoch},
+          std::pair{"flipsPerEpoch", config.flipsPerEpoch}})
+        if (!(rate >= 0.0 && rate <= FleetConfig::kMaxEventRate))
+            fatal("fleet: %s must be in [0, %g], got %g", name,
+                  FleetConfig::kMaxEventRate, rate);
     im.golden = fleetGolden(config.isa);
 
     size_t kernelIdx;
@@ -381,21 +417,11 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
                 unsigned lanes = static_cast<unsigned>(
                     std::min<size_t>(lanesMax,
                                      live.size() - begin));
-                std::vector<FaultSchedule> scheds(lanes);
-                std::vector<const FaultSchedule *> schedPtrs(lanes);
-                std::vector<const std::vector<StuckFault> *>
-                    faults(lanes);
-                for (unsigned l = 0; l < lanes; ++l) {
-                    uint32_t d = live[begin + l];
-                    uint32_t pi = state.dies[d].poolIndex;
-                    scheds[l] = im.makeSchedule(
-                        d, epoch, horizon, im.glitchRates[pi]);
-                    schedPtrs[l] = &scheds[l];
-                    faults[l] = &im.report.study.dies[pi].faults;
-                }
+                LanePack pack = im.pack(state, &live[begin], lanes,
+                                        epoch, horizon);
                 PrescreenResult pres = prescreenSchedules(
-                    *im.golden, *im.prog, inputs, runCfg, schedPtrs,
-                    &faults, true);
+                    *im.golden, *im.prog, inputs, runCfg,
+                    pack.schedPtrs, &pack.faults, true);
                 for (unsigned l = 0; l < lanes; ++l) {
                     uint32_t d = live[begin + l];
                     if (pres.completed && pres.clean(l)) {
@@ -414,24 +440,30 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
             dirty = live;
         }
 
-        // Phase 2: authoritative scalar checked runs for every lane
-        // the prescreen could not prove clean.
-        parallelFor(dirty.size(), im.cfg.threads, [&](size_t k) {
-            uint32_t d = dirty[k];
-            uint32_t pi = state.dies[d].poolIndex;
-            std::unique_ptr<Netlist> die = im.golden->clone();
-            for (const StuckFault &f :
-                 im.report.study.dies[pi].faults)
-                die->injectFault(f);
-            FaultSchedule sched = im.makeSchedule(
-                d, epoch, horizon, im.glitchRates[pi]);
-            CheckedRunResult run = runChecked(*die, *im.prog, inputs,
-                                              runCfg, sched);
-            outcome[d] = static_cast<uint8_t>(
-                classifyCheckedRun(run, im.cfg.detectors));
-            degraded[d] = run.outcome == CheckedOutcome::Degraded;
-            cycles[d] = run.cycles;
-            endDff[d] = std::move(run.endDff);
+        // Phase 2: the full checked runtime for every die the
+        // prescreen could not prove clean, packed in die order into
+        // one-word lane groups spread over the pool.
+        size_t groupLanes =
+            checkedLanesPerGroup(dirty.size(), im.cfg.threads);
+        size_t groups = (dirty.size() + groupLanes - 1) / groupLanes;
+        parallelFor(groups, im.cfg.threads, [&](size_t g) {
+            size_t begin = g * groupLanes;
+            size_t lanes =
+                std::min<size_t>(groupLanes, dirty.size() - begin);
+            LanePack pack =
+                im.pack(state, &dirty[begin], lanes, epoch, horizon);
+            std::vector<CheckedRunResult> runs = runCheckedLanes(
+                *im.golden, *im.prog, inputs, runCfg, pack.schedPtrs,
+                &pack.faults);
+            for (size_t l = 0; l < lanes; ++l) {
+                uint32_t d = dirty[begin + l];
+                outcome[d] = static_cast<uint8_t>(
+                    classifyCheckedRun(runs[l], im.cfg.detectors));
+                degraded[d] =
+                    runs[l].outcome == CheckedOutcome::Degraded;
+                cycles[d] = runs[l].cycles;
+                endDff[d] = std::move(runs[l].endDff);
+            }
         });
 
         // Merge each die's mission into its own record: digest,

@@ -25,15 +25,17 @@
  *       → fail-stop (budget exhausted: the die is pulled from the
  *         fleet and every later epoch counts it unavailable).
  *
- * Throughput comes from the 512-lane compiled backend: every epoch,
- * live dies are packed into LaneGroup words — each lane carrying its
- * own manufacturing defects and in-field schedule — and the word-
- * parallel prescreen proves most lanes fault-free; only dirty lanes
- * re-run through the scalar authoritative runChecked(). Results are
- * bit-identical for any thread count and any batchLanes, and the
- * whole campaign checkpoints to a versioned, checksummed file after
- * every epoch, so a killed run resumed from its checkpoint is
- * bit-identical to an uninterrupted one (see checkpoint.hh).
+ * Throughput comes from the compiled lane backend: every epoch, live
+ * dies are packed into LaneGroup words — each lane carrying its own
+ * manufacturing defects and in-field schedule — and the word-
+ * parallel prescreen proves most lanes fault-free; the dies it
+ * cannot prove clean run the full checked runtime 64 to a word
+ * (runCheckedLanes()), packed in die order into one-word groups
+ * spread over the thread pool. Results are bit-identical for any
+ * thread count and any batchLanes, and the whole campaign
+ * checkpoints to a versioned, checksummed file after every epoch, so
+ * a killed run resumed from its checkpoint is bit-identical to an
+ * uninterrupted one (see checkpoint.hh).
  */
 
 #ifndef FLEXI_FLEET_FLEET_HH
@@ -70,6 +72,14 @@ struct FleetConfig
     unsigned fc8Program = 0;
     /** Units of work per mission. */
     size_t workUnits = 2;
+    /**
+     * Largest accepted transientsPerEpoch / flipsPerEpoch. The engine
+     * rejects a rate that is negative, NaN, infinite or above this
+     * bound with FatalError: the Poisson draw of an unbounded mean
+     * never returns, and a bounded one this large already saturates
+     * every die.
+     */
+    static constexpr double kMaxEventRate = 1024.0;
     /** Mean environmental transient upsets per mission per die. */
     double transientsPerEpoch = 0.25;
     /** Mean one-shot DFF flips per mission per die. */
@@ -87,8 +97,9 @@ struct FleetConfig
     uint64_t maxInstructions = 60000;
     /** 0 = auto; results are bit-identical for any value. */
     unsigned threads = 0;
-    /** Lanes per prescreen word-pack (1 forces all-scalar; results
-     *  are bit-identical for any value). */
+    /** Lanes per prescreen word-pack (1 skips the prescreen, so
+     *  every die runs the lane-parallel checked runtime; results are
+     *  bit-identical for any value). */
     unsigned batchLanes = 512;
     /** Salvage deployment: binning voltage and qualification bar. */
     double vdd = 4.5;

@@ -360,6 +360,21 @@ LaneGroup::reset()
 }
 
 void
+LaneGroup::reset(unsigned lane)
+{
+    checkLane(lane);
+    size_t word = lane / kWordLanes;
+    uint64_t bit = 1ull << (lane % kWordLanes);
+    for (size_t i = 0; i < s_->dffCells.size(); ++i) {
+        uint64_t &v = dffState_[i * words_ + word];
+        v = s_->dffInit[i] ? v | bit : v & ~bit;
+    }
+    for (size_t n = 0; n < s_->nextNet; ++n)
+        val_[n * words_ + word] &= ~bit;
+    val_[size_t(s_->one) * words_ + word] |= bit;
+}
+
+void
 LaneGroup::applyFaultForces()
 {
     // Per-lane force rebuild: transient windows open and close

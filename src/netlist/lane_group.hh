@@ -115,6 +115,12 @@ class LaneGroup
     ///@{
     /** All lanes back to power-on state; cycle() keeps counting. */
     void reset();
+    /**
+     * One lane back to power-on state, exactly as reset() leaves it:
+     * DFFs at their init values and every net value cleared (no
+     * re-expose), the other lanes untouched.
+     */
+    void reset(unsigned lane);
     void evaluate();
     void clockEdge();
     ///@}

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 #include "isa/encoding.hh"
 #include "netlist/lane_group.hh"
 #include "sim/core_sim.hh"
@@ -463,6 +464,561 @@ runChecked(Netlist &die, const Program &prog,
     return runner.run();
 }
 
+namespace
+{
+
+/**
+ * The golden side of the lane-parallel runner: one golden model's
+ * trajectory, recorded as a tape indexed by instruction count k.
+ * Every lane's golden model follows it, and rollback and restart
+ * only ever move a lane back to an earlier k, so a per-lane cursor
+ * replaces the CoreSim copies CheckedRunner checkpoints. Recorded on
+ * demand: a lane records instruction k only when about to step it.
+ */
+class GoldenTape
+{
+  public:
+    /** The golden model after k instructions, and instruction k. */
+    struct Point
+    {
+        unsigned pc = 0;
+        uint8_t latch = 0;      ///< OPORT latch
+        uint8_t crc = 0;        ///< CRC-8 of the outputs so far
+        bool done = false;
+        uint32_t outputs = 0;   ///< golden outputs so far
+        /** @name Instruction k (set once point k+1 is recorded) */
+        ///@{
+        uint8_t cycles = 0;     ///< die cycles it takes
+        uint8_t held = 0;       ///< input-bus value while it runs
+        bool ioWrite = false;
+        bool takenBranch = false;
+        ///@}
+    };
+
+    GoldenTape(const Program &prog, const std::vector<uint8_t> &inputs,
+               const CheckedRunConfig &cfg)
+        : prog_(prog), inputs_(inputs), cfg_(cfg)
+    {
+        if (prog.numPages() > 1)
+            paged_ = std::make_unique<PagedEnvironment>(env_);
+        TimingConfig tcfg;
+        tcfg.isa = cfg.isa;
+        golden_ = std::make_unique<CoreSim>(
+            tcfg, prog,
+            paged_ ? static_cast<Environment &>(*paged_)
+                   : static_cast<Environment &>(env_));
+        points_.push_back(boundary(0));
+    }
+
+    const Point &at(size_t k) const { return points_[k]; }
+
+    /** Record instruction @p k, if not yet on the tape (boundary k
+     *  must not be done). */
+    void
+    recordThrough(size_t k)
+    {
+        while (points_.size() <= k + 1)
+            record();
+    }
+
+    /** The golden output stream recorded so far. */
+    const std::vector<uint8_t> &outputs() const { return env_.outputs; }
+
+  private:
+    Point
+    boundary(uint8_t crc) const
+    {
+        Point p;
+        p.pc = golden_->pc();
+        p.latch = golden_->outputLatch();
+        p.crc = crc;
+        p.outputs = static_cast<uint32_t>(env_.outputs.size());
+        p.done = golden_->halted() ||
+                 (cfg_.targetOutputs &&
+                  env_.outputs.size() >= cfg_.targetOutputs);
+        return p;
+    }
+
+    /** Step the golden model once: CheckedRunner::stepInstruction's
+     *  golden half. */
+    void
+    record()
+    {
+        if (points_.back().done)
+            panic("golden tape: stepping past the end of the run");
+        DecodeResult dec = decodeAt(cfg_.isa, prog_.page(golden_->page()),
+                                    golden_->pc());
+        if (readsInput(dec.inst) && inputIdx_ < inputs_.size())
+            env_.held = inputs_[inputIdx_++] &
+                        static_cast<uint8_t>(
+                            (1u << isaDataWidth(cfg_.isa)) - 1u);
+        uint64_t prevIo = golden_->stats().ioWrites;
+        uint64_t prevTb = golden_->stats().takenBranches;
+        size_t prevOut = env_.outputs.size();
+        golden_->step();
+
+        Point &p = points_.back();
+        bool wide = cfg_.isa == IsaKind::ExtAcc4 ||
+                    cfg_.isa == IsaKind::LoadStore4;
+        p.cycles = static_cast<uint8_t>(wide ? 1 : dec.bytes);
+        p.held = env_.held;
+        p.ioWrite = golden_->stats().ioWrites != prevIo;
+        p.takenBranch = golden_->stats().takenBranches != prevTb;
+        uint8_t crc = p.crc;
+        for (size_t i = prevOut; i < env_.outputs.size(); ++i)
+            crc = crc8(crc, env_.outputs[i]);
+        points_.push_back(boundary(crc));
+    }
+
+    const Program &prog_;
+    const std::vector<uint8_t> &inputs_;
+    const CheckedRunConfig &cfg_;
+    HeldInputEnv env_;
+    std::unique_ptr<PagedEnvironment> paged_;
+    std::unique_ptr<CoreSim> golden_;
+    size_t inputIdx_ = 0;
+    std::vector<Point> points_;
+};
+
+/**
+ * CheckedRunner over the lanes of one LaneGroup word. Each lane runs
+ * the scalar runner's state machine on its own state; the group
+ * clocks every running lane once per cycle, and between cycles each
+ * lane that finished an instruction (or hit a detector) does its own
+ * golden compare, checkpoint, rollback or restart.
+ */
+class LaneCheckedRunner
+{
+  public:
+    LaneCheckedRunner(const Netlist &golden, const Program &prog,
+                      const std::vector<uint8_t> &inputs,
+                      const CheckedRunConfig &cfg,
+                      const std::vector<const FaultSchedule *> &schedules,
+                      const std::vector<const std::vector<StuckFault> *>
+                          *laneFaults)
+        : cfg_(cfg), tape_(prog, inputs, cfg),
+          numLanes_(laneCount(schedules.size())),
+          group_(golden, numLanes_), lanes_(numLanes_)
+    {
+        if (laneFaults && laneFaults->size() != schedules.size())
+            fatal("runCheckedLanes: %zu fault lists for %u lanes",
+                  laneFaults->size(), numLanes_);
+        bool wide = cfg.isa == IsaKind::ExtAcc4 ||
+                    cfg.isa == IsaKind::LoadStore4;
+        unsigned width = isaDataWidth(cfg.isa);
+        pcBus_ = golden.outputBus("pc", 7);
+        instrBus_ = golden.inputBus("instr", wide ? 16 : 8);
+        iportBus_ = golden.inputBus("iport", width);
+        oportBus_ = golden.outputBus("oport", width);
+        cone_ = group_.padCone({&pcBus_, &oportBus_});
+        multiPage_ = prog.numPages() > 1;
+        maxCycles_ = cfg.maxCycles ? cfg.maxCycles
+                                   : cfg.maxInstructions * 8 + 1024;
+
+        // What each page feeds a die whose PC pads read pc: the
+        // instruction byte, or for the wide cores the 16-bit word
+        // (LoadStore4 addresses words at pc*2). Past a page's image
+        // — and on pages the program never filled — the bus floats
+        // to 0, as in CheckedRunner.
+        fetch_.resize(prog.numPages());
+        for (unsigned p = 0; p < prog.numPages(); ++p) {
+            const std::vector<uint8_t> &image = prog.page(p);
+            auto byte = [&](unsigned addr) -> unsigned {
+                return addr < image.size() ? image[addr] : 0;
+            };
+            for (unsigned pc = 0; pc < kPcSpace; ++pc) {
+                unsigned base = cfg.isa == IsaKind::LoadStore4 ? pc * 2
+                                                               : pc;
+                fetch_[p][pc] = static_cast<uint16_t>(
+                    wide ? byte(base) | byte(base + 1) << 8
+                         : byte(base));
+            }
+        }
+
+        for (unsigned l = 0; l < numLanes_; ++l) {
+            if (laneFaults && (*laneFaults)[l])
+                for (const StuckFault &f : *(*laneFaults)[l])
+                    group_.injectFault(l, f);
+            for (const auto &t : schedules[l]->transients)
+                group_.injectTransient(l, t);
+            Lane &ln = lanes_[l];
+            ln.flips = schedules[l]->flips;
+            std::sort(ln.flips.begin(), ln.flips.end(),
+                      [](const FaultSchedule::DffFlip &a,
+                         const FaultSchedule::DffFlip &b) {
+                          return a.cycle < b.cycle;
+                      });
+        }
+        running_ = group_.laneMaskWord(0);
+    }
+
+    std::vector<CheckedRunResult>
+    run()
+    {
+        for (unsigned l = 0; l < numLanes_; ++l) {
+            takeCheckpoint(l);
+            advance(l);
+        }
+        std::array<uint8_t, LaneGroup::kWordLanes> pc{}, oport{},
+            held{};
+        std::array<uint32_t, LaneGroup::kWordLanes> instr{};
+        static const std::array<uint16_t, kPcSpace> kUnmapped{};
+        size_t numDffs = group_.numDffs();
+        while (running_) {
+            // Fetch from each lane's own PC pads and MMU page, with
+            // its own held input; flips land before the fetch.
+            group_.gatherBusBytes(pcBus_, pc.data());
+            for (uint64_t m = running_; m; m &= m - 1) {
+                unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+                Lane &ln = lanes_[l];
+                while (ln.flipIdx < ln.flips.size() &&
+                       ln.flips[ln.flipIdx].cycle <= group_.cycle()) {
+                    if (numDffs)
+                        group_.flipDff(l, ln.flips[ln.flipIdx].dff %
+                                              numDffs);
+                    ++ln.flipIdx;
+                }
+                const auto &page = ln.diePage < fetch_.size()
+                                       ? fetch_[ln.diePage]
+                                       : kUnmapped;
+                instr[l] = page[pc[l] % kPcSpace];
+                held[l] = tape_.at(ln.k).held;
+            }
+            group_.setBusLanes(instrBus_, instr.data());
+            group_.setBusLanesBytes(iportBus_, held.data());
+            group_.evaluate();
+            group_.clockEdge();
+            group_.exposeState(cone_);   // new state on the pads
+
+            group_.gatherBusBytes(pcBus_, pc.data());
+            group_.gatherBusBytes(oportBus_, oport.data());
+            for (uint64_t m = running_; m; m &= m - 1) {
+                unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
+                afterCycle(l, pc[l], oport[l]);
+            }
+
+            // CheckedRunner re-evaluates a rolled-back die on the
+            // spot. Lanes only diverge in DFF state, so one pad
+            // re-expose per cycle serves every lane that rolled back
+            // (for the rest it recomputes what the pads already
+            // show) — but a restarted lane must keep the cleared
+            // nets reset() left it, so reset it again afterwards.
+            if (exposePending_) {
+                group_.exposeState(cone_);
+                for (uint64_t m = restarted_; m; m &= m - 1)
+                    group_.reset(
+                        static_cast<unsigned>(__builtin_ctzll(m)));
+            }
+            exposePending_ = false;
+            restarted_ = 0;
+        }
+
+        std::vector<CheckedRunResult> results;
+        results.reserve(numLanes_);
+        for (Lane &ln : lanes_)
+            results.push_back(std::move(ln.res));
+        return results;
+    }
+
+  private:
+    /** PC pads are 7 bits wide on every core. */
+    static constexpr unsigned kPcSpace = 128;
+
+    static unsigned
+    laneCount(size_t lanes)
+    {
+        if (lanes == 0 || lanes > LaneGroup::kWordLanes)
+            fatal("runCheckedLanes: bad lane count %zu", lanes);
+        return static_cast<unsigned>(lanes);
+    }
+
+    enum class Reaction
+    {
+        Ignored,     ///< detect-only: recorded, run goes on
+        Recovered,   ///< rolled back or restarted
+        Degraded,    ///< recovery exhausted; the lane has finished
+    };
+
+    /** CheckedRunner::Checkpoint, minus what the tape holds. */
+    struct Checkpoint
+    {
+        std::vector<uint8_t> dff;
+        size_t k = 0;
+        size_t dieOutSize = 0;
+        uint8_t dieCrc = 0;
+        Mmu dieMmu;
+        unsigned diePage = 0;
+        unsigned lastDiePc = kNoPc;
+        uint64_t frozen = 0;
+    };
+
+    struct Lane
+    {
+        CheckedRunResult res;   ///< dieOutputs doubles as the stream
+        size_t k = 0;           ///< golden cursor
+        unsigned cycle = 0;     ///< cycles of instruction k driven
+        uint8_t dieCrc = 0;
+        Mmu dieMmu;
+        unsigned diePage = 0;
+        unsigned lastDiePc = kNoPc;
+        uint64_t frozen = 0;
+        unsigned instrSinceCp = 0;
+        unsigned retriesSinceCp = 0;
+        std::vector<FaultSchedule::DffFlip> flips;
+        size_t flipIdx = 0;
+        Checkpoint cp;
+    };
+
+    void
+    takeCheckpoint(unsigned l)
+    {
+        Lane &ln = lanes_[l];
+        if (cfg_.recovery.enabled)
+            ln.cp = {group_.saveDffState(l), ln.k,
+                     ln.res.dieOutputs.size(), ln.dieCrc, ln.dieMmu,
+                     ln.diePage, ln.lastDiePc, ln.frozen};
+        ln.instrSinceCp = 0;
+        ln.retriesSinceCp = 0;
+    }
+
+    void
+    rollback(unsigned l)
+    {
+        Lane &ln = lanes_[l];
+        group_.restoreDffState(l, ln.cp.dff);
+        exposePending_ = true;
+        restarted_ &= ~(1ull << l);
+        ln.k = ln.cp.k;
+        ln.res.dieOutputs.resize(ln.cp.dieOutSize);
+        ln.dieCrc = ln.cp.dieCrc;
+        ln.dieMmu = ln.cp.dieMmu;
+        ln.diePage = ln.cp.diePage;
+        ln.lastDiePc = ln.cp.lastDiePc;
+        ln.frozen = ln.cp.frozen;
+        ln.instrSinceCp = 0;
+    }
+
+    /** Power-cycle the die and re-page from scratch; the die clock
+     *  (and with it the transient windows) keeps counting. */
+    void
+    restart(unsigned l)
+    {
+        Lane &ln = lanes_[l];
+        group_.reset(l);
+        restarted_ |= 1ull << l;
+        ln.dieMmu.reset();
+        ln.diePage = 0;
+        ln.res.dieOutputs.clear();
+        ln.dieCrc = 0;
+        ln.k = 0;
+        ln.lastDiePc = kNoPc;
+        ln.frozen = 0;
+        takeCheckpoint(l);
+    }
+
+    Reaction
+    onDetection(unsigned l, const char *detector)
+    {
+        Lane &ln = lanes_[l];
+        ++ln.res.detections;
+        if (ln.res.firstDetector.empty())
+            ln.res.firstDetector = detector;
+        if (!cfg_.recovery.enabled)
+            return Reaction::Ignored;
+        if (ln.retriesSinceCp < cfg_.recovery.maxRetries) {
+            rollback(l);
+            ++ln.res.retries;
+            ++ln.retriesSinceCp;
+            return Reaction::Recovered;
+        }
+        if (cfg_.recovery.allowRestart && ln.res.restarts == 0) {
+            restart(l);
+            ++ln.res.restarts;
+            return Reaction::Recovered;
+        }
+        finish(l, CheckedOutcome::Degraded);
+        return Reaction::Degraded;
+    }
+
+    void
+    finish(unsigned l, CheckedOutcome outcome)
+    {
+        Lane &ln = lanes_[l];
+        const std::vector<uint8_t> &gold = tape_.outputs();
+        ln.res.outcome = outcome;
+        ln.res.goldenOutputs.assign(
+            gold.begin(), gold.begin() + tape_.at(ln.k).outputs);
+        ln.res.outputsCorrect =
+            outcome == CheckedOutcome::Completed &&
+            ln.res.dieOutputs == ln.res.goldenOutputs;
+        ln.res.endDff = group_.saveDffState(l);
+        running_ &= ~(1ull << l);
+    }
+
+    /** CheckedRunner::run()'s loop head: finish, or start the next
+     *  instruction. */
+    void
+    advance(unsigned l)
+    {
+        Lane &ln = lanes_[l];
+        while (tape_.at(ln.k).done) {
+            const GoldenTape::Point &end = tape_.at(ln.k);
+            const std::vector<uint8_t> &gold = tape_.outputs();
+            bool mismatch =
+                ln.res.dieOutputs.size() != end.outputs ||
+                !std::equal(ln.res.dieOutputs.begin(),
+                            ln.res.dieOutputs.end(), gold.begin());
+            bool armed = cfg_.detectors.outputCrc ||
+                         cfg_.detectors.lockstep;
+            if (mismatch && armed) {
+                Reaction r = onDetection(
+                    l, cfg_.detectors.outputCrc ? "crc" : "lockstep");
+                if (r == Reaction::Degraded)
+                    return;
+                if (r == Reaction::Recovered)
+                    continue;
+            }
+            finish(l, CheckedOutcome::Completed);
+            return;
+        }
+        if (ln.res.instructions >= cfg_.maxInstructions ||
+            ln.res.cycles >= maxCycles_) {
+            finish(l, CheckedOutcome::BudgetExhausted);
+            return;
+        }
+        tape_.recordThrough(ln.k);
+        ln.cycle = 0;
+    }
+
+    void
+    pushDieOut(Lane &ln, uint8_t value)
+    {
+        ln.res.dieOutputs.push_back(value);
+        ln.dieCrc = crc8(ln.dieCrc, value);
+    }
+
+    /** Lane @p l's share of CheckedRunner::stepInstruction() after
+     *  one die cycle, given its post-edge pads. */
+    void
+    afterCycle(unsigned l, unsigned pc, uint8_t oport)
+    {
+        Lane &ln = lanes_[l];
+        ++ln.res.cycles;
+        if (pc == ln.lastDiePc) {
+            ++ln.frozen;
+        } else {
+            ln.frozen = 0;
+            ln.lastDiePc = pc;
+        }
+        ln.res.maxPcFrozenCycles =
+            std::max(ln.res.maxPcFrozenCycles, ln.frozen);
+        if (cfg_.detectors.watchdog &&
+            ln.frozen == cfg_.detectors.watchdogCycles + 1) {
+            Reaction r = onDetection(l, "watchdog");
+            if (r == Reaction::Degraded)
+                return;
+            if (r == Reaction::Recovered) {
+                advance(l);              // instruction abandoned
+                return;
+            }
+        }
+        if (++ln.cycle < tape_.at(ln.k).cycles)
+            return;
+
+        // Instruction boundary: the golden model steps.
+        bool ioWrite = tape_.at(ln.k).ioWrite;
+        bool takenBranch = tape_.at(ln.k).takenBranch;
+        ++ln.k;
+        ++ln.res.instructions;
+        const GoldenTape::Point &now = tape_.at(ln.k);
+        if (ioWrite) {
+            if (multiPage_) {
+                for (uint8_t v : ln.dieMmu.onOutput(oport))
+                    pushDieOut(ln, v);
+            } else {
+                pushDieOut(ln, oport);
+            }
+        }
+        if (multiPage_ && takenBranch) {
+            int p = ln.dieMmu.takePendingPage();
+            if (p >= 0)
+                ln.diePage = static_cast<unsigned>(p);
+        }
+
+        bool mismatch = pc != now.pc || oport != now.latch;
+        ln.res.padMismatches += mismatch;
+        if (mismatch && cfg_.detectors.lockstep) {
+            Reaction r = onDetection(l, "lockstep");
+            if (r == Reaction::Degraded)
+                return;
+            if (r == Reaction::Recovered) {
+                advance(l);
+                return;
+            }
+        }
+
+        if (++ln.instrSinceCp >= cfg_.recovery.checkpointInstructions) {
+            bool crcBad = cfg_.detectors.outputCrc &&
+                          (ln.dieCrc != now.crc ||
+                           ln.res.dieOutputs.size() != now.outputs);
+            if (crcBad) {
+                Reaction r = onDetection(l, "crc");
+                if (r == Reaction::Degraded)
+                    return;
+                if (r == Reaction::Recovered) {
+                    advance(l);
+                    return;
+                }
+            }
+            takeCheckpoint(l);
+        }
+        advance(l);
+    }
+
+    const CheckedRunConfig &cfg_;
+    GoldenTape tape_;
+    unsigned numLanes_;
+    LaneGroup group_;
+    std::vector<Lane> lanes_;
+
+    BusHandle pcBus_, instrBus_, iportBus_, oportBus_;
+    LaneGroup::PadCone cone_;
+    bool multiPage_ = false;
+    uint64_t maxCycles_ = 0;
+    std::vector<std::array<uint16_t, kPcSpace>> fetch_;
+
+    uint64_t running_ = 0;
+    /** A lane rolled back this cycle: the pads need a re-expose. */
+    bool exposePending_ = false;
+    /** Lanes restarted this cycle (their nets stay cleared). */
+    uint64_t restarted_ = 0;
+};
+
+} // namespace
+
+std::vector<CheckedRunResult>
+runCheckedLanes(const Netlist &golden, const Program &prog,
+                const std::vector<uint8_t> &inputs,
+                const CheckedRunConfig &cfg,
+                const std::vector<const FaultSchedule *> &schedules,
+                const std::vector<const std::vector<StuckFault> *>
+                    *laneFaults)
+{
+    LaneCheckedRunner runner(golden, prog, inputs, cfg, schedules,
+                             laneFaults);
+    return runner.run();
+}
+
+unsigned
+checkedLanesPerGroup(size_t dies, unsigned threads)
+{
+    if (threads == 0)
+        threads = ThreadPool::defaultThreads();
+    size_t lanes = (dies + threads - 1) / threads;
+    return static_cast<unsigned>(
+        std::clamp<size_t>(lanes, 1, LaneGroup::kWordLanes));
+}
+
 PrescreenResult
 prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
                    const std::vector<uint8_t> &inputs,
@@ -476,8 +1032,8 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
     // with all protection stripped: flips before each fetch, per-lane
     // fetch from the lane's own PC pads, per-lane frozen-PC tracking,
     // and the boundary PC/OPORT compare against one shared golden
-    // trajectory. Any deviation retires the lane to the scalar path,
-    // so the shared state below (held input, MMU page) only ever has
+    // trajectory. Any deviation retires the lane as not clean, so
+    // the shared state below (held input, MMU page) only ever has
     // to be correct for lanes that are still tracking golden exactly.
     unsigned lanes = static_cast<unsigned>(schedules.size());
     if (lanes == 0 || lanes > LaneGroup::kMaxLanes)
@@ -654,9 +1210,9 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
                     frozen[lane] = 0;
                     lastPc[lane] = diePc[lane];
                 }
-                // An armed watchdog would fire here in the scalar
-                // runner; that lane's trajectory is no longer the
-                // unprotected one, so hand it to the scalar path.
+                // An armed watchdog would fire here in the checked
+                // runtime; that lane's trajectory is no longer the
+                // unprotected one, so retire it as not clean.
                 if (frozen[lane] ==
                     cfg.detectors.watchdogCycles + 1)
                     active[lane / 64] &= ~bit;

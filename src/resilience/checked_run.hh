@@ -24,6 +24,11 @@
  * runs *after* the upset window — retry genuinely repairs transient
  * faults, while stuck-at defects survive rollback and restart and
  * escalate to Degraded, exactly the triage the salvage binning needs.
+ *
+ * Population studies run the same runtime 64 dies to a LaneGroup
+ * word (runCheckedLanes()), behind a word-parallel prescreen that
+ * settles the lanes no detector could fire on; the scalar
+ * runChecked() is the oracle both are tested against.
  */
 
 #ifndef FLEXI_RESILIENCE_CHECKED_RUN_HH
@@ -157,6 +162,40 @@ CheckedRunResult runChecked(Netlist &die, const Program &prog,
                             const CheckedRunConfig &cfg,
                             const FaultSchedule &schedule = {});
 
+/**
+ * The checked runtime for up to 64 dies at once, one per lane of a
+ * one-word LaneGroup of @p golden's structure. Lane L runs
+ * @p prog under *schedules[L], with (*laneFaults)[L]'s stuck-at
+ * faults installed when given (null entries allowed), and gets its
+ * own CRC-8 signatures, PC watchdog, lockstep compare, checkpoints,
+ * retry/restart counters, input cursor and die-side MMU page.
+ *
+ * Result L is exactly what runChecked() returns for a clone of
+ * @p golden — fault-free and with its die clock at 0, as built —
+ * with lane L's stuck-ats injected and run under *schedules[L]:
+ * every CheckedRunResult field, endDff included. Lanes share one
+ * clock; each drives a die cycle on every group cycle until its own
+ * run ends, so its die clock (and with it every transient window
+ * and flip) reads as in its scalar run. The golden model is recorded
+ * once as a tape indexed by instruction count, and a lane's rollback
+ * or restart moves its cursor back along it.
+ */
+std::vector<CheckedRunResult>
+runCheckedLanes(const Netlist &golden, const Program &prog,
+                const std::vector<uint8_t> &inputs,
+                const CheckedRunConfig &cfg,
+                const std::vector<const FaultSchedule *> &schedules,
+                const std::vector<const std::vector<StuckFault> *>
+                    *laneFaults = nullptr);
+
+/**
+ * Lanes per runCheckedLanes() call when @p dies dies share
+ * @p threads workers (0 = the thread pool's default): enough groups
+ * to give every worker one, at most one 64-lane word each. Results
+ * never depend on it — a lane's result is independent of its group.
+ */
+unsigned checkedLanesPerGroup(size_t dies, unsigned threads);
+
 /** Result of a batched lockstep prescreen of fault schedules. */
 struct PrescreenResult
 {
@@ -198,16 +237,16 @@ struct PrescreenResult
  * which lanes a scalar runChecked() under @p cfg would
  * classify as fault-free behaviour (no divergence from golden, no
  * detector able to fire). Lanes NOT in cleanMask have diverged — or
- * could not be proven clean — and must be re-run through the scalar
- * runChecked() for their exact outcome; lanes in cleanMask need not.
+ * could not be proven clean — and must be re-run through the checked
+ * runtime (runCheckedLanes() or runChecked()) for their exact
+ * outcome; lanes in cleanMask need not.
  *
  * The prescreen is sound for any DetectorConfig/RecoveryPolicy in
  * @p cfg because detectors and recovery only alter a run's
  * trajectory after a detection, and a clean lane can never trigger
  * one: the lockstep and final output compares see no mismatch, the
  * output CRC streams are identical at every checkpoint, and lanes
- * whose PC freezes past an armed watchdog are retired to the scalar
- * path.
+ * whose PC freezes past an armed watchdog are retired as not clean.
  *
  * @p laneFaults optionally installs per-lane stuck-at faults (null
  * entries allowed) before the pass — the fleet engine packs salvaged

@@ -58,15 +58,11 @@ makeWorkload(const CampaignConfig &cfg)
             cfg.workUnits * kernelOutputsPerWork(cfg.kernel)};
 }
 
-/**
- * Generate injection @p index's fault schedule. Depends only on the
- * seed, the index, the netlist shape and the fault-free baseline —
- * deliberately NOT on the detector/recovery settings, so campaigns
- * differing only in protection inject identical faults.
- */
+} // namespace
+
 std::pair<FaultKind, FaultSchedule>
-makeSchedule(const CampaignConfig &cfg, const Netlist &golden,
-             uint64_t baseline_cycles, unsigned index)
+injectionSchedule(const CampaignConfig &cfg, const Netlist &golden,
+                  uint64_t baseline_cycles, unsigned index)
 {
     Rng rng(deriveSeed(cfg.seed ^ kCampaignSalt, index));
     uint64_t horizon = baseline_cycles ? baseline_cycles : 1;
@@ -101,8 +97,6 @@ makeSchedule(const CampaignConfig &cfg, const Netlist &golden,
     }
     return {FaultKind::TimingGlitch, sched};
 }
-
-} // namespace
 
 FaultOutcome
 classifyCheckedRun(const CheckedRunResult &run,
@@ -215,9 +209,9 @@ runFaultCampaign(const CampaignConfig &config)
     std::vector<std::pair<FaultKind, FaultSchedule>> sched(
         config.injections);
     parallelFor(config.injections, config.threads, [&](size_t i) {
-        sched[i] = makeSchedule(config, *golden,
-                                result.baselineCycles,
-                                static_cast<unsigned>(i));
+        sched[i] = injectionSchedule(config, *golden,
+                                     result.baselineCycles,
+                                     static_cast<unsigned>(i));
     });
 
     // Phase 1: wide-lane lockstep prescreen. Most injections are
@@ -225,9 +219,10 @@ runFaultCampaign(const CampaignConfig &config)
     // — and a masked run is exactly one unprotected golden-tracking
     // pass, so one word-parallel pass settles up to 512 of them at
     // once. Lanes the prescreen cannot prove clean fall through to
-    // the scalar checked runtime, whose results are authoritative;
-    // batch membership is a pure function of injection index, so
-    // thread count and lane width cannot change any outcome.
+    // the full checked runtime; batch membership is a pure function
+    // of injection index, and a lane's result never depends on its
+    // batch or group, so thread count and lane width cannot change
+    // any outcome.
     unsigned lanes = std::min<unsigned>(
         config.batchLanes ? config.batchLanes : 1,
         LaneGroup::kMaxLanes);
@@ -262,28 +257,37 @@ runFaultCampaign(const CampaignConfig &config)
         });
     }
 
-    // Phase 2: scalar checked runs for everything else.
+    // Phase 2: the lane-parallel checked runtime for everything
+    // else, in injection order, one-word groups over the pool.
     std::vector<size_t> pending;
     for (size_t i = 0; i < screened.size(); ++i)
         if (!screened[i])
             pending.push_back(i);
-    parallelFor(pending.size(), config.threads, [&](size_t k) {
-        size_t i = pending[k];
-        std::unique_ptr<Netlist> die = golden->clone();
-        CheckedRunResult run = runChecked(*die, work.prog,
-                                          work.inputs, runCfg,
-                                          sched[i].second);
-
-        InjectionResult &inj = result.injections[i];
-        inj.kind = sched[i].first;
-        inj.outcome = classifyCheckedRun(run, config.detectors);
-        inj.runOutcome = run.outcome;
-        inj.outputsCorrect = run.outputsCorrect;
-        inj.detections = run.detections;
-        inj.retries = run.retries;
-        inj.restarts = run.restarts;
-        inj.cycles = run.cycles;
-        inj.firstDetector = run.firstDetector;
+    size_t groupLanes =
+        checkedLanesPerGroup(pending.size(), config.threads);
+    size_t groups = (pending.size() + groupLanes - 1) / groupLanes;
+    parallelFor(groups, config.threads, [&](size_t g) {
+        size_t begin = g * groupLanes;
+        size_t n = std::min(groupLanes, pending.size() - begin);
+        std::vector<const FaultSchedule *> group(n);
+        for (size_t l = 0; l < n; ++l)
+            group[l] = &sched[pending[begin + l]].second;
+        std::vector<CheckedRunResult> runs = runCheckedLanes(
+            *golden, work.prog, work.inputs, runCfg, group);
+        for (size_t l = 0; l < n; ++l) {
+            size_t i = pending[begin + l];
+            const CheckedRunResult &run = runs[l];
+            InjectionResult &inj = result.injections[i];
+            inj.kind = sched[i].first;
+            inj.outcome = classifyCheckedRun(run, config.detectors);
+            inj.runOutcome = run.outcome;
+            inj.outputsCorrect = run.outputsCorrect;
+            inj.detections = run.detections;
+            inj.retries = run.retries;
+            inj.restarts = run.restarts;
+            inj.cycles = run.cycles;
+            inj.firstDetector = run.firstDetector;
+        }
     });
     return result;
 }

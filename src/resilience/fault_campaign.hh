@@ -40,6 +40,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernels.hh"
@@ -129,9 +130,10 @@ struct CampaignConfig
      * schedules run together through one unprotected lockstep pass
      * on the wide-lane compiled backend (up to 512 lanes); lanes
      * that never diverge from golden are classified Masked directly,
-     * the rest re-run through the scalar checked runtime. 1 forces
-     * the all-scalar path. Outcomes are bit-identical for any value
-     * (the prescreen only skips work it can prove).
+     * the rest run the full checked runtime, 64 to a word
+     * (runCheckedLanes). 1 skips the prescreen, so every injection
+     * takes the checked runtime. Outcomes are bit-identical for any
+     * value (the prescreen only skips work it can prove).
      */
     unsigned batchLanes = 512;
 };
@@ -163,11 +165,23 @@ struct CampaignResult
 };
 
 /**
- * Run a fault-injection campaign. The die is a pristine clone of the
+ * Run a fault-injection campaign. The die is a pristine copy of the
  * core's golden netlist per injection; callers wanting campaigns on
  * defective dies should use the salvage layer instead.
  */
 CampaignResult runFaultCampaign(const CampaignConfig &config);
+
+/**
+ * Injection @p index's fault kind and schedule, as the campaign
+ * draws it over a fault-free baseline of @p baseline_cycles on
+ * @p golden. Depends only on the seed, the index, the netlist shape
+ * and the baseline — deliberately NOT on the detector/recovery
+ * settings, so campaigns differing only in protection inject
+ * identical faults.
+ */
+std::pair<FaultKind, FaultSchedule>
+injectionSchedule(const CampaignConfig &cfg, const Netlist &golden,
+                  uint64_t baseline_cycles, unsigned index);
 
 } // namespace flexi
 

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -28,6 +31,8 @@ namespace
  *  epochsDone (4), deaths (8) and the die count (4). */
 constexpr size_t kNumDiesCfgOffset = 17;
 constexpr size_t kEpochsCfgOffset = 21;
+constexpr size_t kTransientsCfgOffset = 38;
+constexpr size_t kFlipsCfgOffset = 46;
 constexpr size_t kLockstepOffset = 54;
 constexpr size_t kNumDiesOffset = 119;
 /** Die 0's record: poolIndex (4), bin (1), alive (1), ... */
@@ -47,6 +52,24 @@ put32(std::vector<uint8_t> &b, size_t at, uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
         b[at + i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+double
+getF64(const std::vector<uint8_t> &b, size_t at)
+{
+    uint64_t bits = get32(b, at) | uint64_t(get32(b, at + 4)) << 32;
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+void
+putF64(std::vector<uint8_t> &b, size_t at, double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    put32(b, at, static_cast<uint32_t>(bits));
+    put32(b, at + 4, static_cast<uint32_t>(bits >> 32));
 }
 
 /** Rewrite the trailing CRC so only structural checks can object. */
@@ -208,15 +231,22 @@ TEST(Crc32, MatchesReference)
 
 TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)
 {
+    // More dies than one 64-lane word, so prescreen blocks and
+    // checked-runtime groups both come ragged and multi-word.
     FleetConfig cfg = smallConfig();
+    cfg.numDies = 160;
     FleetEngine engine(cfg);
     FleetState ref = engine.init();
     engine.run(ref);
     checkInvariants(ref);
 
+    // batchLanes 1 sends every die through the lane-parallel
+    // checked runtime; 65 and 130 put prescreen blocks (and so the
+    // dirty dies they hand on) across the 64-lane word boundary.
     struct Knobs { unsigned threads, batchLanes; };
     for (Knobs k : {Knobs{1, 512}, Knobs{3, 512}, Knobs{0, 1},
-                    Knobs{2, 17}, Knobs{1, 63}}) {
+                    Knobs{2, 17}, Knobs{1, 63}, Knobs{4, 65},
+                    Knobs{4, 130}, Knobs{4, 1}}) {
         FleetConfig c = cfg;
         c.threads = k.threads;
         c.batchLanes = k.batchLanes;
@@ -462,6 +492,47 @@ TEST(Fleet, ResumeRejectsOutOfRangePoolIndex)
     FleetState ok = st;
     engine.run(ok);
     EXPECT_EQ(ok.epochsDone, cfg.epochs);
+}
+
+TEST(Fleet, RejectsUnboundedFaultRates)
+{
+    // The Poisson draw of an infinite mean never returns, so the
+    // engine refuses such rates up front — from a caller, or from a
+    // CRC-valid checkpoint that carries one — with FatalError.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (double bad : {kInf, 1e300, std::nan(""), -0.5,
+                       2 * FleetConfig::kMaxEventRate}) {
+        FleetConfig t = smallConfig();
+        t.transientsPerEpoch = bad;
+        EXPECT_THROW(FleetEngine engine(t), FatalError) << bad;
+        FleetConfig f = smallConfig();
+        f.flipsPerEpoch = bad;
+        EXPECT_THROW(FleetEngine engine(f), FatalError) << bad;
+    }
+
+    FleetConfig cfg = smallConfig();
+    cfg.numDies = 4;
+    cfg.epochs = 2;
+    cfg.transientsPerEpoch = FleetConfig::kMaxEventRate;
+    FleetEngine engine(cfg);   // the bound itself is accepted
+    FleetState st = engine.init();
+    engine.run(st, 1);
+
+    std::vector<uint8_t> bytes = encodeFleetState(st);
+    EXPECT_EQ(getF64(bytes, kTransientsCfgOffset),
+              cfg.transientsPerEpoch);
+    EXPECT_EQ(getF64(bytes, kFlipsCfgOffset), cfg.flipsPerEpoch);
+    for (size_t at : {kTransientsCfgOffset, kFlipsCfgOffset}) {
+        std::vector<uint8_t> patched = bytes;
+        putF64(patched, at, kInf);
+        reseal(patched);
+        FleetState resumed = decodeFleetState(patched);
+        EXPECT_TRUE(std::isinf(at == kTransientsCfgOffset
+                                   ? resumed.config.transientsPerEpoch
+                                   : resumed.config.flipsPerEpoch));
+        EXPECT_THROW(FleetEngine fresh(resumed.config), FatalError)
+            << "offset " << at;
+    }
 }
 
 TEST(Fleet, CheckpointFileRoundTrip)

@@ -253,6 +253,67 @@ TEST(LaneGroup, ResetRestoresPowerOnState)
             << "net " << n;
 }
 
+TEST(LaneGroup, LaneResetMatchesScalarResetAndSparesNeighbours)
+{
+    for (const auto &design : kDesigns) {
+        SCOPED_TRACE(design.name);
+        auto golden = design.build();
+        size_t nets = golden->numNets();
+        std::vector<std::string> input_names;
+        for (const auto &[in_name, net] : golden->primaryInputs())
+            input_names.push_back(in_name);
+
+        // Scramble every lane of a two-word group (and a scalar die)
+        // with random stimulus, a stuck-at on the reset lane included.
+        const unsigned kReset = 65;
+        Rng rng(0x5E7A1Eull ^ nets);
+        LaneGroup group(*golden, 130);
+        auto mirror = golden->clone();
+        StuckFault f{static_cast<NetId>(rng.below(nets)), true};
+        group.injectFault(kReset, f);
+        mirror->injectFault(f);
+        for (int cycle = 0; cycle < 6; ++cycle) {
+            for (const auto &in_name : input_names) {
+                std::array<uint64_t, LaneGroup::kMaxWords> bits{};
+                for (auto &w : bits)
+                    w = rng.next();
+                group.setInputLanes(in_name, bits.data());
+                mirror->setInput(in_name, rng.chance(0.5));
+            }
+            group.evaluate();
+            group.clockEdge();
+            mirror->evaluate();
+            mirror->clockEdge();
+        }
+        group.evaluate();
+        mirror->evaluate();
+
+        std::vector<std::vector<uint8_t>> before;
+        for (unsigned lane = 0; lane < group.lanes(); ++lane) {
+            std::vector<uint8_t> v;
+            for (NetId n = 0; n < static_cast<NetId>(nets); ++n)
+                v.push_back(group.netValue(n, lane));
+            before.push_back(std::move(v));
+        }
+        std::vector<uint8_t> neighbourDff = group.saveDffState(64);
+
+        group.reset(kReset);
+        mirror->reset();
+        EXPECT_EQ(group.saveDffState(kReset), mirror->saveDffState());
+        for (NetId n = 0; n < static_cast<NetId>(nets); ++n)
+            ASSERT_EQ(group.netValue(n, kReset), mirror->netValue(n))
+                << "net " << n;
+        for (unsigned lane = 0; lane < group.lanes(); ++lane) {
+            if (lane == kReset)
+                continue;
+            for (NetId n = 0; n < static_cast<NetId>(nets); ++n)
+                ASSERT_EQ(group.netValue(n, lane), before[lane][n])
+                    << "lane " << lane << ", net " << n;
+        }
+        EXPECT_EQ(group.saveDffState(64), neighbourDff);
+    }
+}
+
 TEST(LaneGroup, ExposeStateMatchesFullEvaluateOnPads)
 {
     // exposeState(padCone) must read back exactly what a full

@@ -347,50 +347,79 @@ TEST(FaultCampaign, ThreadCountDoesNotChangeResults)
 TEST(FaultCampaign, BatchLanesBitIdenticalToScalar)
 {
     // The word-parallel prescreen only settles injections it can
-    // prove masked; everything else falls through to the scalar
-    // checked runtime. Net effect: per-injection results are
-    // bit-identical between a fully scalar campaign (batchLanes=1)
-    // and any batched one, across all result fields.
+    // prove masked; everything else runs the lane-parallel checked
+    // runtime. Net effect: every injection of every packing — no
+    // prescreen (batchLanes=1), 64 lanes, ragged 5-lane batches on
+    // 4 threads, 512 lanes — is bit-identical, across all result
+    // fields, to a scalar runChecked() of the same schedule on a
+    // clone of the core, computed here.
     CampaignConfig cfg;
     cfg.isa = IsaKind::FlexiCore4;
     cfg.seed = 9;
     cfg.injections = 40;
     cfg.threads = 1;
-    cfg.batchLanes = 1;
-    CampaignResult scalar = runFaultCampaign(cfg);
-    cfg.batchLanes = 64;
-    CampaignResult batched = runFaultCampaign(cfg);
-    cfg.batchLanes = 5;   // ragged batches
-    cfg.threads = 4;
-    CampaignResult ragged = runFaultCampaign(cfg);
-    cfg.batchLanes = 512;   // wide 8-word groups (the default)
-    cfg.threads = 1;
-    CampaignResult wide = runFaultCampaign(cfg);
+    std::vector<CampaignResult> runs;
+    for (auto [lanes, threads] :
+         {std::pair{1u, 1u}, std::pair{64u, 1u}, std::pair{5u, 4u},
+          std::pair{512u, 1u}}) {
+        cfg.batchLanes = lanes;
+        cfg.threads = threads;
+        runs.push_back(runFaultCampaign(cfg));
+    }
 
-    EXPECT_EQ(scalar.baselineCycles, batched.baselineCycles);
-    ASSERT_EQ(scalar.injections.size(), batched.injections.size());
-    ASSERT_EQ(scalar.injections.size(), ragged.injections.size());
-    ASSERT_EQ(scalar.injections.size(), wide.injections.size());
-    for (size_t i = 0; i < scalar.injections.size(); ++i) {
-        const InjectionResult &a = scalar.injections[i];
-        for (const InjectionResult *b :
-             {&batched.injections[i], &ragged.injections[i],
-              &wide.injections[i]}) {
-            EXPECT_EQ(a.kind, b->kind) << i;
-            EXPECT_EQ(a.outcome, b->outcome) << i;
-            EXPECT_EQ(a.runOutcome, b->runOutcome) << i;
-            EXPECT_EQ(a.outputsCorrect, b->outputsCorrect) << i;
-            EXPECT_EQ(a.detections, b->detections) << i;
-            EXPECT_EQ(a.retries, b->retries) << i;
-            EXPECT_EQ(a.restarts, b->restarts) << i;
-            EXPECT_EQ(a.cycles, b->cycles) << i;
-            EXPECT_EQ(a.firstDetector, b->firstDetector) << i;
+    std::unique_ptr<Netlist> golden = buildCore(cfg.isa);
+    Program prog = assemble(cfg.isa, kernelSource(cfg.kernel, cfg.isa));
+    std::vector<uint8_t> inputs =
+        kernelInputs(cfg.kernel, cfg.workUnits, cfg.seed);
+    CheckedRunConfig runCfg;
+    runCfg.isa = cfg.isa;
+    runCfg.detectors = cfg.detectors;
+    runCfg.recovery = cfg.recovery;
+    runCfg.targetOutputs =
+        cfg.workUnits * kernelOutputsPerWork(cfg.kernel);
+    runCfg.maxInstructions = cfg.maxInstructions;
+
+    CheckedRunConfig baseCfg = runCfg;
+    baseCfg.detectors = DetectorConfig{false, false, false, 192};
+    baseCfg.recovery.enabled = false;
+    auto baseDie = golden->clone();
+    uint64_t baseline =
+        runChecked(*baseDie, prog, inputs, baseCfg).cycles;
+
+    CampaignCounts scalarCounts;
+    for (const CampaignResult &r : runs) {
+        EXPECT_EQ(r.baselineCycles, baseline);
+        ASSERT_EQ(r.injections.size(), cfg.injections);
+    }
+    for (unsigned i = 0; i < cfg.injections; ++i) {
+        auto [kind, sched] =
+            injectionSchedule(cfg, *golden, baseline, i);
+        auto die = golden->clone();
+        CheckedRunResult want =
+            runChecked(*die, prog, inputs, runCfg, sched);
+        FaultOutcome outcome = classifyCheckedRun(want, cfg.detectors);
+        ++scalarCounts.n[static_cast<size_t>(outcome)];
+        for (const CampaignResult &r : runs) {
+            const InjectionResult &b = r.injections[i];
+            unsigned lanes = r.config.batchLanes;
+            EXPECT_EQ(b.kind, kind) << i << " @" << lanes;
+            EXPECT_EQ(b.outcome, outcome) << i << " @" << lanes;
+            EXPECT_EQ(b.runOutcome, want.outcome) << i << " @" << lanes;
+            EXPECT_EQ(b.outputsCorrect, want.outputsCorrect)
+                << i << " @" << lanes;
+            EXPECT_EQ(b.detections, want.detections)
+                << i << " @" << lanes;
+            EXPECT_EQ(b.retries, want.retries) << i << " @" << lanes;
+            EXPECT_EQ(b.restarts, want.restarts) << i << " @" << lanes;
+            EXPECT_EQ(b.cycles, want.cycles) << i << " @" << lanes;
+            EXPECT_EQ(b.firstDetector, want.firstDetector)
+                << i << " @" << lanes;
         }
     }
-    // The prescreen must actually be doing work on this seed, not
-    // vacuously agreeing because nothing screened clean.
-    CampaignCounts c = scalar.counts();
-    EXPECT_GT(c[FaultOutcome::Masked], 0u);
+    // Neither path may agree vacuously: the prescreen must settle
+    // some injections, and the checked runtime must see the rest.
+    EXPECT_GT(scalarCounts[FaultOutcome::Masked], 0u);
+    EXPECT_LT(scalarCounts[FaultOutcome::Masked], cfg.injections);
 }
 
 TEST(FaultCampaign, ExercisesAllFaultKinds)

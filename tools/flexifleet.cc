@@ -26,10 +26,12 @@
  *
  * Exit codes follow the flexilint contract: 0 = success, 1 =
  * runtime/data error (unreadable or corrupt checkpoint, engine
- * failure), 2 = usage error (unknown command, malformed or
- * out-of-range option value, missing required option).
+ * failure, a --json report that cannot be written), 2 = usage error
+ * (unknown command, malformed or out-of-range option value, missing
+ * required option).
  */
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -103,17 +105,19 @@ struct Args
         return n;
     }
 
+    /** Strict real option in [0, max]: rejects negatives, NaN and
+     *  infinities (exit 2). */
     double
-    real(const char *name, double fallback) const
+    real(const char *name, double fallback, double max) const
     {
         const char *v = option(name);
         if (!v)
             return fallback;
         char *end = nullptr;
         double x = std::strtod(v, &end);
-        if (end == v || *end != '\0' || !(x >= 0.0))
-            usageError("%s: expected a non-negative number, got "
-                       "'%s'", name, v);
+        if (end == v || *end != '\0' || !(x >= 0.0 && x <= max))
+            usageError("%s: expected a number in 0..%g, got '%s'",
+                       name, max, v);
         return x;
     }
 };
@@ -164,8 +168,10 @@ configFromArgs(const Args &args)
     if (const char *p = args.option("--program"))
         cfg.fc8Program = parseFc8Program(p);
     cfg.workUnits = args.number("--work", 2, 1);
-    cfg.transientsPerEpoch = args.real("--transients", 0.25);
-    cfg.flipsPerEpoch = args.real("--flips", 0.05);
+    cfg.transientsPerEpoch = args.real("--transients", 0.25,
+                                       FleetConfig::kMaxEventRate);
+    cfg.flipsPerEpoch =
+        args.real("--flips", 0.05, FleetConfig::kMaxEventRate);
     if (args.flag("--lockstep"))
         cfg.detectors.lockstep = true;
     if (args.flag("--no-crc"))
@@ -273,7 +279,12 @@ writeJson(const FleetState &state, const char *path)
         std::fprintf(f, "]%s\n", b == 0 ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
+    // A full disk or a closed pipe shows up only as a stream error or
+    // a failed flush at close: report it, never exit 0 on a lost
+    // report.
+    bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed)
+        fatal("cannot write '%s': %s", path, std::strerror(errno));
 }
 
 int
