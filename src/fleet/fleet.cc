@@ -1,6 +1,7 @@
 #include "fleet.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
@@ -94,15 +95,6 @@ configsMatch(const FleetConfig &a, const FleetConfig &b)
            a.vdd == b.vdd && a.minKernels == b.minKernels;
 }
 
-/** The lane inputs of a pack of dies: each die's in-field schedule
- *  and its part's manufacturing stuck-ats. */
-struct LanePack
-{
-    std::vector<FaultSchedule> scheds;
-    std::vector<const FaultSchedule *> schedPtrs;
-    std::vector<const std::vector<StuckFault> *> faults;
-};
-
 } // namespace
 
 uint64_t
@@ -166,8 +158,9 @@ struct FleetEngine::Impl
     FaultSchedule makeSchedule(uint32_t die, uint32_t epoch,
                                uint64_t horizon,
                                double glitchRate) const;
-    LanePack pack(const FleetState &state, const uint32_t *dies,
-                  size_t n, uint32_t epoch, uint64_t horizon) const;
+    /** One epoch of missions, merged into @p state; its per-die
+     *  temporaries are gone before the caller checkpoints. */
+    void runEpoch(FleetState &state, uint32_t epoch) const;
 };
 
 std::vector<uint8_t>
@@ -220,23 +213,88 @@ FleetEngine::Impl::makeSchedule(uint32_t die, uint32_t epoch,
     return sched;
 }
 
-LanePack
-FleetEngine::Impl::pack(const FleetState &state, const uint32_t *dies,
-                        size_t n, uint32_t epoch,
-                        uint64_t horizon) const
+void
+FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
 {
-    LanePack pack;
-    pack.scheds.resize(n);
-    pack.schedPtrs.resize(n);
-    pack.faults.resize(n);
-    for (size_t l = 0; l < n; ++l) {
-        uint32_t pi = state.dies[dies[l]].poolIndex;
-        pack.scheds[l] =
-            makeSchedule(dies[l], epoch, horizon, glitchRates[pi]);
-        pack.schedPtrs[l] = &pack.scheds[l];
-        pack.faults[l] = &report.study.dies[pi].faults;
+    CheckedRunConfig runCfg;
+    runCfg.isa = cfg.isa;
+    runCfg.detectors = cfg.detectors;
+    runCfg.recovery = cfg.recovery;
+    runCfg.targetOutputs = targetOutputs;
+    runCfg.maxInstructions = cfg.maxInstructions;
+    std::vector<uint8_t> inputs = epochInputs(epoch);
+
+    // Fault-free golden mission: the horizon the per-die fault
+    // arrivals are drawn over.
+    std::unique_ptr<Netlist> ref = golden->clone();
+    CheckedRunConfig baseCfg = runCfg;
+    baseCfg.detectors = DetectorConfig{false, false, false, 192};
+    baseCfg.recovery.enabled = false;
+    CheckedRunResult base = runChecked(*ref, *prog, inputs, baseCfg);
+    if (base.outcome != CheckedOutcome::Completed ||
+        !base.outputsCorrect)
+        panic("fleet: golden mission failed at epoch %u", epoch);
+    uint64_t horizon = 2 * base.cycles + 64;
+
+    std::vector<uint32_t> live;
+    live.reserve(state.dies.size());
+    for (uint32_t d = 0; d < state.dies.size(); ++d)
+        if (state.dies[d].alive)
+            live.push_back(d);
+
+    // Every live die's mission through the population runner: its
+    // part's manufacturing stuck-ats plus its in-field schedule,
+    // drawn once per die.
+    std::vector<FaultSchedule> sched(live.size());
+    std::vector<const std::vector<StuckFault> *> faults(live.size());
+    parallelFor(live.size(), cfg.threads, [&](size_t k) {
+        uint32_t pi = state.dies[live[k]].poolIndex;
+        sched[k] =
+            makeSchedule(live[k], epoch, horizon, glitchRates[pi]);
+        faults[k] = &report.study.dies[pi].faults;
+    });
+    std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+        *golden, *prog, inputs, runCfg, sched, &faults, cfg.batchLanes,
+        cfg.threads, true);
+
+    // Merge each die's mission into its own record: digest, packed
+    // end state and escalation ladder read and write only that die,
+    // so any thread count gives the same records.
+    parallelFor(live.size(), cfg.threads, [&](size_t k) {
+        const CheckedRunSummary &run = runs[k];
+        auto outcome = static_cast<uint8_t>(
+            classifyCheckedRun(run, cfg.detectors));
+        FleetDie &die = state.dies[live[k]];
+        ++die.epochsRun;
+        ++die.outcomes[outcome];
+        die.lifeCycles += run.cycles;
+
+        uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
+        h = fnvU64(h, epoch);
+        h = fnvU64(h, outcome);
+        h = fnvU64(h, run.cycles);
+        h = fnv1a(h, run.endDff.data(), run.endDff.size());
+        die.digest = h;
+        die.dffCount = static_cast<uint32_t>(run.endDff.size());
+        packBits(run.endDff, die.dffBits);
+
+        // Fleet-level escalation: a Degraded mission burns one
+        // firmware re-page; past the budget the die fail-stops.
+        if (run.outcome == CheckedOutcome::Degraded &&
+            ++die.repages > cfg.maxRepages)
+            die.alive = false;
+    });
+
+    // Fleet-wide counters, summed in die order.
+    for (size_t k = 0; k < live.size(); ++k) {
+        const FleetDie &die = state.dies[live[k]];
+        auto outcome = static_cast<size_t>(
+            classifyCheckedRun(runs[k], cfg.detectors));
+        ++state.epochOutcomes[epoch][outcome];
+        size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
+        ++state.binOutcomes[binIdx][outcome];
+        state.deaths += !die.alive;
     }
-    return pack;
 }
 
 FleetEngine::FleetEngine(const FleetConfig &config)
@@ -255,6 +313,12 @@ FleetEngine::FleetEngine(const FleetConfig &config)
         if (!(rate >= 0.0 && rate <= FleetConfig::kMaxEventRate))
             fatal("fleet: %s must be in [0, %g], got %g", name,
                   FleetConfig::kMaxEventRate, rate);
+    if (config.workUnits < 1 || config.workUnits > kMaxWorkUnits)
+        fatal("fleet: workUnits must be in [1, %zu], got %zu",
+              kMaxWorkUnits, config.workUnits);
+    if (!(std::isfinite(config.vdd) && config.vdd > 0))
+        fatal("fleet: vdd must be a finite positive voltage, got %g",
+              config.vdd);
     im.golden = fleetGolden(config.isa);
 
     size_t kernelIdx;
@@ -367,139 +431,8 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
     if (stopAfter && stopAfter < last)
         last = stopAfter;
 
-    unsigned lanesMax = std::max(1u, std::min(im.cfg.batchLanes,
-                                              LaneGroup::kMaxLanes));
-
-    CheckedRunConfig runCfg;
-    runCfg.isa = im.cfg.isa;
-    runCfg.detectors = im.cfg.detectors;
-    runCfg.recovery = im.cfg.recovery;
-    runCfg.targetOutputs = im.targetOutputs;
-    runCfg.maxInstructions = im.cfg.maxInstructions;
-
     for (uint32_t epoch = state.epochsDone; epoch < last; ++epoch) {
-        std::vector<uint8_t> inputs = im.epochInputs(epoch);
-
-        // Fault-free golden mission: the horizon the per-die fault
-        // arrivals are drawn over, and the clean-lane cycle count.
-        std::unique_ptr<Netlist> ref = im.golden->clone();
-        CheckedRunConfig baseCfg = runCfg;
-        baseCfg.detectors = DetectorConfig{false, false, false, 192};
-        baseCfg.recovery.enabled = false;
-        CheckedRunResult base =
-            runChecked(*ref, *im.prog, inputs, baseCfg);
-        if (base.outcome != CheckedOutcome::Completed ||
-            !base.outputsCorrect)
-            panic("fleet: golden mission failed at epoch %u", epoch);
-        uint64_t horizon = 2 * base.cycles + 64;
-
-        std::vector<uint32_t> live;
-        live.reserve(state.dies.size());
-        for (uint32_t d = 0; d < state.dies.size(); ++d)
-            if (state.dies[d].alive)
-                live.push_back(d);
-
-        // Per-die mission results, written only by the owning lane.
-        std::vector<uint8_t> outcome(state.dies.size(), 0);
-        std::vector<uint8_t> degraded(state.dies.size(), 0);
-        std::vector<uint64_t> cycles(state.dies.size(), 0);
-        std::vector<std::vector<uint8_t>> endDff(state.dies.size());
-        std::vector<uint32_t> dirty;
-
-        if (lanesMax >= 2) {
-            // Phase 1: word-parallel prescreen, one LaneGroup block
-            // at a time, each lane carrying its part's manufacturing
-            // defects plus its in-field schedule.
-            size_t blocks = (live.size() + lanesMax - 1) / lanesMax;
-            std::vector<std::vector<uint32_t>> blockDirty(blocks);
-            parallelFor(blocks, im.cfg.threads, [&](size_t b) {
-                size_t begin = b * lanesMax;
-                unsigned lanes = static_cast<unsigned>(
-                    std::min<size_t>(lanesMax,
-                                     live.size() - begin));
-                LanePack pack = im.pack(state, &live[begin], lanes,
-                                        epoch, horizon);
-                PrescreenResult pres = prescreenSchedules(
-                    *im.golden, *im.prog, inputs, runCfg,
-                    pack.schedPtrs, &pack.faults, true);
-                for (unsigned l = 0; l < lanes; ++l) {
-                    uint32_t d = live[begin + l];
-                    if (pres.completed && pres.clean(l)) {
-                        outcome[d] = static_cast<uint8_t>(
-                            FaultOutcome::Masked);
-                        cycles[d] = pres.cycles;
-                        endDff[d] = std::move(pres.endDff[l]);
-                    } else {
-                        blockDirty[b].push_back(d);
-                    }
-                }
-            });
-            for (const auto &bd : blockDirty)
-                dirty.insert(dirty.end(), bd.begin(), bd.end());
-        } else {
-            dirty = live;
-        }
-
-        // Phase 2: the full checked runtime for every die the
-        // prescreen could not prove clean, packed in die order into
-        // one-word lane groups spread over the pool.
-        size_t groupLanes =
-            checkedLanesPerGroup(dirty.size(), im.cfg.threads);
-        size_t groups = (dirty.size() + groupLanes - 1) / groupLanes;
-        parallelFor(groups, im.cfg.threads, [&](size_t g) {
-            size_t begin = g * groupLanes;
-            size_t lanes =
-                std::min<size_t>(groupLanes, dirty.size() - begin);
-            LanePack pack =
-                im.pack(state, &dirty[begin], lanes, epoch, horizon);
-            std::vector<CheckedRunResult> runs = runCheckedLanes(
-                *im.golden, *im.prog, inputs, runCfg, pack.schedPtrs,
-                &pack.faults);
-            for (size_t l = 0; l < lanes; ++l) {
-                uint32_t d = dirty[begin + l];
-                outcome[d] = static_cast<uint8_t>(
-                    classifyCheckedRun(runs[l], im.cfg.detectors));
-                degraded[d] =
-                    runs[l].outcome == CheckedOutcome::Degraded;
-                cycles[d] = runs[l].cycles;
-                endDff[d] = std::move(runs[l].endDff);
-            }
-        });
-
-        // Merge each die's mission into its own record: digest,
-        // packed end state and escalation ladder read and write only
-        // that die, so any thread count gives the same records.
-        parallelFor(live.size(), im.cfg.threads, [&](size_t k) {
-            uint32_t d = live[k];
-            FleetDie &die = state.dies[d];
-            ++die.epochsRun;
-            ++die.outcomes[outcome[d]];
-            die.lifeCycles += cycles[d];
-
-            uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
-            h = fnvU64(h, epoch);
-            h = fnvU64(h, outcome[d]);
-            h = fnvU64(h, cycles[d]);
-            h = fnv1a(h, endDff[d].data(), endDff[d].size());
-            die.digest = h;
-            die.dffCount = static_cast<uint32_t>(endDff[d].size());
-            packBits(endDff[d], die.dffBits);
-
-            // Fleet-level escalation: a Degraded mission burns one
-            // firmware re-page; past the budget the die fail-stops.
-            if (degraded[d] && ++die.repages > im.cfg.maxRepages)
-                die.alive = false;
-        });
-
-        // Fleet-wide counters, summed in die order.
-        for (uint32_t d : live) {
-            const FleetDie &die = state.dies[d];
-            ++state.epochOutcomes[epoch][outcome[d]];
-            size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
-            ++state.binOutcomes[binIdx][outcome[d]];
-            state.deaths += !die.alive;
-        }
-
+        im.runEpoch(state, epoch);
         state.epochsDone = epoch + 1;
         if (!checkpointPath.empty())
             saveFleetCheckpoint(state, checkpointPath);

@@ -25,17 +25,16 @@
  *       → fail-stop (budget exhausted: the die is pulled from the
  *         fleet and every later epoch counts it unavailable).
  *
- * Throughput comes from the compiled lane backend: every epoch, live
- * dies are packed into LaneGroup words — each lane carrying its own
- * manufacturing defects and in-field schedule — and the word-
- * parallel prescreen proves most lanes fault-free; the dies it
- * cannot prove clean run the full checked runtime 64 to a word
- * (runCheckedLanes()), packed in die order into one-word groups
- * spread over the thread pool. Results are bit-identical for any
- * thread count and any batchLanes, and the whole campaign
- * checkpoints to a versioned, checksummed file after every epoch, so
- * a killed run resumed from its checkpoint is bit-identical to an
- * uninterrupted one (see checkpoint.hh).
+ * Each epoch is one runCheckedPopulation() call over the live dies,
+ * each carrying its part's manufacturing defects and its in-field
+ * schedule: one golden tape for the epoch, a word-parallel prescreen
+ * that proves most dies fault-free in 512-lane blocks, and the
+ * lane-parallel checked runtime, 64 dies to a word, for the rest.
+ * Results are bit-identical for any thread count and any
+ * batchLanes, and the whole campaign checkpoints to a versioned,
+ * checksummed file after every epoch, so a killed run resumed from
+ * its checkpoint is bit-identical to an uninterrupted one (see
+ * checkpoint.hh).
  */
 
 #ifndef FLEXI_FLEET_FLEET_HH
@@ -70,7 +69,7 @@ struct FleetConfig
     KernelId kernel = KernelId::Thresholding;
     /** Deployed program index when isa == FlexiCore8. */
     unsigned fc8Program = 0;
-    /** Units of work per mission. */
+    /** Units of work per mission, in [1, kMaxWorkUnits]. */
     size_t workUnits = 2;
     /**
      * Largest accepted transientsPerEpoch / flipsPerEpoch. The engine
@@ -97,11 +96,13 @@ struct FleetConfig
     uint64_t maxInstructions = 60000;
     /** 0 = auto; results are bit-identical for any value. */
     unsigned threads = 0;
-    /** Lanes per prescreen word-pack (1 skips the prescreen, so
-     *  every die runs the lane-parallel checked runtime; results are
-     *  bit-identical for any value). */
+    /** Prescreen width of each epoch's population run (at most
+     *  512; 1 skips the prescreen, so every die runs the
+     *  lane-parallel checked runtime). An execution knob stored in
+     *  checkpoints; results are bit-identical for any value. */
     unsigned batchLanes = 512;
-    /** Salvage deployment: binning voltage and qualification bar. */
+    /** Salvage deployment: binning voltage (finite and positive)
+     *  and qualification bar. */
     double vdd = 4.5;
     unsigned minKernels = 1;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -64,6 +65,54 @@ readsInput(const Instruction &inst)
 
 constexpr unsigned kNoPc = ~0u;
 
+/** Do the core's instructions arrive as one 16-bit word? */
+bool
+wideFetch(IsaKind isa)
+{
+    return isa == IsaKind::ExtAcc4 || isa == IsaKind::LoadStore4;
+}
+
+/** Die cycle budget of a run: cfg.maxCycles, or derived from
+ *  cfg.maxInstructions. */
+uint64_t
+cycleBudget(const CheckedRunConfig &cfg)
+{
+    return cfg.maxCycles ? cfg.maxCycles : cfg.maxInstructions * 8 + 1024;
+}
+
+/** The lane inputs of a group: one schedule per lane and, when not
+ *  empty, one stuck-at list (or null) per lane. */
+using ScheduleSpan = std::span<const FaultSchedule *const>;
+using StuckSpan = std::span<const std::vector<StuckFault> *const>;
+
+/** @p schedule's flips in die-clock order. */
+std::vector<FaultSchedule::DffFlip>
+flipsInOrder(const FaultSchedule &schedule)
+{
+    std::vector<FaultSchedule::DffFlip> flips = schedule.flips;
+    std::sort(flips.begin(), flips.end(),
+              [](const FaultSchedule::DffFlip &a,
+                 const FaultSchedule::DffFlip &b) {
+                  return a.cycle < b.cycle;
+              });
+    return flips;
+}
+
+/** The pads the lockstep drivers drive and sample. */
+struct Pads
+{
+    BusHandle pc, instr, iport, oport;
+};
+
+Pads
+padsOf(const Netlist &die, IsaKind isa)
+{
+    return {die.outputBus("pc", 7),
+            die.inputBus("instr", wideFetch(isa) ? 16 : 8),
+            die.inputBus("iport", isaDataWidth(isa)),
+            die.outputBus("oport", isaDataWidth(isa))};
+}
+
 class CheckedRunner
 {
   public:
@@ -75,32 +124,22 @@ class CheckedRunner
     {
         if (!die.elaborated())
             fatal("checked run needs an elaborated netlist");
-        wide_ = cfg.isa == IsaKind::ExtAcc4 ||
-                cfg.isa == IsaKind::LoadStore4;
+        pads_ = padsOf(die, cfg.isa);
+        wide_ = wideFetch(cfg.isa);
         wordPc_ = cfg.isa == IsaKind::LoadStore4;
         width_ = isaDataWidth(cfg.isa);
-        pcBus_ = die.outputBus("pc", 7);
-        instrBus_ = die.inputBus("instr", wide_ ? 16 : 8);
-        iportBus_ = die.inputBus("iport", width_);
-        oportBus_ = die.outputBus("oport", width_);
 
         multiPage_ = prog.numPages() > 1;
         if (multiPage_)
             paged_ = std::make_unique<PagedEnvironment>(env_);
         tcfg_.isa = cfg.isa;
 
-        maxCycles_ = cfg.maxCycles ? cfg.maxCycles
-                                   : cfg.maxInstructions * 8 + 1024;
+        maxCycles_ = cycleBudget(cfg);
 
         die_.reset();
         for (const auto &t : schedule.transients)
             die_.injectTransient(t);
-        flips_ = schedule.flips;
-        std::sort(flips_.begin(), flips_.end(),
-                  [](const FaultSchedule::DffFlip &a,
-                     const FaultSchedule::DffFlip &b) {
-                      return a.cycle < b.cycle;
-                  });
+        flips_ = flipsInOrder(schedule);
 
         freshGolden();
         takeCheckpoint();
@@ -327,21 +366,21 @@ class CheckedRunner
             auto fetch = [&](unsigned addr) -> uint8_t {
                 return addr < dimage.size() ? dimage[addr] : 0;
             };
-            unsigned diePc = die_.bus(pcBus_);
+            unsigned diePc = die_.bus(pads_.pc);
             if (wide_) {
                 unsigned base = wordPc_ ? diePc * 2 : diePc;
-                die_.setBus(instrBus_,
+                die_.setBus(pads_.instr,
                             fetch(base) | (fetch(base + 1) << 8));
             } else {
-                die_.setBus(instrBus_, fetch(diePc));
+                die_.setBus(pads_.instr, fetch(diePc));
             }
-            die_.setBus(iportBus_, env_.held);
+            die_.setBus(pads_.iport, env_.held);
             die_.evaluate();
             die_.clockEdge();
             die_.evaluate();   // expose new state on the pads
             ++res_.cycles;
 
-            unsigned newPc = die_.bus(pcBus_);
+            unsigned newPc = die_.bus(pads_.pc);
             if (newPc == lastDiePc_) {
                 ++frozen_;
             } else {
@@ -372,7 +411,7 @@ class CheckedRunner
         // model performs the write. Multi-page dies route it through
         // their own off-chip MMU FST.
         if (golden_->stats().ioWrites != prevIo) {
-            uint8_t dieVal = static_cast<uint8_t>(die_.bus(oportBus_));
+            uint8_t dieVal = static_cast<uint8_t>(die_.bus(pads_.oport));
             if (multiPage_) {
                 for (uint8_t v : dieMmu_.onOutput(dieVal))
                     pushDieOut(v);
@@ -388,8 +427,8 @@ class CheckedRunner
                 diePage_ = static_cast<unsigned>(p);
         }
 
-        bool mismatch = die_.bus(pcBus_) != golden_->pc() ||
-                        die_.bus(oportBus_) != golden_->outputLatch();
+        bool mismatch = die_.bus(pads_.pc) != golden_->pc() ||
+                        die_.bus(pads_.oport) != golden_->outputLatch();
         res_.padMismatches += mismatch;
         if (mismatch && cfg_.detectors.lockstep) {
             if (!onDetection("lockstep"))
@@ -420,10 +459,10 @@ class CheckedRunner
     const std::vector<uint8_t> &inputs_;
     const CheckedRunConfig &cfg_;
 
+    Pads pads_;
     bool wide_ = false;
     bool wordPc_ = false;
     unsigned width_ = 4;
-    BusHandle pcBus_, instrBus_, iportBus_, oportBus_;
     bool multiPage_ = false;
     uint64_t maxCycles_ = 0;
 
@@ -468,16 +507,20 @@ namespace
 {
 
 /**
- * The golden side of the lane-parallel runner: one golden model's
- * trajectory, recorded as a tape indexed by instruction count k.
- * Every lane's golden model follows it, and rollback and restart
- * only ever move a lane back to an earlier k, so a per-lane cursor
- * replaces the CoreSim copies CheckedRunner checkpoints. Recorded on
- * demand: a lane records instruction k only when about to step it.
+ * The golden side of a population run: the golden model's trajectory,
+ * recorded up front as a tape indexed by instruction count k, and
+ * what each page feeds a die at each PC. Read-only once built, it
+ * serves every prescreen block and lane group of a call, on any
+ * thread. Rollback and restart only move a lane back to an earlier
+ * k, so a per-lane cursor replaces CheckedRunner's CoreSim copies.
  */
 class GoldenTape
 {
   public:
+    /** PC pads are 7 bits wide on every core. */
+    static constexpr unsigned kPcSpace = 128;
+    using FetchTable = std::array<uint16_t, kPcSpace>;
+
     /** The golden model after k instructions, and instruction k. */
     struct Point
     {
@@ -486,8 +529,12 @@ class GoldenTape
         uint8_t crc = 0;        ///< CRC-8 of the outputs so far
         bool done = false;
         uint32_t outputs = 0;   ///< golden outputs so far
-        /** @name Instruction k (set once point k+1 is recorded) */
+        /** Die cycles a golden-tracking die has driven by now. */
+        uint64_t elapsed = 0;
+        /** @name Instruction k (unset on the last point) */
         ///@{
+        /** Page a golden-tracking die fetches it from. */
+        unsigned page = 0;
         uint8_t cycles = 0;     ///< die cycles it takes
         uint8_t held = 0;       ///< input-bus value while it runs
         bool ioWrite = false;
@@ -495,89 +542,172 @@ class GoldenTape
         ///@}
     };
 
+    /**
+     * Run the golden model to the end of the run: the first point
+     * that is done, or where the instruction or cycle budget of
+     * @p cfg runs out — no die can get further along the tape.
+     */
     GoldenTape(const Program &prog, const std::vector<uint8_t> &inputs,
                const CheckedRunConfig &cfg)
-        : prog_(prog), inputs_(inputs), cfg_(cfg)
     {
+        HeldInputEnv env;
+        std::unique_ptr<PagedEnvironment> paged;
         if (prog.numPages() > 1)
-            paged_ = std::make_unique<PagedEnvironment>(env_);
+            paged = std::make_unique<PagedEnvironment>(env);
         TimingConfig tcfg;
         tcfg.isa = cfg.isa;
-        golden_ = std::make_unique<CoreSim>(
-            tcfg, prog,
-            paged_ ? static_cast<Environment &>(*paged_)
-                   : static_cast<Environment &>(env_));
-        points_.push_back(boundary(0));
+        CoreSim golden(tcfg, prog,
+                       paged ? static_cast<Environment &>(*paged)
+                             : static_cast<Environment &>(env));
+        bool wide = wideFetch(cfg.isa);
+        uint64_t maxCycles = cycleBudget(cfg);
+        uint8_t inputMask = static_cast<uint8_t>(
+            (1u << isaDataWidth(cfg.isa)) - 1u);
+        size_t inputIdx = 0;
+        // A golden-tracking die's MMU sees golden's exact output
+        // values, so one mirror MMU fed them gives its page.
+        Mmu mmu;
+        unsigned page = 0;
+        uint8_t crc = 0;
+        uint64_t elapsed = 0;
+
+        while (true) {
+            Point p;
+            p.pc = golden.pc();
+            p.latch = golden.outputLatch();
+            p.crc = crc;
+            p.outputs = static_cast<uint32_t>(env.outputs.size());
+            p.elapsed = elapsed;
+            p.done = golden.halted() ||
+                     (cfg.targetOutputs &&
+                      env.outputs.size() >= cfg.targetOutputs);
+            points_.push_back(p);
+            if (p.done || points_.size() > cfg.maxInstructions ||
+                elapsed >= maxCycles)
+                break;
+
+            // CheckedRunner::stepInstruction's golden half.
+            Point &k = points_.back();
+            DecodeResult dec = decodeAt(cfg.isa, prog.page(golden.page()),
+                                        golden.pc());
+            if (readsInput(dec.inst) && inputIdx < inputs.size())
+                env.held = inputs[inputIdx++] & inputMask;
+            uint64_t prevIo = golden.stats().ioWrites;
+            uint64_t prevTb = golden.stats().takenBranches;
+            size_t prevOut = env.outputs.size();
+            golden.step();
+
+            k.page = page;
+            k.cycles = static_cast<uint8_t>(wide ? 1 : dec.bytes);
+            k.held = env.held;
+            k.ioWrite = golden.stats().ioWrites != prevIo;
+            k.takenBranch = golden.stats().takenBranches != prevTb;
+            for (size_t i = prevOut; i < env.outputs.size(); ++i)
+                crc = crc8(crc, env.outputs[i]);
+            elapsed += k.cycles;
+            if (paged) {
+                if (k.ioWrite)
+                    (void)mmu.onOutput(golden.outputLatch());
+                if (k.takenBranch) {
+                    int next = mmu.takePendingPage();
+                    if (next >= 0)
+                        page = static_cast<unsigned>(next);
+                }
+            }
+        }
+        outputs_ = std::move(env.outputs);
+
+        // Past a page's image — and on pages the program never
+        // filled — the instruction bus floats to 0, as in
+        // CheckedRunner. The wide cores take a 16-bit word
+        // (LoadStore4 addresses words at pc*2).
+        fetch_.resize(prog.numPages());
+        for (unsigned pg = 0; pg < prog.numPages(); ++pg) {
+            const std::vector<uint8_t> &image = prog.page(pg);
+            auto byte = [&](unsigned addr) -> unsigned {
+                return addr < image.size() ? image[addr] : 0;
+            };
+            for (unsigned pc = 0; pc < kPcSpace; ++pc) {
+                unsigned base = cfg.isa == IsaKind::LoadStore4 ? pc * 2
+                                                               : pc;
+                fetch_[pg][pc] = static_cast<uint16_t>(
+                    wide ? byte(base) | byte(base + 1) << 8
+                         : byte(base));
+            }
+        }
     }
 
     const Point &at(size_t k) const { return points_[k]; }
+    /** Index of the last point: done, or out of budget. */
+    size_t last() const { return points_.size() - 1; }
+    /** The whole golden output stream. */
+    const std::vector<uint8_t> &outputs() const { return outputs_; }
 
-    /** Record instruction @p k, if not yet on the tape (boundary k
-     *  must not be done). */
-    void
-    recordThrough(size_t k)
+    bool multiPage() const { return fetch_.size() > 1; }
+
+    /** What page @p page feeds a die whose PC pads read pc. */
+    const FetchTable &
+    fetch(unsigned page) const
     {
-        while (points_.size() <= k + 1)
-            record();
+        static const FetchTable kUnmapped{};
+        return page < fetch_.size() ? fetch_[page] : kUnmapped;
     }
-
-    /** The golden output stream recorded so far. */
-    const std::vector<uint8_t> &outputs() const { return env_.outputs; }
 
   private:
-    Point
-    boundary(uint8_t crc) const
-    {
-        Point p;
-        p.pc = golden_->pc();
-        p.latch = golden_->outputLatch();
-        p.crc = crc;
-        p.outputs = static_cast<uint32_t>(env_.outputs.size());
-        p.done = golden_->halted() ||
-                 (cfg_.targetOutputs &&
-                  env_.outputs.size() >= cfg_.targetOutputs);
-        return p;
-    }
-
-    /** Step the golden model once: CheckedRunner::stepInstruction's
-     *  golden half. */
-    void
-    record()
-    {
-        if (points_.back().done)
-            panic("golden tape: stepping past the end of the run");
-        DecodeResult dec = decodeAt(cfg_.isa, prog_.page(golden_->page()),
-                                    golden_->pc());
-        if (readsInput(dec.inst) && inputIdx_ < inputs_.size())
-            env_.held = inputs_[inputIdx_++] &
-                        static_cast<uint8_t>(
-                            (1u << isaDataWidth(cfg_.isa)) - 1u);
-        uint64_t prevIo = golden_->stats().ioWrites;
-        uint64_t prevTb = golden_->stats().takenBranches;
-        size_t prevOut = env_.outputs.size();
-        golden_->step();
-
-        Point &p = points_.back();
-        bool wide = cfg_.isa == IsaKind::ExtAcc4 ||
-                    cfg_.isa == IsaKind::LoadStore4;
-        p.cycles = static_cast<uint8_t>(wide ? 1 : dec.bytes);
-        p.held = env_.held;
-        p.ioWrite = golden_->stats().ioWrites != prevIo;
-        p.takenBranch = golden_->stats().takenBranches != prevTb;
-        uint8_t crc = p.crc;
-        for (size_t i = prevOut; i < env_.outputs.size(); ++i)
-            crc = crc8(crc, env_.outputs[i]);
-        points_.push_back(boundary(crc));
-    }
-
-    const Program &prog_;
-    const std::vector<uint8_t> &inputs_;
-    const CheckedRunConfig &cfg_;
-    HeldInputEnv env_;
-    std::unique_ptr<PagedEnvironment> paged_;
-    std::unique_ptr<CoreSim> golden_;
-    size_t inputIdx_ = 0;
     std::vector<Point> points_;
+    std::vector<uint8_t> outputs_;
+    std::vector<FetchTable> fetch_;
+};
+
+/**
+ * A LaneGroup of @p golden's structure with one die per lane, each
+ * lane's stuck-ats and transients installed and its flips queued in
+ * die-clock order: what the prescreen and the lane runner share.
+ */
+class DieLanes
+{
+  public:
+    DieLanes(const Netlist &golden, IsaKind isa, ScheduleSpan schedules,
+             StuckSpan stuck)
+        : group(golden, static_cast<unsigned>(schedules.size())),
+          pads(padsOf(golden, isa)),
+          cone(group.padCone({&pads.pc, &pads.oport})),
+          flips_(schedules.size()), flipIdx_(schedules.size(), 0)
+    {
+        if (!stuck.empty() && stuck.size() != schedules.size())
+            fatal("checked run: %zu fault lists for %zu lanes",
+                  stuck.size(), schedules.size());
+        for (unsigned l = 0; l < schedules.size(); ++l) {
+            if (!stuck.empty() && stuck[l])
+                for (const StuckFault &f : *stuck[l])
+                    group.injectFault(l, f);
+            for (const auto &t : schedules[l]->transients)
+                group.injectTransient(l, t);
+            flips_[l] = flipsInOrder(*schedules[l]);
+        }
+    }
+
+    /** Land lane @p l's flips that are due by the group clock (they
+     *  land before the next fetch, as in CheckedRunner). */
+    void
+    applyDueFlips(unsigned l)
+    {
+        const std::vector<FaultSchedule::DffFlip> &f = flips_[l];
+        size_t &i = flipIdx_[l];
+        for (; i < f.size() && f[i].cycle <= group.cycle(); ++i)
+            if (group.numDffs())
+                group.flipDff(l, f[i].dff % group.numDffs());
+    }
+
+    LaneGroup group;
+    Pads pads;
+    /** Post-edge pad sampling only reads the PC/OPORT pads, so the
+     *  post-clock evaluate narrows to their fan-in cones. */
+    LaneGroup::PadCone cone;
+
+  private:
+    std::vector<std::vector<FaultSchedule::DffFlip>> flips_;
+    std::vector<size_t> flipIdx_;
 };
 
 /**
@@ -590,108 +720,45 @@ class GoldenTape
 class LaneCheckedRunner
 {
   public:
-    LaneCheckedRunner(const Netlist &golden, const Program &prog,
-                      const std::vector<uint8_t> &inputs,
-                      const CheckedRunConfig &cfg,
-                      const std::vector<const FaultSchedule *> &schedules,
-                      const std::vector<const std::vector<StuckFault> *>
-                          *laneFaults)
-        : cfg_(cfg), tape_(prog, inputs, cfg),
-          numLanes_(laneCount(schedules.size())),
-          group_(golden, numLanes_), lanes_(numLanes_)
+    LaneCheckedRunner(const GoldenTape &tape, const Netlist &golden,
+                      const CheckedRunConfig &cfg, ScheduleSpan schedules,
+                      StuckSpan stuck)
+        : cfg_(cfg), tape_(tape), dies_(golden, cfg.isa, schedules, stuck),
+          lanes_(schedules.size())
     {
-        if (laneFaults && laneFaults->size() != schedules.size())
-            fatal("runCheckedLanes: %zu fault lists for %u lanes",
-                  laneFaults->size(), numLanes_);
-        bool wide = cfg.isa == IsaKind::ExtAcc4 ||
-                    cfg.isa == IsaKind::LoadStore4;
-        unsigned width = isaDataWidth(cfg.isa);
-        pcBus_ = golden.outputBus("pc", 7);
-        instrBus_ = golden.inputBus("instr", wide ? 16 : 8);
-        iportBus_ = golden.inputBus("iport", width);
-        oportBus_ = golden.outputBus("oport", width);
-        cone_ = group_.padCone({&pcBus_, &oportBus_});
-        multiPage_ = prog.numPages() > 1;
-        maxCycles_ = cfg.maxCycles ? cfg.maxCycles
-                                   : cfg.maxInstructions * 8 + 1024;
-
-        // What each page feeds a die whose PC pads read pc: the
-        // instruction byte, or for the wide cores the 16-bit word
-        // (LoadStore4 addresses words at pc*2). Past a page's image
-        // — and on pages the program never filled — the bus floats
-        // to 0, as in CheckedRunner.
-        fetch_.resize(prog.numPages());
-        for (unsigned p = 0; p < prog.numPages(); ++p) {
-            const std::vector<uint8_t> &image = prog.page(p);
-            auto byte = [&](unsigned addr) -> unsigned {
-                return addr < image.size() ? image[addr] : 0;
-            };
-            for (unsigned pc = 0; pc < kPcSpace; ++pc) {
-                unsigned base = cfg.isa == IsaKind::LoadStore4 ? pc * 2
-                                                               : pc;
-                fetch_[p][pc] = static_cast<uint16_t>(
-                    wide ? byte(base) | byte(base + 1) << 8
-                         : byte(base));
-            }
-        }
-
-        for (unsigned l = 0; l < numLanes_; ++l) {
-            if (laneFaults && (*laneFaults)[l])
-                for (const StuckFault &f : *(*laneFaults)[l])
-                    group_.injectFault(l, f);
-            for (const auto &t : schedules[l]->transients)
-                group_.injectTransient(l, t);
-            Lane &ln = lanes_[l];
-            ln.flips = schedules[l]->flips;
-            std::sort(ln.flips.begin(), ln.flips.end(),
-                      [](const FaultSchedule::DffFlip &a,
-                         const FaultSchedule::DffFlip &b) {
-                          return a.cycle < b.cycle;
-                      });
-        }
-        running_ = group_.laneMaskWord(0);
+        running_ = dies_.group.laneMaskWord(0);
     }
 
     std::vector<CheckedRunResult>
     run()
     {
-        for (unsigned l = 0; l < numLanes_; ++l) {
+        for (unsigned l = 0; l < lanes_.size(); ++l) {
             takeCheckpoint(l);
             advance(l);
         }
         std::array<uint8_t, LaneGroup::kWordLanes> pc{}, oport{},
             held{};
         std::array<uint32_t, LaneGroup::kWordLanes> instr{};
-        static const std::array<uint16_t, kPcSpace> kUnmapped{};
-        size_t numDffs = group_.numDffs();
         while (running_) {
             // Fetch from each lane's own PC pads and MMU page, with
             // its own held input; flips land before the fetch.
-            group_.gatherBusBytes(pcBus_, pc.data());
+            dies_.group.gatherBusBytes(dies_.pads.pc, pc.data());
             for (uint64_t m = running_; m; m &= m - 1) {
                 unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
                 Lane &ln = lanes_[l];
-                while (ln.flipIdx < ln.flips.size() &&
-                       ln.flips[ln.flipIdx].cycle <= group_.cycle()) {
-                    if (numDffs)
-                        group_.flipDff(l, ln.flips[ln.flipIdx].dff %
-                                              numDffs);
-                    ++ln.flipIdx;
-                }
-                const auto &page = ln.diePage < fetch_.size()
-                                       ? fetch_[ln.diePage]
-                                       : kUnmapped;
-                instr[l] = page[pc[l] % kPcSpace];
+                dies_.applyDueFlips(l);
+                instr[l] = tape_.fetch(ln.diePage)[pc[l] %
+                                                   GoldenTape::kPcSpace];
                 held[l] = tape_.at(ln.k).held;
             }
-            group_.setBusLanes(instrBus_, instr.data());
-            group_.setBusLanesBytes(iportBus_, held.data());
-            group_.evaluate();
-            group_.clockEdge();
-            group_.exposeState(cone_);   // new state on the pads
+            dies_.group.setBusLanes(dies_.pads.instr, instr.data());
+            dies_.group.setBusLanesBytes(dies_.pads.iport, held.data());
+            dies_.group.evaluate();
+            dies_.group.clockEdge();
+            dies_.group.exposeState(dies_.cone);   // new state on the pads
 
-            group_.gatherBusBytes(pcBus_, pc.data());
-            group_.gatherBusBytes(oportBus_, oport.data());
+            dies_.group.gatherBusBytes(dies_.pads.pc, pc.data());
+            dies_.group.gatherBusBytes(dies_.pads.oport, oport.data());
             for (uint64_t m = running_; m; m &= m - 1) {
                 unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
                 afterCycle(l, pc[l], oport[l]);
@@ -704,9 +771,9 @@ class LaneCheckedRunner
             // show) — but a restarted lane must keep the cleared
             // nets reset() left it, so reset it again afterwards.
             if (exposePending_) {
-                group_.exposeState(cone_);
+                dies_.group.exposeState(dies_.cone);
                 for (uint64_t m = restarted_; m; m &= m - 1)
-                    group_.reset(
+                    dies_.group.reset(
                         static_cast<unsigned>(__builtin_ctzll(m)));
             }
             exposePending_ = false;
@@ -714,24 +781,13 @@ class LaneCheckedRunner
         }
 
         std::vector<CheckedRunResult> results;
-        results.reserve(numLanes_);
+        results.reserve(lanes_.size());
         for (Lane &ln : lanes_)
             results.push_back(std::move(ln.res));
         return results;
     }
 
   private:
-    /** PC pads are 7 bits wide on every core. */
-    static constexpr unsigned kPcSpace = 128;
-
-    static unsigned
-    laneCount(size_t lanes)
-    {
-        if (lanes == 0 || lanes > LaneGroup::kWordLanes)
-            fatal("runCheckedLanes: bad lane count %zu", lanes);
-        return static_cast<unsigned>(lanes);
-    }
-
     enum class Reaction
     {
         Ignored,     ///< detect-only: recorded, run goes on
@@ -764,8 +820,6 @@ class LaneCheckedRunner
         uint64_t frozen = 0;
         unsigned instrSinceCp = 0;
         unsigned retriesSinceCp = 0;
-        std::vector<FaultSchedule::DffFlip> flips;
-        size_t flipIdx = 0;
         Checkpoint cp;
     };
 
@@ -774,7 +828,7 @@ class LaneCheckedRunner
     {
         Lane &ln = lanes_[l];
         if (cfg_.recovery.enabled)
-            ln.cp = {group_.saveDffState(l), ln.k,
+            ln.cp = {dies_.group.saveDffState(l), ln.k,
                      ln.res.dieOutputs.size(), ln.dieCrc, ln.dieMmu,
                      ln.diePage, ln.lastDiePc, ln.frozen};
         ln.instrSinceCp = 0;
@@ -785,7 +839,7 @@ class LaneCheckedRunner
     rollback(unsigned l)
     {
         Lane &ln = lanes_[l];
-        group_.restoreDffState(l, ln.cp.dff);
+        dies_.group.restoreDffState(l, ln.cp.dff);
         exposePending_ = true;
         restarted_ &= ~(1ull << l);
         ln.k = ln.cp.k;
@@ -804,7 +858,7 @@ class LaneCheckedRunner
     restart(unsigned l)
     {
         Lane &ln = lanes_[l];
-        group_.reset(l);
+        dies_.group.reset(l);
         restarted_ |= 1ull << l;
         ln.dieMmu.reset();
         ln.diePage = 0;
@@ -851,7 +905,7 @@ class LaneCheckedRunner
         ln.res.outputsCorrect =
             outcome == CheckedOutcome::Completed &&
             ln.res.dieOutputs == ln.res.goldenOutputs;
-        ln.res.endDff = group_.saveDffState(l);
+        ln.res.endDff = dies_.group.saveDffState(l);
         running_ &= ~(1ull << l);
     }
 
@@ -882,11 +936,10 @@ class LaneCheckedRunner
             return;
         }
         if (ln.res.instructions >= cfg_.maxInstructions ||
-            ln.res.cycles >= maxCycles_) {
+            ln.res.cycles >= cycleBudget(cfg_)) {
             finish(l, CheckedOutcome::BudgetExhausted);
             return;
         }
-        tape_.recordThrough(ln.k);
         ln.cycle = 0;
     }
 
@@ -932,14 +985,14 @@ class LaneCheckedRunner
         ++ln.res.instructions;
         const GoldenTape::Point &now = tape_.at(ln.k);
         if (ioWrite) {
-            if (multiPage_) {
+            if (tape_.multiPage()) {
                 for (uint8_t v : ln.dieMmu.onOutput(oport))
                     pushDieOut(ln, v);
             } else {
                 pushDieOut(ln, oport);
             }
         }
-        if (multiPage_ && takenBranch) {
+        if (tape_.multiPage() && takenBranch) {
             int p = ln.dieMmu.takePendingPage();
             if (p >= 0)
                 ln.diePage = static_cast<unsigned>(p);
@@ -975,17 +1028,11 @@ class LaneCheckedRunner
         advance(l);
     }
 
-    const CheckedRunConfig &cfg_;
-    GoldenTape tape_;
-    unsigned numLanes_;
-    LaneGroup group_;
-    std::vector<Lane> lanes_;
 
-    BusHandle pcBus_, instrBus_, iportBus_, oportBus_;
-    LaneGroup::PadCone cone_;
-    bool multiPage_ = false;
-    uint64_t maxCycles_ = 0;
-    std::vector<std::array<uint16_t, kPcSpace>> fetch_;
+    const CheckedRunConfig &cfg_;
+    const GoldenTape &tape_;
+    DieLanes dies_;
+    std::vector<Lane> lanes_;
 
     uint64_t running_ = 0;
     /** A lane rolled back this cycle: the pads need a re-expose. */
@@ -994,105 +1041,25 @@ class LaneCheckedRunner
     uint64_t restarted_ = 0;
 };
 
-} // namespace
-
-std::vector<CheckedRunResult>
-runCheckedLanes(const Netlist &golden, const Program &prog,
-                const std::vector<uint8_t> &inputs,
-                const CheckedRunConfig &cfg,
-                const std::vector<const FaultSchedule *> &schedules,
-                const std::vector<const std::vector<StuckFault> *>
-                    *laneFaults)
-{
-    LaneCheckedRunner runner(golden, prog, inputs, cfg, schedules,
-                             laneFaults);
-    return runner.run();
-}
-
-unsigned
-checkedLanesPerGroup(size_t dies, unsigned threads)
-{
-    if (threads == 0)
-        threads = ThreadPool::defaultThreads();
-    size_t lanes = (dies + threads - 1) / threads;
-    return static_cast<unsigned>(
-        std::clamp<size_t>(lanes, 1, LaneGroup::kWordLanes));
-}
-
+/**
+ * prescreenSchedules() over a recorded tape: one bit-parallel mirror
+ * of CheckedRunner::stepInstruction() with all protection stripped —
+ * flips before each fetch, per-lane fetch from the lane's own PC
+ * pads, per-lane frozen-PC tracking, and the boundary PC/OPORT
+ * compare against the tape. Any deviation retires the lane as not
+ * clean, so the tape's held input and clean-die page only ever have
+ * to be right for lanes that still track golden exactly.
+ */
 PrescreenResult
-prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
-                   const std::vector<uint8_t> &inputs,
-                   const CheckedRunConfig &cfg,
-                   const std::vector<const FaultSchedule *> &schedules,
-                   const std::vector<const std::vector<StuckFault> *>
-                       *laneFaults,
-                   bool captureEndState)
+prescreen(const GoldenTape &tape, const Netlist &golden,
+          const CheckedRunConfig &cfg, ScheduleSpan schedules,
+          StuckSpan stuck, bool captureEndState)
 {
-    // One bit-parallel mirror of CheckedRunner::stepInstruction()
-    // with all protection stripped: flips before each fetch, per-lane
-    // fetch from the lane's own PC pads, per-lane frozen-PC tracking,
-    // and the boundary PC/OPORT compare against one shared golden
-    // trajectory. Any deviation retires the lane as not clean, so
-    // the shared state below (held input, MMU page) only ever has
-    // to be correct for lanes that are still tracking golden exactly.
     unsigned lanes = static_cast<unsigned>(schedules.size());
-    if (lanes == 0 || lanes > LaneGroup::kMaxLanes)
-        fatal("prescreenSchedules: bad lane count %u", lanes);
-    LaneGroup batch(golden_netlist, lanes);
-
-    bool wide = cfg.isa == IsaKind::ExtAcc4 ||
-                cfg.isa == IsaKind::LoadStore4;
-    bool wordPc = cfg.isa == IsaKind::LoadStore4;
-    unsigned width = isaDataWidth(cfg.isa);
-    BusHandle pcBus = golden_netlist.outputBus("pc", 7);
-    BusHandle instrBus =
-        golden_netlist.inputBus("instr", wide ? 16 : 8);
-    BusHandle iportBus = golden_netlist.inputBus("iport", width);
-    BusHandle oportBus = golden_netlist.outputBus("oport", width);
-
-    bool multiPage = prog.numPages() > 1;
-    HeldInputEnv env;
-    std::unique_ptr<PagedEnvironment> paged;
-    if (multiPage)
-        paged = std::make_unique<PagedEnvironment>(env);
-    TimingConfig tcfg;
-    tcfg.isa = cfg.isa;
-    CoreSim golden(tcfg, prog,
-                   paged ? static_cast<Environment &>(*paged)
-                         : static_cast<Environment &>(env));
-
-    uint64_t maxCycles = cfg.maxCycles
-                             ? cfg.maxCycles
-                             : cfg.maxInstructions * 8 + 1024;
-
-    if (laneFaults && laneFaults->size() != schedules.size())
-        fatal("prescreenSchedules: %zu fault lists for %zu lanes",
-              laneFaults->size(), schedules.size());
-
-    size_t numDffs = batch.numDffs();
-    std::vector<std::vector<FaultSchedule::DffFlip>> flips(lanes);
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-        if (laneFaults && (*laneFaults)[lane])
-            for (const StuckFault &f : *(*laneFaults)[lane])
-                batch.injectFault(lane, f);
-        for (const auto &t : schedules[lane]->transients)
-            batch.injectTransient(lane, t);
-        flips[lane] = schedules[lane]->flips;
-        std::sort(flips[lane].begin(), flips[lane].end(),
-                  [](const FaultSchedule::DffFlip &a,
-                     const FaultSchedule::DffFlip &b) {
-                      return a.cycle < b.cycle;
-                  });
-    }
-    std::array<size_t, LaneGroup::kMaxLanes> flipIdx{};
-
-    // A clean lane emits golden's exact output values, so one shared
-    // mirror MMU fed those values reproduces every clean lane's page
-    // trajectory; a lane whose value differs is retired the same
-    // instruction by the pad compare below.
-    Mmu mirrorMmu;
-    unsigned mirrorPage = 0;
-    static const std::vector<uint8_t> kUnmappedPage;
+    DieLanes dies(golden, cfg.isa, schedules, stuck);
+    LaneGroup &batch = dies.group;
+    const Pads &pads = dies.pads;
+    bool wide = wideFetch(cfg.isa);
 
     std::array<uint64_t, LaneGroup::kMaxWords> active{};
     for (unsigned w = 0; w < batch.words(); ++w)
@@ -1105,101 +1072,54 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
     };
     std::array<uint8_t, LaneGroup::kMaxLanes> diePc{};
     std::array<uint32_t, LaneGroup::kMaxLanes> dieInstr16{};
-    std::vector<uint8_t> fetchTable;
-    unsigned fetchTablePage = ~0u;
+    // The narrow cores fetch through the fused indexed drive, from a
+    // byte copy of the current page's table.
+    std::array<uint8_t, GoldenTape::kPcSpace> fetchBytes{};
+    unsigned fetchBytesPage = ~0u;
     std::array<uint32_t, LaneGroup::kMaxLanes> lastPc;
     lastPc.fill(kNoPc);
     std::array<uint64_t, LaneGroup::kMaxLanes> frozen{};
-    size_t inputIdx = 0;
-
-    // Post-edge pad sampling only reads the PC/OPORT pads, so the
-    // post-clock evaluate narrows to their fan-in cones.
-    LaneGroup::PadCone padCone = batch.padCone({&pcBus, &oportBus});
 
     PrescreenResult res;
-    uint64_t instructions = 0;
-
-    auto isDone = [&]() {
-        if (golden.halted())
-            return true;
-        return cfg.targetOutputs != 0 &&
-               env.outputs.size() >= cfg.targetOutputs;
-    };
-
-    while (true) {
-        if (isDone()) {
+    size_t k = 0;
+    for (;; ++k) {
+        const GoldenTape::Point &p = tape.at(k);
+        if (p.done) {
             res.completed = true;
             break;
         }
-        if (instructions >= cfg.maxInstructions ||
-            res.cycles >= maxCycles)
-            break;
-        if (!anyActive())
+        if (k == tape.last() || !anyActive())
             break;
 
-        const std::vector<uint8_t> &gimage =
-            prog.page(golden.page());
-        DecodeResult dec = decodeAt(cfg.isa, gimage, golden.pc());
-        if (readsInput(dec.inst) && inputIdx < inputs.size())
-            env.held = inputs[inputIdx++] &
-                       static_cast<uint8_t>((1u << width) - 1u);
-
-        const std::vector<uint8_t> &dimage =
-            mirrorPage < prog.numPages() ? prog.page(mirrorPage)
-                                         : kUnmappedPage;
-        auto fetch = [&](unsigned addr) -> uint8_t {
-            return addr < dimage.size() ? dimage[addr] : 0;
-        };
-        if (!wide && fetchTablePage != mirrorPage) {
-            // Narrow fetch goes through the fused indexed drive;
-            // (re)pad the current page to the PC address space when
-            // the mirror MMU pages (out-of-image fetches read 0).
-            fetchTable.assign(size_t(1) << pcBus.width(), 0);
-            for (size_t a = 0;
-                 a < fetchTable.size() && a < dimage.size(); ++a)
-                fetchTable[a] = dimage[a];
-            fetchTablePage = mirrorPage;
+        const GoldenTape::FetchTable &table = tape.fetch(p.page);
+        if (!wide && fetchBytesPage != p.page) {
+            std::copy(table.begin(), table.end(), fetchBytes.begin());
+            fetchBytesPage = p.page;
         }
-
-        unsigned cycles = wide ? 1 : dec.bytes;
-        for (unsigned c = 0; c < cycles; ++c) {
-            for (unsigned lane = 0; lane < lanes; ++lane) {
-                while (flipIdx[lane] < flips[lane].size() &&
-                       flips[lane][flipIdx[lane]].cycle <=
-                           batch.cycle()) {
-                    if (numDffs)
-                        batch.flipDff(lane,
-                                      flips[lane][flipIdx[lane]].dff %
-                                          numDffs);
-                    ++flipIdx[lane];
-                }
-            }
+        for (unsigned c = 0; c < p.cycles; ++c) {
+            for (unsigned lane = 0; lane < lanes; ++lane)
+                dies.applyDueFlips(lane);
             if (wide) {
-                batch.gatherBusBytes(pcBus, diePc.data());
-                for (unsigned lane = 0; lane < lanes; ++lane) {
-                    unsigned base = wordPc ? diePc[lane] * 2
-                                           : diePc[lane];
+                batch.gatherBusBytes(pads.pc, diePc.data());
+                for (unsigned lane = 0; lane < lanes; ++lane)
                     dieInstr16[lane] =
-                        fetch(base) |
-                        static_cast<unsigned>(fetch(base + 1)) << 8;
-                }
-                batch.setBusLanes(instrBus, dieInstr16.data());
+                        table[diePc[lane] % GoldenTape::kPcSpace];
+                batch.setBusLanes(pads.instr, dieInstr16.data());
             } else {
-                batch.driveBusFromTable(pcBus, instrBus,
-                                        fetchTable.data());
+                batch.driveBusFromTable(pads.pc, pads.instr,
+                                        fetchBytes.data());
             }
-            batch.setBus(iportBus, env.held);
+            batch.setBus(pads.iport, p.held);
             batch.evaluate();
             batch.clockEdge();
-            batch.exposeState(padCone);   // new state on the pads
-            ++res.cycles;
+            batch.exposeState(dies.cone);   // new state on the pads
 
             // Frozen-PC tracking is only consumed by the watchdog
             // retire below; with no watchdog armed the per-lane PC
             // gather is dead work.
             if (!cfg.detectors.watchdog)
                 continue;
-            batch.gatherBusBytes(pcBus, diePc.data());
+            batch.gatherBusBytes(pads.pc, diePc.data());
             for (unsigned lane = 0; lane < lanes; ++lane) {
                 uint64_t bit = 1ull << (lane % 64);
                 if (!(active[lane / 64] & bit))
@@ -1219,33 +1139,18 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
             }
         }
 
-        uint64_t prevIo = golden.stats().ioWrites;
-        uint64_t prevTb = golden.stats().takenBranches;
-        golden.step();
-        ++instructions;
-
-        if (multiPage) {
-            if (golden.stats().ioWrites != prevIo)
-                (void)mirrorMmu.onOutput(
-                    static_cast<uint8_t>(golden.outputLatch()));
-            if (golden.stats().takenBranches != prevTb) {
-                int p = mirrorMmu.takePendingPage();
-                if (p >= 0)
-                    mirrorPage = static_cast<unsigned>(p);
-            }
-        }
-
         // Boundary compare in the bit domain: clearing an already
         // retired lane's bit is a no-op, so no per-lane active test
         // is needed.
+        const GoldenTape::Point &next = tape.at(k + 1);
         std::array<uint64_t, LaneGroup::kMaxWords> pcDiff;
         std::array<uint64_t, LaneGroup::kMaxWords> opDiff;
-        batch.busMismatch(pcBus, golden.pc(), pcDiff.data());
-        batch.busMismatch(oportBus, golden.outputLatch(),
-                          opDiff.data());
+        batch.busMismatch(pads.pc, next.pc, pcDiff.data());
+        batch.busMismatch(pads.oport, next.latch, opDiff.data());
         for (unsigned w = 0; w < batch.words(); ++w)
             active[w] &= ~(pcDiff[w] | opDiff[w]);
     }
+    res.cycles = tape.at(k).elapsed;
 
     if (res.completed) {
         res.cleanMask = active;
@@ -1256,6 +1161,135 @@ prescreenSchedules(const Netlist &golden_netlist, const Program &prog,
         }
     }
     return res;
+}
+
+} // namespace
+
+std::vector<CheckedRunResult>
+runCheckedLanes(const Netlist &golden, const Program &prog,
+                const std::vector<uint8_t> &inputs,
+                const CheckedRunConfig &cfg,
+                const std::vector<const FaultSchedule *> &schedules,
+                const std::vector<const std::vector<StuckFault> *>
+                    *laneFaults)
+{
+    if (schedules.empty() || schedules.size() > LaneGroup::kWordLanes)
+        fatal("runCheckedLanes: bad lane count %zu", schedules.size());
+    GoldenTape tape(prog, inputs, cfg);
+    return LaneCheckedRunner(tape, golden, cfg, schedules,
+                             laneFaults ? StuckSpan(*laneFaults)
+                                        : StuckSpan())
+        .run();
+}
+
+unsigned
+checkedLanesPerGroup(size_t dies, unsigned threads)
+{
+    if (threads == 0)
+        threads = ThreadPool::defaultThreads();
+    size_t lanes = (dies + threads - 1) / threads;
+    return static_cast<unsigned>(
+        std::clamp<size_t>(lanes, 1, LaneGroup::kWordLanes));
+}
+
+PrescreenResult
+prescreenSchedules(const Netlist &golden, const Program &prog,
+                   const std::vector<uint8_t> &inputs,
+                   const CheckedRunConfig &cfg,
+                   const std::vector<const FaultSchedule *> &schedules,
+                   const std::vector<const std::vector<StuckFault> *>
+                       *laneFaults,
+                   bool captureEndState)
+{
+    if (schedules.empty() || schedules.size() > LaneGroup::kMaxLanes)
+        fatal("prescreenSchedules: bad lane count %zu",
+              schedules.size());
+    GoldenTape tape(prog, inputs, cfg);
+    return prescreen(tape, golden, cfg, schedules,
+                     laneFaults ? StuckSpan(*laneFaults) : StuckSpan(),
+                     captureEndState);
+}
+
+std::vector<CheckedRunSummary>
+runCheckedPopulation(const Netlist &golden, const Program &prog,
+                     const std::vector<uint8_t> &inputs,
+                     const CheckedRunConfig &cfg,
+                     const std::vector<FaultSchedule> &schedules,
+                     const std::vector<const std::vector<StuckFault> *>
+                         *stuck,
+                     unsigned prescreenLanes, unsigned threads,
+                     bool captureEndState)
+{
+    size_t dies = schedules.size();
+    if (stuck && stuck->size() != dies)
+        fatal("runCheckedPopulation: %zu fault lists for %zu dies",
+              stuck->size(), dies);
+    std::vector<CheckedRunSummary> results(dies);
+    if (dies == 0)
+        return results;
+    GoldenTape tape(prog, inputs, cfg);
+
+    // The lane inputs in die order; prescreen blocks take slices.
+    std::vector<const FaultSchedule *> scheds(dies);
+    std::vector<const std::vector<StuckFault> *> faults(dies);
+    for (size_t i = 0; i < dies; ++i) {
+        scheds[i] = &schedules[i];
+        faults[i] = stuck ? (*stuck)[i] : nullptr;
+    }
+
+    // Phase 1: the word-parallel prescreen settles, block by block,
+    // every die whose pads track golden all the way — most of them,
+    // since an upset usually lands in logic the run never exercises.
+    size_t width = std::clamp(prescreenLanes, 1u, LaneGroup::kMaxLanes);
+    std::vector<uint8_t> settled(dies, 0);
+    if (width > 1) {
+        parallelFor((dies + width - 1) / width, threads, [&](size_t b) {
+            size_t begin = b * width;
+            size_t n = std::min(width, dies - begin);
+            PrescreenResult ps =
+                prescreen(tape, golden, cfg, {&scheds[begin], n},
+                          {&faults[begin], n}, captureEndState);
+            for (size_t l = 0; l < n; ++l) {
+                if (!ps.clean(static_cast<unsigned>(l)))
+                    continue;
+                CheckedRunSummary &r = results[begin + l];
+                r.outputsCorrect = true;
+                r.cycles = ps.cycles;
+                if (captureEndState)
+                    r.endDff = std::move(ps.endDff[l]);
+                settled[begin + l] = 1;
+            }
+        });
+    }
+
+    // Phase 2: the checked runtime for every other die, packed in die
+    // order (in place: the lane inputs move down over settled dies)
+    // into one-word lane groups over the pool.
+    std::vector<size_t> dirty;
+    for (size_t i = 0; i < dies; ++i) {
+        if (settled[i])
+            continue;
+        scheds[dirty.size()] = scheds[i];
+        faults[dirty.size()] = faults[i];
+        dirty.push_back(i);
+    }
+    size_t groupLanes = checkedLanesPerGroup(dirty.size(), threads);
+    size_t groups = (dirty.size() + groupLanes - 1) / groupLanes;
+    parallelFor(groups, threads, [&](size_t g) {
+        size_t begin = g * groupLanes;
+        size_t n = std::min(groupLanes, dirty.size() - begin);
+        std::vector<CheckedRunResult> runs =
+            LaneCheckedRunner(tape, golden, cfg, {&scheds[begin], n},
+                              {&faults[begin], n})
+                .run();
+        for (size_t l = 0; l < n; ++l) {
+            CheckedRunSummary &r = results[dirty[begin + l]];
+            r = std::move(static_cast<CheckedRunSummary &>(runs[l]));
+            if (!captureEndState)
+                r.endDff = {};
+        }
+    });
+    return results;
 }
 
 } // namespace flexi

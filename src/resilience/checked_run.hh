@@ -25,10 +25,14 @@
  * faults, while stuck-at defects survive rollback and restart and
  * escalate to Degraded, exactly the triage the salvage binning needs.
  *
- * Population studies run the same runtime 64 dies to a LaneGroup
- * word (runCheckedLanes()), behind a word-parallel prescreen that
- * settles the lanes no detector could fire on; the scalar
- * runChecked() is the oracle both are tested against.
+ * Populations of dies — fault campaigns, salvage binning, fleet
+ * epochs — all take one path, runCheckedPopulation(): the golden
+ * trajectory is recorded once as a read-only tape, a word-parallel
+ * prescreen over it settles the dies no detector could fire on, and
+ * the rest run the same runtime 64 dies to a LaneGroup word against
+ * the same tape. The scalar runChecked() is the oracle both halves
+ * are tested against, and the fault-free baseline every population
+ * draws its fault windows over.
  */
 
 #ifndef FLEXI_RESILIENCE_CHECKED_RUN_HH
@@ -36,7 +40,7 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "assembler/program.hh"
@@ -82,36 +86,47 @@ enum class CheckedOutcome : uint8_t
 
 const char *checkedOutcomeName(CheckedOutcome outcome);
 
-/** Full result of one checked run. */
-struct CheckedRunResult
+/**
+ * What population studies keep of a checked run, per die: the fields
+ * campaign classification (classifyCheckedRun), salvage binning and
+ * the fleet's die records read.
+ */
+struct CheckedRunSummary
 {
     CheckedOutcome outcome = CheckedOutcome::Completed;
     /** Die output stream identical to the golden model's? */
     bool outputsCorrect = false;
 
-    uint64_t cycles = 0;         ///< die cycles driven (incl. replays)
-    uint64_t instructions = 0;   ///< golden instructions executed
-
-    /** Ground truth kept even when the detectors are disarmed. */
-    uint64_t padMismatches = 0;
-    uint64_t maxPcFrozenCycles = 0;
-
     unsigned detections = 0;
     unsigned retries = 0;
     unsigned restarts = 0;
-    /** Detector that fired first ("crc" / "watchdog" / "lockstep"). */
-    std::string firstDetector;
+
+    uint64_t cycles = 0;         ///< die cycles driven (incl. replays)
+    /**
+     * Longest PC freeze, kept even when the watchdog is disarmed.
+     * Dies runCheckedPopulation() settles in its prescreen report 0:
+     * their classification never reads it.
+     */
+    uint64_t maxPcFrozenCycles = 0;
+
+    /** Detector that fired first ("crc" / "watchdog" / "lockstep",
+     *  static strings), empty if none did. */
+    std::string_view firstDetector;
+
+    /** The die's DFF state when the run ended (the state the part
+     *  powers down with), in saveDffState() layout. */
+    std::vector<uint8_t> endDff;
+};
+
+/** Full result of one checked run. */
+struct CheckedRunResult : CheckedRunSummary
+{
+    uint64_t instructions = 0;   ///< golden instructions executed
+    /** Ground truth kept even when the detectors are disarmed. */
+    uint64_t padMismatches = 0;
 
     std::vector<uint8_t> dieOutputs;
     std::vector<uint8_t> goldenOutputs;
-
-    /**
-     * The die's architectural DFF state when the run ended (the
-     * state the part powers down with), in saveDffState() layout.
-     * The fleet lifecycle engine snapshots it into its per-die
-     * records and checkpoint files.
-     */
-    std::vector<uint8_t> endDff;
 };
 
 /** A schedule of in-field fault events to apply while running. */
@@ -163,22 +178,47 @@ CheckedRunResult runChecked(Netlist &die, const Program &prog,
                             const FaultSchedule &schedule = {});
 
 /**
- * The checked runtime for up to 64 dies at once, one per lane of a
- * one-word LaneGroup of @p golden's structure. Lane L runs
- * @p prog under *schedules[L], with (*laneFaults)[L]'s stuck-at
- * faults installed when given (null entries allowed), and gets its
- * own CRC-8 signatures, PC watchdog, lockstep compare, checkpoints,
- * retry/restart counters, input cursor and die-side MMU page.
+ * The checked runtime over a population of dies. Die i runs @p prog
+ * under schedules[i], with (*stuck)[i]'s stuck-at faults installed
+ * when given (null entries allowed), and result i is what
+ * runChecked() returns for a clone of @p golden — fault-free and
+ * with its die clock at 0, as built — carrying those faults, cut
+ * down to a CheckedRunSummary.
  *
- * Result L is exactly what runChecked() returns for a clone of
- * @p golden — fault-free and with its die clock at 0, as built —
- * with lane L's stuck-ats injected and run under *schedules[L]:
- * every CheckedRunResult field, endDff included. Lanes share one
- * clock; each drives a die cycle on every group cycle until its own
- * run ends, so its die clock (and with it every transient window
- * and flip) reads as in its scalar run. The golden model is recorded
- * once as a tape indexed by instruction count, and a lane's rollback
- * or restart moves its cursor back along it.
+ * One golden run serves the whole call: the golden model's
+ * trajectory is recorded once, up front, as a read-only tape. The
+ * dies are prescreened in blocks of @p prescreenLanes (clamped to
+ * 1..LaneGroup::kMaxLanes; 1 skips the prescreen) against it; the
+ * dies a block cannot prove clean then run the lane-parallel checked
+ * runtime against the same tape, in die order, in one-word groups of
+ * checkedLanesPerGroup() lanes. Blocks and groups spread over
+ * @p threads workers (0 = the thread pool's default). A die's result
+ * depends on neither its block, its group nor the thread count.
+ *
+ * @p captureEndState fills every result's endDff; without it none
+ * carries one. An empty population returns an empty result.
+ */
+std::vector<CheckedRunSummary>
+runCheckedPopulation(const Netlist &golden, const Program &prog,
+                     const std::vector<uint8_t> &inputs,
+                     const CheckedRunConfig &cfg,
+                     const std::vector<FaultSchedule> &schedules,
+                     const std::vector<const std::vector<StuckFault> *>
+                         *stuck,
+                     unsigned prescreenLanes, unsigned threads,
+                     bool captureEndState);
+
+/**
+ * The second half of runCheckedPopulation() on its own: the checked
+ * runtime for up to 64 dies, one per lane of a one-word LaneGroup of
+ * @p golden's structure, lane L carrying (*laneFaults)[L]'s stuck-ats
+ * when given and *schedules[L]. Each lane has its own CRC-8
+ * signatures, PC watchdog, lockstep compare, checkpoints, counters,
+ * input cursor and die-side MMU page, and drives a die cycle on
+ * every group cycle until its run ends, so its die clock reads as in
+ * its scalar run; rollback and restart move its cursor back along
+ * the golden tape. Result L equals runChecked() on a clone of
+ * @p golden with lane L's faults, in every field.
  */
 std::vector<CheckedRunResult>
 runCheckedLanes(const Netlist &golden, const Program &prog,
@@ -189,7 +229,7 @@ runCheckedLanes(const Netlist &golden, const Program &prog,
                     *laneFaults = nullptr);
 
 /**
- * Lanes per runCheckedLanes() call when @p dies dies share
+ * Lanes per runCheckedLanes() group when @p dies dies share
  * @p threads workers (0 = the thread pool's default): enough groups
  * to give every worker one, at most one 64-lane word each. Results
  * never depend on it — a lane's result is independent of its group.
@@ -231,30 +271,25 @@ struct PrescreenResult
 };
 
 /**
- * Drive up to LaneGroup::kMaxLanes (512) fault schedules through one
- * shared unprotected lockstep pass of @p prog on a LaneGroup of
- * @p golden's structure (the wide-lane compiled backend), and prove
- * which lanes a scalar runChecked() under @p cfg would
- * classify as fault-free behaviour (no divergence from golden, no
- * detector able to fire). Lanes NOT in cleanMask have diverged — or
- * could not be proven clean — and must be re-run through the checked
- * runtime (runCheckedLanes() or runChecked()) for their exact
- * outcome; lanes in cleanMask need not.
+ * The first half of runCheckedPopulation() on its own: drive up to
+ * LaneGroup::kMaxLanes (512) dies — *schedules[L], plus
+ * (*laneFaults)[L]'s stuck-ats when given — through one unprotected
+ * word-parallel lockstep pass of @p prog against the golden tape,
+ * and prove which lanes a scalar runChecked() under @p cfg would see
+ * run fault-free. The tape supplies every boundary's PC/OPORT
+ * targets, each instruction's held input and cycle count, the
+ * done/budget test and the page a golden-tracking die fetches from.
+ * Lanes not in cleanMask must run the checked runtime for their
+ * exact outcome.
  *
- * The prescreen is sound for any DetectorConfig/RecoveryPolicy in
- * @p cfg because detectors and recovery only alter a run's
- * trajectory after a detection, and a clean lane can never trigger
- * one: the lockstep and final output compares see no mismatch, the
- * output CRC streams are identical at every checkpoint, and lanes
- * whose PC freezes past an armed watchdog are retired as not clean.
- *
- * @p laneFaults optionally installs per-lane stuck-at faults (null
- * entries allowed) before the pass — the fleet engine packs salvaged
- * dies, whose manufacturing defects ride alongside the in-field
- * schedule, into the same word. The soundness argument is unchanged:
- * a lane is clean only if its pads tracked golden at every boundary,
- * defects and all. @p captureEndState additionally snapshots every
- * lane's end-of-run DFF state into PrescreenResult::endDff.
+ * Sound for any DetectorConfig/RecoveryPolicy: detectors and
+ * recovery only alter a run after a detection, and a clean lane —
+ * pads matching golden at every boundary, defects and all — never
+ * triggers one: the lockstep and final output compares see no
+ * mismatch, the output CRCs agree at every checkpoint, and a lane
+ * whose PC freezes past an armed watchdog is retired as not clean.
+ * @p captureEndState also snapshots every lane's end state into
+ * PrescreenResult::endDff.
  */
 PrescreenResult
 prescreenSchedules(const Netlist &golden, const Program &prog,

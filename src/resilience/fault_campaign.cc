@@ -1,7 +1,7 @@
 #include "fault_campaign.hh"
 
-#include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
@@ -10,7 +10,6 @@
 #include "kernels/fc8_programs.hh"
 #include "kernels/inputs.hh"
 #include "netlist/flexicore_netlist.hh"
-#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -99,7 +98,7 @@ injectionSchedule(const CampaignConfig &cfg, const Netlist &golden,
 }
 
 FaultOutcome
-classifyCheckedRun(const CheckedRunResult &run,
+classifyCheckedRun(const CheckedRunSummary &run,
                    const DetectorConfig &detectors)
 {
     bool detected = run.detections > 0;
@@ -169,6 +168,9 @@ CampaignResult::counts() const
 CampaignResult
 runFaultCampaign(const CampaignConfig &config)
 {
+    if (config.workUnits < 1 || config.workUnits > kMaxWorkUnits)
+        fatal("campaign: workUnits must be in [1, %zu], got %zu",
+              kMaxWorkUnits, config.workUnits);
     std::unique_ptr<Netlist> golden = buildCore(config.isa);
     Workload work = makeWorkload(config);
 
@@ -201,94 +203,30 @@ runFaultCampaign(const CampaignConfig &config)
             base.outputsCorrect;
     }
 
-    result.injections.resize(config.injections);
-
     // Every schedule is a pure function of (seed, index, netlist,
-    // baseline) — generate them all up front so the bit-parallel
-    // prescreen can bind them to lanes.
-    std::vector<std::pair<FaultKind, FaultSchedule>> sched(
-        config.injections);
+    // baseline), so they are drawn up front, in parallel, and a lane's
+    // result never depends on its prescreen block or lane group:
+    // thread count and lane width cannot change any outcome.
+    std::vector<FaultKind> kinds(config.injections);
+    std::vector<FaultSchedule> sched(config.injections);
     parallelFor(config.injections, config.threads, [&](size_t i) {
-        sched[i] = injectionSchedule(config, *golden,
-                                     result.baselineCycles,
-                                     static_cast<unsigned>(i));
+        std::tie(kinds[i], sched[i]) =
+            injectionSchedule(config, *golden, result.baselineCycles,
+                              static_cast<unsigned>(i));
     });
+    std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+        *golden, work.prog, work.inputs, runCfg, sched, nullptr,
+        config.batchLanes, config.threads, false);
 
-    // Phase 1: wide-lane lockstep prescreen. Most injections are
-    // masked — the upset lands in logic the workload never exercises
-    // — and a masked run is exactly one unprotected golden-tracking
-    // pass, so one word-parallel pass settles up to 512 of them at
-    // once. Lanes the prescreen cannot prove clean fall through to
-    // the full checked runtime; batch membership is a pure function
-    // of injection index, and a lane's result never depends on its
-    // batch or group, so thread count and lane width cannot change
-    // any outcome.
-    unsigned lanes = std::min<unsigned>(
-        config.batchLanes ? config.batchLanes : 1,
-        LaneGroup::kMaxLanes);
-    std::vector<uint8_t> screened(config.injections, 0);
-    if (lanes > 1) {
-        size_t num_batches = (config.injections + lanes - 1) / lanes;
-        parallelFor(num_batches, config.threads, [&](size_t b) {
-            size_t begin = b * lanes;
-            unsigned n = static_cast<unsigned>(std::min<size_t>(
-                lanes, config.injections - begin));
-            std::vector<const FaultSchedule *> group(n);
-            for (unsigned lane = 0; lane < n; ++lane)
-                group[lane] = &sched[begin + lane].second;
-            PrescreenResult ps = prescreenSchedules(
-                *golden, work.prog, work.inputs, runCfg, group);
-            for (unsigned lane = 0; lane < n; ++lane) {
-                if (!ps.clean(lane))
-                    continue;
-                size_t i = begin + lane;
-                InjectionResult &inj = result.injections[i];
-                inj.kind = sched[i].first;
-                inj.outcome = FaultOutcome::Masked;
-                inj.runOutcome = CheckedOutcome::Completed;
-                inj.outputsCorrect = true;
-                inj.detections = 0;
-                inj.retries = 0;
-                inj.restarts = 0;
-                inj.cycles = ps.cycles;
-                inj.firstDetector.clear();
-                screened[i] = 1;
-            }
-        });
+    result.injections.reserve(config.injections);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const CheckedRunSummary &run = runs[i];
+        result.injections.push_back(
+            {kinds[i], classifyCheckedRun(run, config.detectors),
+             run.outcome, run.outputsCorrect, run.detections,
+             run.retries, run.restarts, run.cycles,
+             std::string(run.firstDetector)});
     }
-
-    // Phase 2: the lane-parallel checked runtime for everything
-    // else, in injection order, one-word groups over the pool.
-    std::vector<size_t> pending;
-    for (size_t i = 0; i < screened.size(); ++i)
-        if (!screened[i])
-            pending.push_back(i);
-    size_t groupLanes =
-        checkedLanesPerGroup(pending.size(), config.threads);
-    size_t groups = (pending.size() + groupLanes - 1) / groupLanes;
-    parallelFor(groups, config.threads, [&](size_t g) {
-        size_t begin = g * groupLanes;
-        size_t n = std::min(groupLanes, pending.size() - begin);
-        std::vector<const FaultSchedule *> group(n);
-        for (size_t l = 0; l < n; ++l)
-            group[l] = &sched[pending[begin + l]].second;
-        std::vector<CheckedRunResult> runs = runCheckedLanes(
-            *golden, work.prog, work.inputs, runCfg, group);
-        for (size_t l = 0; l < n; ++l) {
-            size_t i = pending[begin + l];
-            const CheckedRunResult &run = runs[l];
-            InjectionResult &inj = result.injections[i];
-            inj.kind = sched[i].first;
-            inj.outcome = classifyCheckedRun(run, config.detectors);
-            inj.runOutcome = run.outcome;
-            inj.outputsCorrect = run.outputsCorrect;
-            inj.detections = run.detections;
-            inj.retries = run.retries;
-            inj.restarts = run.restarts;
-            inj.cycles = run.cycles;
-            inj.firstDetector = run.firstDetector;
-        }
-    });
     return result;
 }
 

@@ -84,8 +84,16 @@ const char *faultOutcomeName(FaultOutcome outcome);
  * disarmed) watchdog's trip point. Shared by the injection campaigns
  * and the fleet lifecycle engine.
  */
-FaultOutcome classifyCheckedRun(const CheckedRunResult &run,
+FaultOutcome classifyCheckedRun(const CheckedRunSummary &run,
                                 const DetectorConfig &detectors);
+
+/**
+ * Largest accepted workUnits of a campaign run or a fleet mission
+ * (existing callers use at most 12). runFaultCampaign and
+ * FleetEngine reject a value outside [1, kMaxWorkUnits] with
+ * FatalError instead of generating inputs for it.
+ */
+constexpr size_t kMaxWorkUnits = 1024;
 
 /** Result of one injection. */
 struct InjectionResult
@@ -113,7 +121,7 @@ struct CampaignConfig
     uint64_t seed = 1;
     /** Number of injection runs. */
     unsigned injections = 96;
-    /** Units of work per run. */
+    /** Units of work per run, in [1, kMaxWorkUnits]. */
     size_t workUnits = 6;
     /** Fault-kind mix (remainder goes to TimingGlitch). */
     double pTransient = 0.4;
@@ -126,14 +134,14 @@ struct CampaignConfig
     unsigned threads = 0;
     uint64_t maxInstructions = 60000;
     /**
-     * Bit-parallel prescreen width: up to batchLanes injection
-     * schedules run together through one unprotected lockstep pass
-     * on the wide-lane compiled backend (up to 512 lanes); lanes
-     * that never diverge from golden are classified Masked directly,
-     * the rest run the full checked runtime, 64 to a word
-     * (runCheckedLanes). 1 skips the prescreen, so every injection
-     * takes the checked runtime. Outcomes are bit-identical for any
-     * value (the prescreen only skips work it can prove).
+     * Prescreen width of the population run (runCheckedPopulation):
+     * up to batchLanes injections (at most 512) share one
+     * unprotected word-parallel lockstep pass, whose lanes that
+     * never diverge from golden are classified Masked directly; the
+     * rest run the lane-parallel checked runtime, 64 to a word.
+     * 1 skips the prescreen, so every injection takes the checked
+     * runtime. Outcomes are bit-identical for any value (the
+     * prescreen only skips work it can prove).
      */
     unsigned batchLanes = 512;
 };

@@ -1,5 +1,6 @@
 #include "salvage.hh"
 
+#include <cmath>
 #include <memory>
 
 #include "assembler/assembler.hh"
@@ -22,14 +23,6 @@ constexpr uint64_t kSalvageSalt = 0x5A17A6EDull;
 /** Per-kernel sub-stream stride within one die's salvage stream. */
 constexpr uint64_t kKernelStride = 16;
 
-struct SalvageWorkload
-{
-    Program prog;
-    std::vector<uint8_t> inputs;
-    size_t targetOutputs = 0;
-    uint64_t baselineCycles = 0;
-};
-
 std::unique_ptr<Netlist>
 salvageGolden(IsaKind isa)
 {
@@ -40,48 +33,6 @@ salvageGolden(IsaKind isa)
         fatal("salvage binning models the fabricated cores, not %s",
               isaName(isa));
     }
-}
-
-std::vector<SalvageWorkload>
-makeSuite(const SalvageConfig &cfg, const Netlist &golden)
-{
-    IsaKind isa = cfg.study.isa;
-    uint64_t inputSeed = cfg.study.seed ^ kSalvageSalt;
-    std::vector<SalvageWorkload> suite;
-    if (isa == IsaKind::FlexiCore8) {
-        for (size_t p = 0; p < kNumFc8Programs; ++p) {
-            auto id = static_cast<Fc8Program>(p);
-            suite.push_back({assemble(isa, fc8ProgramSource(id)),
-                             fc8ProgramInputs(id, cfg.workUnits,
-                                              inputSeed),
-                             cfg.workUnits, 0});
-        }
-    } else {
-        for (KernelId id : allKernels())
-            suite.push_back(
-                {assemble(isa, kernelSource(id, isa)),
-                 kernelInputs(id, cfg.workUnits, inputSeed),
-                 cfg.workUnits * kernelOutputsPerWork(id), 0});
-    }
-
-    // Fault-free baseline cycle counts: the horizons the per-die
-    // glitch schedules are drawn over.
-    for (SalvageWorkload &w : suite) {
-        CheckedRunConfig runCfg;
-        runCfg.isa = isa;
-        runCfg.detectors = DetectorConfig{false, false, false, 192};
-        runCfg.recovery.enabled = false;
-        runCfg.targetOutputs = w.targetOutputs;
-        runCfg.maxInstructions = cfg.maxInstructions;
-        std::unique_ptr<Netlist> die = golden.clone();
-        CheckedRunResult base =
-            runChecked(*die, w.prog, w.inputs, runCfg);
-        if (base.outcome != CheckedOutcome::Completed ||
-            !base.outputsCorrect)
-            panic("salvage baseline failed on a pristine die");
-        w.baselineCycles = base.cycles;
-    }
-    return suite;
 }
 
 } // namespace
@@ -128,73 +79,124 @@ SalvageReport::binCount(DieBin bin, bool inclusion_only) const
     return count;
 }
 
+std::vector<SalvageKernel>
+salvageSuite(const SalvageConfig &config, const Netlist &golden)
+{
+    IsaKind isa = config.study.isa;
+    uint64_t inputSeed = config.study.seed ^ kSalvageSalt;
+    std::vector<SalvageKernel> suite;
+    auto add = [&](Program prog, std::vector<uint8_t> inputs,
+                   size_t targetOutputs) {
+        SalvageKernel &k = suite.emplace_back(
+            SalvageKernel{std::move(prog), std::move(inputs), {}, 0});
+        k.runCfg.isa = isa;
+        k.runCfg.detectors = config.detectors;
+        k.runCfg.recovery = config.recovery;
+        k.runCfg.targetOutputs = targetOutputs;
+        k.runCfg.maxInstructions = config.maxInstructions;
+    };
+    if (isa == IsaKind::FlexiCore8) {
+        for (size_t p = 0; p < kNumFc8Programs; ++p) {
+            auto id = static_cast<Fc8Program>(p);
+            add(assemble(isa, fc8ProgramSource(id)),
+                fc8ProgramInputs(id, config.workUnits, inputSeed),
+                config.workUnits);
+        }
+    } else {
+        for (KernelId id : allKernels())
+            add(assemble(isa, kernelSource(id, isa)),
+                kernelInputs(id, config.workUnits, inputSeed),
+                config.workUnits * kernelOutputsPerWork(id));
+    }
+
+    // Fault-free baseline cycle counts: the horizons the per-die
+    // glitch schedules are drawn over.
+    for (SalvageKernel &k : suite) {
+        CheckedRunConfig baseCfg = k.runCfg;
+        baseCfg.detectors = DetectorConfig{false, false, false, 192};
+        baseCfg.recovery.enabled = false;
+        std::unique_ptr<Netlist> die = golden.clone();
+        CheckedRunResult base =
+            runChecked(*die, k.prog, k.inputs, baseCfg);
+        if (base.outcome != CheckedOutcome::Completed ||
+            !base.outputsCorrect)
+            panic("salvage baseline failed on a pristine die");
+        k.baselineCycles = base.cycles;
+    }
+    return suite;
+}
+
+FaultSchedule
+salvageGlitchSchedule(const SalvageConfig &config, const Netlist &golden,
+                      const DieResult &die, double glitchRate,
+                      size_t kernel, uint64_t baselineCycles)
+{
+    FaultSchedule sched;
+    if (glitchRate <= 0)
+        return sched;
+    Rng rng(deriveSeed(config.study.seed ^ kSalvageSalt,
+                       die.site.index * kKernelStride + kernel));
+    uint64_t horizon = 2 * baselineCycles + 64;
+    for (uint64_t c = 0; c < horizon; ++c) {
+        if (!rng.chance(glitchRate))
+            continue;
+        NetId net = static_cast<NetId>(rng.below(golden.numNets()));
+        sched.transients.push_back({net, rng.chance(0.5), c, c + 1});
+    }
+    return sched;
+}
+
 SalvageReport
 runSalvageStudy(const SalvageConfig &config)
 {
     if (!config.study.gateLevelErrors)
         fatal("salvage binning needs gateLevelErrors (the recorded "
               "per-die fault lists)");
+    if (!(std::isfinite(config.vdd) && config.vdd > 0))
+        fatal("salvage: vdd must be a finite positive voltage, got %g",
+              config.vdd);
 
     SalvageReport report;
     report.vdd = config.vdd;
     report.study = runWaferStudy(config.study);
 
     std::unique_ptr<Netlist> golden = salvageGolden(config.study.isa);
-    std::vector<SalvageWorkload> suite = makeSuite(config, *golden);
+    std::vector<SalvageKernel> suite = salvageSuite(config, *golden);
     DieModel model(report.study.spec, config.study.params);
 
+    // Every die that failed the probe at the binning supply is
+    // re-examined: the exact faulty die, rebuilt from its recorded
+    // stuck-ats, glitching at the per-cycle rate the probe model
+    // expects of it at this supply.
+    std::vector<size_t> failed;
+    std::vector<const std::vector<StuckFault> *> stuck;
     report.dies.resize(report.study.dies.size());
-    parallelFor(report.study.dies.size(), config.threads,
-                [&](size_t i) {
+    for (size_t i = 0; i < report.dies.size(); ++i) {
         const DieResult &die = report.study.dies[i];
-        DieSalvage &verdict = report.dies[i];
-        verdict.dieIndex = i;
-        verdict.kernelsTotal = static_cast<unsigned>(suite.size());
-
-        const DieProbe &probe =
-            config.vdd > 4.0 ? die.at45V : die.at3V;
-        if (probe.functional()) {
-            verdict.bin = DieBin::Functional;
-            return;
+        report.dies[i].dieIndex = i;
+        report.dies[i].kernelsTotal = static_cast<unsigned>(suite.size());
+        if (!(config.vdd > 4.0 ? die.at45V : die.at3V).functional()) {
+            failed.push_back(i);
+            stuck.push_back(&die.faults);
         }
+    }
 
-        // Timing-marginal dies glitch at the per-cycle rate the
-        // probe model expects at this supply.
-        double glitchRate = model.glitchRate(die.sample, config.vdd);
-
-        for (size_t k = 0; k < suite.size(); ++k) {
-            const SalvageWorkload &w = suite[k];
-            // The exact faulty die, rebuilt from the probe record; a
-            // fresh clone per kernel restarts the transient clock.
-            std::unique_ptr<Netlist> faulty = golden->clone();
-            for (const StuckFault &f : die.faults)
-                faulty->injectFault(f);
-
-            FaultSchedule sched;
-            if (glitchRate > 0) {
-                Rng rng(deriveSeed(config.study.seed ^ kSalvageSalt,
-                                   die.site.index * kKernelStride +
-                                       k));
-                uint64_t horizon = 2 * w.baselineCycles + 64;
-                for (uint64_t c = 0; c < horizon; ++c) {
-                    if (!rng.chance(glitchRate))
-                        continue;
-                    NetId net = static_cast<NetId>(
-                        rng.below(faulty->numNets()));
-                    sched.transients.push_back(
-                        {net, rng.chance(0.5), c, c + 1});
-                }
-            }
-
-            CheckedRunConfig runCfg;
-            runCfg.isa = config.study.isa;
-            runCfg.detectors = config.detectors;
-            runCfg.recovery = config.recovery;
-            runCfg.targetOutputs = w.targetOutputs;
-            runCfg.maxInstructions = config.maxInstructions;
-            CheckedRunResult run = runChecked(*faulty, w.prog,
-                                              w.inputs, runCfg,
-                                              sched);
+    for (size_t k = 0; k < suite.size(); ++k) {
+        const SalvageKernel &w = suite[k];
+        std::vector<FaultSchedule> sched(failed.size());
+        parallelFor(failed.size(), config.study.threads, [&](size_t j) {
+            const DieResult &die = report.study.dies[failed[j]];
+            sched[j] = salvageGlitchSchedule(
+                config, *golden, die,
+                model.glitchRate(die.sample, config.vdd), k,
+                w.baselineCycles);
+        });
+        std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+            *golden, w.prog, w.inputs, w.runCfg, sched, &stuck,
+            LaneGroup::kMaxLanes, config.study.threads, false);
+        for (size_t j = 0; j < failed.size(); ++j) {
+            const CheckedRunSummary &run = runs[j];
+            DieSalvage &verdict = report.dies[failed[j]];
             verdict.detections += run.detections;
             verdict.retries += run.retries;
             verdict.restarts += run.restarts;
@@ -204,10 +206,12 @@ runSalvageStudy(const SalvageConfig &config)
                 verdict.passedMask |= 1u << k;
             }
         }
-        verdict.bin = verdict.kernelsPassed >= config.minKernels
-                          ? DieBin::Salvaged
-                          : DieBin::Dead;
-    });
+    }
+    for (size_t i : failed)
+        report.dies[i].bin = report.dies[i].kernelsPassed >=
+                                     config.minKernels
+                                 ? DieBin::Salvaged
+                                 : DieBin::Dead;
     return report;
 }
 

@@ -66,7 +66,8 @@ struct SalvageConfig
 {
     /** The underlying wafer study (fabricated cores only). */
     WaferStudyConfig study;
-    /** Binning voltage (the paper's headline yields are at 4.5 V). */
+    /** Binning voltage (the paper's headline yields are at 4.5 V);
+     *  must be finite and positive. */
     double vdd = 4.5;
     DetectorConfig detectors;
     RecoveryPolicy recovery;
@@ -80,8 +81,6 @@ struct SalvageConfig
      */
     unsigned minKernels = 1;
     uint64_t maxInstructions = 60000;
-    /** 0 = auto (results thread-count-invariant regardless). */
-    unsigned threads = 0;
 };
 
 /** Result of a salvage study. All rates are at the binning voltage. */
@@ -103,10 +102,40 @@ struct SalvageReport
 
 /**
  * Run the wafer study of @p config.study and re-bin every failed die
- * with the recovery runtime. Requires gateLevelErrors (salvage needs
- * the recorded fault lists).
+ * with the recovery runtime: per suite kernel, one
+ * runCheckedPopulation() over the probe-failed dies. Both phases run
+ * on config.study.threads workers; verdicts never depend on it.
+ * Requires gateLevelErrors (salvage needs the recorded fault lists)
+ * and a finite, positive vdd (FatalError otherwise).
  */
 SalvageReport runSalvageStudy(const SalvageConfig &config);
+
+/** One kernel of the salvage qualification suite. */
+struct SalvageKernel
+{
+    Program prog;
+    std::vector<uint8_t> inputs;
+    /** The checked run every probe-failed die gets on it. */
+    CheckedRunConfig runCfg;
+    /** Fault-free run length: the glitch schedules' horizon. */
+    uint64_t baselineCycles = 0;
+};
+
+/** The suite runSalvageStudy() qualifies dies on. */
+std::vector<SalvageKernel> salvageSuite(const SalvageConfig &config,
+                                        const Netlist &golden);
+
+/**
+ * The glitch schedule @p die runs suite kernel @p kernel under: a
+ * single-cycle upset of a random net with probability @p glitchRate
+ * per cycle over twice the fault-free run plus 64 cycles, from a
+ * stream keyed by the study seed, the die's site and the kernel.
+ */
+FaultSchedule salvageGlitchSchedule(const SalvageConfig &config,
+                                    const Netlist &golden,
+                                    const DieResult &die,
+                                    double glitchRate, size_t kernel,
+                                    uint64_t baselineCycles);
 
 } // namespace flexi
 

@@ -6,7 +6,9 @@
  * across all four cores (single- and multi-page programs), every
  * detector configuration, every recovery policy, and lane counts
  * 1, 63, 64 and ragged multi-group splits, with stuck-ats,
- * transients and DFF flips mixed per lane.
+ * transients and DFF flips mixed per lane; and every die of
+ * runCheckedPopulation() against the same oracle, at every
+ * prescreen width and thread count its callers use.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "kernels/kernels.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "resilience/checked_run.hh"
+#include "resilience/fault_campaign.hh"
 
 namespace flexi
 {
@@ -457,6 +460,87 @@ TEST(CheckedLanes, GroupSizeFillsTheWorkers)
     EXPECT_EQ(checkedLanesPerGroup(123, 4), 31u);
     EXPECT_EQ(checkedLanesPerGroup(123, 1), 64u);
     EXPECT_EQ(checkedLanesPerGroup(1000, 2), 64u);
+}
+
+TEST(CheckedPopulation, MatchesScalarPerDie)
+{
+    // 530 dies: prescreen blocks straddle the 512-lane group, and the
+    // dies the prescreen hands on straddle the 64-lane word; FC4
+    // Calculator and the two-page FC8 program page through the MMU.
+    std::vector<Rig> rigs;
+    rigs.push_back(ready(kernelRig(IsaKind::FlexiCore4,
+                                   KernelId::Calculator, 3)));
+    rigs.push_back(ready(fc8Rig(false)));
+    rigs.push_back(ready(fc8Rig(true)));
+    for (const Rig &rig : rigs) {
+        std::vector<LaneDie> dies = drawDies(rig, 530, 53);
+        std::vector<FaultSchedule> scheds;
+        std::vector<const std::vector<StuckFault> *> stuck;
+        std::vector<CheckedRunResult> want;
+        size_t clean = 0;
+        for (const LaneDie &d : dies) {
+            scheds.push_back(d.sched);
+            stuck.push_back(&d.stuck);
+            want.push_back(scalarRun(rig, d, rig.cfg));
+            clean += want.back().outputsCorrect &&
+                     want.back().detections == 0;
+        }
+        // Both halves must see work: clean dies for the prescreen to
+        // settle, and more than a word of dies it cannot.
+        EXPECT_GT(clean, 0u) << rig.name;
+        EXPECT_GT(dies.size() - clean, 64u) << rig.name;
+
+        for (unsigned width : {1u, 5u, 64u, 512u}) {
+            for (unsigned threads : {1u, 4u}) {
+                bool capture = threads == 1;
+                std::vector<CheckedRunSummary> got =
+                    runCheckedPopulation(*rig.golden, rig.prog,
+                                         rig.inputs, rig.cfg, scheds,
+                                         &stuck, width, threads,
+                                         capture);
+                ASSERT_EQ(got.size(), dies.size());
+                for (size_t i = 0; i < dies.size(); ++i) {
+                    const CheckedRunResult &w = want[i];
+                    const CheckedRunSummary &g = got[i];
+                    std::string at = strfmt(
+                        "%s die %zu, width %u, %u threads",
+                        rig.name.c_str(), i, width, threads);
+                    EXPECT_EQ(g.outcome, w.outcome) << at;
+                    EXPECT_EQ(g.outputsCorrect, w.outputsCorrect)
+                        << at;
+                    EXPECT_EQ(g.cycles, w.cycles) << at;
+                    EXPECT_EQ(g.detections, w.detections) << at;
+                    EXPECT_EQ(g.retries, w.retries) << at;
+                    EXPECT_EQ(g.restarts, w.restarts) << at;
+                    EXPECT_EQ(g.firstDetector, w.firstDetector) << at;
+                    EXPECT_EQ(classifyCheckedRun(g, rig.cfg.detectors),
+                              classifyCheckedRun(w, rig.cfg.detectors))
+                        << at;
+                    if (capture) {
+                        EXPECT_EQ(g.endDff, w.endDff) << at;
+                    } else {
+                        EXPECT_TRUE(g.endDff.empty()) << at;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(CheckedPopulation, EmptyAndMismatchedPopulations)
+{
+    Rig rig = kernelRig(IsaKind::FlexiCore4, KernelId::Thresholding, 1);
+    std::vector<FaultSchedule> none;
+    EXPECT_TRUE(runCheckedPopulation(*rig.golden, rig.prog, rig.inputs,
+                                     rig.cfg, none, nullptr, 512, 4,
+                                     true)
+                    .empty());
+    std::vector<FaultSchedule> two(2);
+    std::vector<const std::vector<StuckFault> *> one(1, nullptr);
+    EXPECT_THROW(runCheckedPopulation(*rig.golden, rig.prog, rig.inputs,
+                                      rig.cfg, two, &one, 512, 1,
+                                      false),
+                 FatalError);
 }
 
 } // namespace

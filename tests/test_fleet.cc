@@ -31,9 +31,11 @@ namespace
  *  epochsDone (4), deaths (8) and the die count (4). */
 constexpr size_t kNumDiesCfgOffset = 17;
 constexpr size_t kEpochsCfgOffset = 21;
+constexpr size_t kWorkUnitsCfgOffset = 30;
 constexpr size_t kTransientsCfgOffset = 38;
 constexpr size_t kFlipsCfgOffset = 46;
 constexpr size_t kLockstepOffset = 54;
+constexpr size_t kVddCfgOffset = 95;
 constexpr size_t kNumDiesOffset = 119;
 /** Die 0's record: poolIndex (4), bin (1), alive (1), ... */
 constexpr size_t kDie0Offset = 123;
@@ -64,12 +66,18 @@ getF64(const std::vector<uint8_t> &b, size_t at)
 }
 
 void
+put64(std::vector<uint8_t> &b, size_t at, uint64_t v)
+{
+    put32(b, at, static_cast<uint32_t>(v));
+    put32(b, at + 4, static_cast<uint32_t>(v >> 32));
+}
+
+void
 putF64(std::vector<uint8_t> &b, size_t at, double v)
 {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    put32(b, at, static_cast<uint32_t>(bits));
-    put32(b, at + 4, static_cast<uint32_t>(bits >> 32));
+    put64(b, at, bits);
 }
 
 /** Rewrite the trailing CRC so only structural checks can object. */
@@ -533,6 +541,76 @@ TEST(Fleet, RejectsUnboundedFaultRates)
         EXPECT_THROW(FleetEngine fresh(resumed.config), FatalError)
             << "offset " << at;
     }
+}
+
+/** A short campaign checkpointed after one epoch, as bytes. */
+std::vector<uint8_t>
+oneEpochImage()
+{
+    FleetConfig cfg = smallConfig();
+    cfg.numDies = 4;
+    cfg.epochs = 2;
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st, 1);
+    return encodeFleetState(st);
+}
+
+/** FatalError from building an engine for @p cfg, naming @p field. */
+::testing::AssertionResult
+engineRejects(const FleetConfig &cfg, const char *field)
+{
+    try {
+        FleetEngine engine(cfg);
+    } catch (const FatalError &e) {
+        if (std::strstr(e.what(), field))
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "error does not name " << field << ": " << e.what();
+    }
+    return ::testing::AssertionFailure() << "accepted";
+}
+
+TEST(Fleet, RejectsOutOfRangeWorkUnits)
+{
+    // Inputs are generated per work unit: an unbounded count would
+    // exhaust memory or hang before the first mission, so the engine
+    // refuses it up front — from a caller, or from a CRC-valid
+    // checkpoint that carries one.
+    for (size_t bad : {size_t(0), kMaxWorkUnits + 1,
+                       size_t(100000000000ull)}) {
+        FleetConfig cfg = smallConfig();
+        cfg.workUnits = bad;
+        EXPECT_TRUE(engineRejects(cfg, "workUnits")) << bad;
+    }
+
+    std::vector<uint8_t> bytes = oneEpochImage();
+    EXPECT_EQ(get32(bytes, kWorkUnitsCfgOffset), smallConfig().workUnits);
+    put64(bytes, kWorkUnitsCfgOffset, 100000000000ull);
+    reseal(bytes);
+    FleetState resumed = decodeFleetState(bytes);
+    EXPECT_EQ(resumed.config.workUnits, 100000000000ull);
+    EXPECT_TRUE(engineRejects(resumed.config, "workUnits"));
+}
+
+TEST(Fleet, RejectsNonFiniteVdd)
+{
+    // NaN never compares equal, so a NaN supply would otherwise
+    // surface as a misleading configuration mismatch on run().
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::nan(""), kInf, -kInf, 0.0, -4.5}) {
+        FleetConfig cfg = smallConfig();
+        cfg.vdd = bad;
+        EXPECT_TRUE(engineRejects(cfg, "vdd")) << bad;
+    }
+
+    std::vector<uint8_t> bytes = oneEpochImage();
+    EXPECT_EQ(getF64(bytes, kVddCfgOffset), smallConfig().vdd);
+    putF64(bytes, kVddCfgOffset, std::nan(""));
+    reseal(bytes);
+    FleetState resumed = decodeFleetState(bytes);
+    EXPECT_TRUE(std::isnan(resumed.config.vdd));
+    EXPECT_TRUE(engineRejects(resumed.config, "vdd"));
 }
 
 TEST(Fleet, CheckpointFileRoundTrip)

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "analysis/atpg.hh"
 #include "assembler/assembler.hh"
+#include "common/logging.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/inputs.hh"
 #include "kernels/kernels.hh"
@@ -19,6 +22,7 @@
 #include "resilience/checked_run.hh"
 #include "resilience/fault_campaign.hh"
 #include "resilience/salvage.hh"
+#include "yield/die_model.hh"
 #include "yield/test_program.hh"
 
 namespace flexi
@@ -422,6 +426,17 @@ TEST(FaultCampaign, BatchLanesBitIdenticalToScalar)
     EXPECT_LT(scalarCounts[FaultOutcome::Masked], cfg.injections);
 }
 
+TEST(FaultCampaign, RejectsOutOfRangeWorkUnits)
+{
+    for (size_t bad : {size_t(0), kMaxWorkUnits + 1,
+                       size_t(100000000000ull)}) {
+        CampaignConfig cfg;
+        cfg.injections = 2;
+        cfg.workUnits = bad;
+        EXPECT_THROW(runFaultCampaign(cfg), FatalError) << bad;
+    }
+}
+
 TEST(FaultCampaign, ExercisesAllFaultKinds)
 {
     CampaignConfig cfg;
@@ -503,10 +518,8 @@ TEST(Salvage, ThreadCountDoesNotChangeVerdicts)
     cfg.study.isa = IsaKind::FlexiCore4;
     cfg.study.seed = 7;
     cfg.study.testCycles = 400;
-    cfg.threads = 1;
     cfg.study.threads = 1;
     SalvageReport serial = runSalvageStudy(cfg);
-    cfg.threads = 4;
     cfg.study.threads = 4;
     SalvageReport threaded = runSalvageStudy(cfg);
 
@@ -519,6 +532,87 @@ TEST(Salvage, ThreadCountDoesNotChangeVerdicts)
         EXPECT_EQ(a.detections, b.detections) << i;
         EXPECT_EQ(a.retries, b.retries) << i;
         EXPECT_EQ(a.restarts, b.restarts) << i;
+    }
+}
+
+TEST(Salvage, VerdictsMatchScalarOraclePerDie)
+{
+    // Every probe-failed die's verdict, recomputed kernel by kernel
+    // with scalar runChecked() on a clone carrying the die's
+    // stuck-ats, under the glitch schedule salvage draws for it.
+    unsigned glitching = 0, salvaged = 0, dead = 0;
+    for (IsaKind isa : {IsaKind::FlexiCore4, IsaKind::FlexiCore8}) {
+        for (double vdd : {4.5, 3.0}) {
+            SalvageConfig cfg;
+            cfg.study.isa = isa;
+            cfg.study.seed = 42;
+            cfg.study.testCycles = 500;
+            cfg.vdd = vdd;
+            SalvageReport rep = runSalvageStudy(cfg);
+            std::unique_ptr<Netlist> golden = buildCore(isa);
+            std::vector<SalvageKernel> suite = salvageSuite(cfg, *golden);
+            DieModel model(rep.study.spec, cfg.study.params);
+
+            ASSERT_EQ(rep.dies.size(), rep.study.dies.size());
+            unsigned failed = 0;
+            for (size_t i = 0; i < rep.dies.size(); ++i) {
+                const DieResult &die = rep.study.dies[i];
+                const DieSalvage &got = rep.dies[i];
+                const DieProbe &probe = vdd > 4.0 ? die.at45V : die.at3V;
+                if (probe.functional()) {
+                    EXPECT_EQ(got.bin, DieBin::Functional) << i;
+                    continue;
+                }
+                ++failed;
+                double rate = model.glitchRate(die.sample, vdd);
+                glitching += rate > 0;
+                DieSalvage want;
+                for (size_t k = 0; k < suite.size(); ++k) {
+                    auto faulty = golden->clone();
+                    for (const StuckFault &f : die.faults)
+                        faulty->injectFault(f);
+                    CheckedRunResult run = runChecked(
+                        *faulty, suite[k].prog, suite[k].inputs,
+                        suite[k].runCfg,
+                        salvageGlitchSchedule(cfg, *golden, die, rate, k,
+                                              suite[k].baselineCycles));
+                    want.detections += run.detections;
+                    want.retries += run.retries;
+                    want.restarts += run.restarts;
+                    if (run.outcome == CheckedOutcome::Completed &&
+                        run.outputsCorrect)
+                        want.passedMask |= 1u << k;
+                }
+                std::string at = strfmt("%s at %.1f V, die %zu",
+                                        isaName(isa), vdd, i);
+                EXPECT_EQ(got.passedMask, want.passedMask) << at;
+                EXPECT_EQ(got.detections, want.detections) << at;
+                EXPECT_EQ(got.retries, want.retries) << at;
+                EXPECT_EQ(got.restarts, want.restarts) << at;
+                salvaged += got.bin == DieBin::Salvaged;
+                dead += got.bin == DieBin::Dead;
+            }
+            EXPECT_GT(failed, 0u) << isaName(isa) << " at " << vdd;
+        }
+    }
+    EXPECT_GT(glitching, 0u);
+    EXPECT_GT(salvaged, 0u);
+    EXPECT_GT(dead, 0u);
+}
+
+TEST(Salvage, RejectsNonFiniteVdd)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::nan(""), kInf, -kInf, 0.0, -3.0}) {
+        SalvageConfig cfg;
+        cfg.vdd = bad;
+        try {
+            runSalvageStudy(cfg);
+            ADD_FAILURE() << "vdd " << bad << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("vdd"),
+                      std::string::npos) << e.what();
+        }
     }
 }
 

@@ -21,10 +21,15 @@
  * Exit codes follow the flexilint contract: 0 = success, 1 =
  * runtime error (a failed baseline run), 2 = usage error (unknown
  * command or ISA, malformed or out-of-range option value — a
- * negative seed, --batch-lanes 0).
+ * negative seed, --batch-lanes 0, --work 0, a --vdd that is not a
+ * finite positive voltage). Every integer option has an explicit
+ * range, so no value wraps or runs unbounded.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +44,13 @@ using namespace flexi;
 
 namespace
 {
+
+/** @name Option bounds: every run they admit stays finite and small. */
+///@{
+constexpr uint64_t kMaxInjections = 1u << 20;
+constexpr uint64_t kMaxCycles = 100000;   ///< probe / ATPG cycles
+constexpr uint64_t kMaxThreads = 1024;
+///@}
 
 /** Usage errors exit 2, per the flexilint exit-code contract. */
 [[noreturn]] void
@@ -92,18 +104,23 @@ struct Args
         return false;
     }
 
-    /** Strictly numeric and non-negative, else usage error. */
+    /** Strict unsigned option: all-numeric and within
+     *  [@p min, @p max], else usage error (exit 2). */
     uint64_t
-    number(const char *name, uint64_t fallback)
+    number(const char *name, uint64_t fallback, uint64_t min,
+           uint64_t max)
     {
         const char *v = option(name);
         if (!v)
             return fallback;
         char *end = nullptr;
+        errno = 0;
         unsigned long long n = std::strtoull(v, &end, 0);
-        if (*v == '-' || *v == '\0' || end == v || *end != '\0')
-            usageError("%s: expected a non-negative integer, got "
-                       "'%s'", name, v);
+        if (*v == '-' || *v == '\0' || end == v || *end != '\0' ||
+            errno == ERANGE || n < min || n > max)
+            usageError("%s: expected an integer in %llu..%llu, got "
+                       "'%s'", name, (unsigned long long)min,
+                       (unsigned long long)max, v);
         return n;
     }
 
@@ -134,13 +151,15 @@ cmdCampaign(Args &args)
     CampaignConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.isa = parseIsa(isa);
-    cfg.seed = args.number("--seed", 1);
-    cfg.injections =
-        static_cast<unsigned>(args.number("--injections", 96));
-    cfg.workUnits = args.number("--work", 6);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
-    // 512 = full wide-lane prescreen, 1 = scalar lane-by-lane
-    // (debuggable); outcomes are bit-identical for any value.
+    cfg.seed = args.number("--seed", 1, 0, UINT64_MAX);
+    cfg.injections = static_cast<unsigned>(
+        args.number("--injections", 96, 1, kMaxInjections));
+    cfg.workUnits = args.number("--work", 6, 1, kMaxWorkUnits);
+    cfg.threads = static_cast<unsigned>(
+        args.number("--threads", 0, 0, kMaxThreads));
+    // 512 = full wide-lane prescreen, 1 = no prescreen (every
+    // injection takes the lane-parallel checked runtime); outcomes
+    // are bit-identical for any value.
     cfg.batchLanes = args.laneCount("--batch-lanes", 512,
                                     LaneGroup::kMaxLanes);
     if (args.flag("--no-detectors"))
@@ -172,17 +191,19 @@ cmdSalvage(Args &args)
     SalvageConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.study.isa = parseIsa(isa);
-    cfg.study.seed = args.number("--seed", 42);
-    cfg.study.testCycles = args.number("--cycles", 500);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
-    cfg.minKernels =
-        static_cast<unsigned>(args.number("--min-kernels", 1));
+    cfg.study.seed = args.number("--seed", 42, 0, UINT64_MAX);
+    cfg.study.testCycles = args.number("--cycles", 500, 1, kMaxCycles);
+    cfg.study.threads = static_cast<unsigned>(
+        args.number("--threads", 0, 0, kMaxThreads));
+    cfg.minKernels = static_cast<unsigned>(
+        args.number("--min-kernels", 1, 1, 32));
     if (const char *vdd = args.option("--vdd")) {
         char *end = nullptr;
         cfg.vdd = std::strtod(vdd, &end);
-        if (end == vdd || *end != '\0' || cfg.vdd <= 0)
-            usageError("--vdd: expected a positive voltage, got "
-                       "'%s'", vdd);
+        if (end == vdd || *end != '\0' ||
+            !(std::isfinite(cfg.vdd) && cfg.vdd > 0))
+            usageError("--vdd: expected a finite positive voltage, "
+                       "got '%s'", vdd);
     }
 
     SalvageReport rep = runSalvageStudy(cfg);
@@ -218,10 +239,11 @@ cmdAtpg(Args &args)
     AtpgConfig cfg;
     if (const char *isa = args.option("--isa"))
         cfg.isa = parseIsa(isa);
-    uint64_t seed = args.number("--seed", 11);
-    cfg.simCycles = args.number("--cycles", 1500);
-    cfg.maxFaults = args.number("--max-faults", 0);
-    cfg.threads = static_cast<unsigned>(args.number("--threads", 0));
+    uint64_t seed = args.number("--seed", 11, 0, UINT64_MAX);
+    cfg.simCycles = args.number("--cycles", 1500, 1, kMaxCycles);
+    cfg.maxFaults = args.number("--max-faults", 0, 0, UINT32_MAX);
+    cfg.threads = static_cast<unsigned>(
+        args.number("--threads", 0, 0, kMaxThreads));
 
     Program prog = makeTestProgram(cfg.isa, seed);
     auto inputs = makeTestInputs(cfg.isa, 256, seed);

@@ -32,6 +32,7 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +50,9 @@ namespace
 {
 
 const char *gProgName = "flexifleet";
+
+/** Largest --threads: a bound, so no value wraps to another. */
+constexpr uint64_t kMaxThreads = 1024;
 
 [[noreturn]] void
 usageError(const char *fmt, ...)
@@ -96,9 +100,10 @@ struct Args
         if (!v)
             return fallback;
         char *end = nullptr;
+        errno = 0;
         unsigned long long n = std::strtoull(v, &end, 0);
         if (*v == '-' || *v == '\0' || end == v || *end != '\0' ||
-            n < min || n > max)
+            errno == ERANGE || n < min || n > max)
             usageError("%s: expected an integer in %llu..%llu, got "
                        "'%s'", name, (unsigned long long)min,
                        (unsigned long long)max, v);
@@ -167,7 +172,7 @@ configFromArgs(const Args &args)
         cfg.kernel = parseKernel(k);
     if (const char *p = args.option("--program"))
         cfg.fc8Program = parseFc8Program(p);
-    cfg.workUnits = args.number("--work", 2, 1);
+    cfg.workUnits = args.number("--work", 2, 1, kMaxWorkUnits);
     cfg.transientsPerEpoch = args.real("--transients", 0.25,
                                        FleetConfig::kMaxEventRate);
     cfg.flipsPerEpoch =
@@ -189,14 +194,15 @@ configFromArgs(const Args &args)
     if (const char *vdd = args.option("--vdd")) {
         char *end = nullptr;
         cfg.vdd = std::strtod(vdd, &end);
-        if (end == vdd || *end != '\0' || cfg.vdd <= 0)
-            usageError("--vdd: expected a positive voltage, got "
-                       "'%s'", vdd);
+        if (end == vdd || *end != '\0' ||
+            !(std::isfinite(cfg.vdd) && cfg.vdd > 0))
+            usageError("--vdd: expected a finite positive voltage, "
+                       "got '%s'", vdd);
     }
     cfg.minKernels = static_cast<unsigned>(
         args.number("--min-kernels", 1, 1, 32));
-    cfg.threads =
-        static_cast<unsigned>(args.number("--threads", 0));
+    cfg.threads = static_cast<unsigned>(
+        args.number("--threads", 0, 0, kMaxThreads));
     cfg.batchLanes = static_cast<unsigned>(
         args.number("--batch-lanes", LaneGroup::kMaxLanes, 1,
                     LaneGroup::kMaxLanes));
@@ -318,8 +324,8 @@ cmdResume(const Args &args, bool runEpochs)
     if (runEpochs) {
         // Execution knobs may change across a resume; everything
         // semantic comes from the checkpoint.
-        state.config.threads = static_cast<unsigned>(
-            args.number("--threads", state.config.threads));
+        state.config.threads = static_cast<unsigned>(args.number(
+            "--threads", state.config.threads, 0, kMaxThreads));
         state.config.batchLanes = static_cast<unsigned>(
             args.number("--batch-lanes", state.config.batchLanes, 1,
                         LaneGroup::kMaxLanes));
