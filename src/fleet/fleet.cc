@@ -1,6 +1,7 @@
 #include "fleet.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "assembler/assembler.hh"
@@ -47,15 +48,34 @@ fnvU64(uint64_t h, uint64_t v)
     return fnv1a(h, b, 8);
 }
 
-/** Pack one-byte DFF values into @p packed (bit i = DFF i), reusing
- *  its allocation. */
-void
-packBits(const std::vector<uint8_t> &bits, std::vector<uint8_t> &packed)
-{
-    packed.assign((bits.size() + 7) / 8, 0);
-    for (size_t i = 0; i < bits.size(); ++i)
-        packed[i / 8] |= static_cast<uint8_t>((bits[i] != 0) << (i % 8));
-}
+constexpr uint64_t kFnvPrime8 = [] {
+    uint64_t p = 1;
+    for (int i = 0; i < 8; ++i)
+        p *= kFnvPrime;
+    return p;
+}();
+
+/**
+ * Eight FNV-1a steps over the bytes 0/1 of one packed byte, by the
+ * parity of the hash entering them: kFnvBits[h & 1][byte] is what the
+ * steps add to h * P^8. For a byte b in {0, 1}, (h ^ b) * P equals
+ * (h + d) * P with d = 0 for b = 0, +1 for even h and -1 for odd h,
+ * and every set bit flips the parity of h; so the eight steps map h
+ * to h * P^8 + sum of d_j * P^(8-j), and the d_j depend only on the
+ * entering parity and the byte.
+ */
+constexpr auto kFnvBits = [] {
+    std::array<std::array<uint64_t, 256>, 2> t{};
+    for (uint64_t parity = 0; parity < 2; ++parity) {
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            uint64_t h = parity;
+            for (unsigned j = 0; j < 8; ++j)
+                h = (h ^ ((byte >> j) & 1u)) * kFnvPrime;
+            t[parity][byte] = h - parity * kFnvPrime8;
+        }
+    }
+    return t;
+}();
 
 std::unique_ptr<Netlist>
 fleetGolden(IsaKind isa)
@@ -128,6 +148,19 @@ FleetState::sdcRate(uint32_t e) const
 }
 
 uint64_t
+fnv1aBits(uint64_t h, const uint64_t *bits, size_t n)
+{
+    size_t bytes = n / 8;
+    for (size_t j = 0; j < bytes; ++j) {
+        unsigned byte = (bits[j / 8] >> (8 * (j % 8))) & 0xFF;
+        h = h * kFnvPrime8 + kFnvBits[h & 1][byte];
+    }
+    for (size_t i = bytes * 8; i < n; ++i)
+        h = (h ^ ((bits[i / 64] >> (i % 64)) & 1)) * kFnvPrime;
+    return h;
+}
+
+uint64_t
 fleetDigest(const FleetState &state)
 {
     uint64_t h = kFnvOffset;
@@ -150,6 +183,8 @@ struct FleetEngine::Impl
     /** Study-die indices deployable for the configured kernel,
      *  ascending. */
     std::vector<uint32_t> pool;
+    /** Per study die: 0 when not deployable, else its DieBin + 1. */
+    std::vector<uint8_t> deployedBin;
     /** Per-study-die field glitch rate at the deployment supply. */
     std::vector<double> glitchRates;
     size_t targetOutputs = 0;
@@ -253,30 +288,37 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
             makeSchedule(live[k], epoch, horizon, glitchRates[pi]);
         faults[k] = &report.study.dies[pi].faults;
     });
-    std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+    PopulationResult pop = runCheckedPopulation(
         *golden, *prog, inputs, runCfg, sched, &faults, cfg.batchLanes,
         cfg.threads, true);
 
     // Merge each die's mission into its own record: digest, packed
     // end state and escalation ladder read and write only that die,
-    // so any thread count gives the same records.
+    // so any thread count gives the same records. The digest and
+    // dffBits come straight from the packed end state.
+    uint32_t dffs = static_cast<uint32_t>(golden->numDffs());
+    std::vector<uint8_t> outcomes(live.size());
     parallelFor(live.size(), cfg.threads, [&](size_t k) {
-        const CheckedRunSummary &run = runs[k];
+        const CheckedRunSummary &run = pop.die(k);
         auto outcome = static_cast<uint8_t>(
             classifyCheckedRun(run, cfg.detectors));
+        outcomes[k] = outcome;
         FleetDie &die = state.dies[live[k]];
         ++die.epochsRun;
         ++die.outcomes[outcome];
         die.lifeCycles += run.cycles;
 
+        const uint64_t *end = pop.endDff(k);
         uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
         h = fnvU64(h, epoch);
         h = fnvU64(h, outcome);
         h = fnvU64(h, run.cycles);
-        h = fnv1a(h, run.endDff.data(), run.endDff.size());
-        die.digest = h;
-        die.dffCount = static_cast<uint32_t>(run.endDff.size());
-        packBits(run.endDff, die.dffBits);
+        die.digest = fnv1aBits(h, end, dffs);
+        die.dffCount = dffs;
+        die.dffBits.resize((dffs + 7) / 8);
+        for (size_t j = 0; j < die.dffBits.size(); ++j)
+            die.dffBits[j] =
+                static_cast<uint8_t>(end[j / 8] >> (8 * (j % 8)));
 
         // Fleet-level escalation: a Degraded mission burns one
         // firmware re-page; past the budget the die fail-stops.
@@ -288,11 +330,9 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
     // Fleet-wide counters, summed in die order.
     for (size_t k = 0; k < live.size(); ++k) {
         const FleetDie &die = state.dies[live[k]];
-        auto outcome = static_cast<size_t>(
-            classifyCheckedRun(runs[k], cfg.detectors));
-        ++state.epochOutcomes[epoch][outcome];
+        ++state.epochOutcomes[epoch][outcomes[k]];
         size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
-        ++state.binOutcomes[binIdx][outcome];
+        ++state.binOutcomes[binIdx][outcomes[k]];
         state.deaths += !die.alive;
     }
 }
@@ -350,6 +390,7 @@ FleetEngine::FleetEngine(const FleetConfig &config)
 
     DieModel model(im.report.study.spec, sc.study.params);
     im.glitchRates.resize(im.report.study.dies.size(), 0.0);
+    im.deployedBin.resize(im.report.study.dies.size(), 0);
     for (size_t i = 0; i < im.report.study.dies.size(); ++i) {
         const DieResult &die = im.report.study.dies[i];
         const DieSalvage &verdict = im.report.dies[i];
@@ -363,8 +404,10 @@ FleetEngine::FleetEngine(const FleetConfig &config)
             verdict.bin == DieBin::Functional ||
             (verdict.bin == DieBin::Salvaged &&
              (verdict.passedMask >> kernelIdx) & 1u);
-        if (deployable)
+        if (deployable) {
             im.pool.push_back(static_cast<uint32_t>(i));
+            im.deployedBin[i] = static_cast<uint8_t>(verdict.bin) + 1;
+        }
     }
     if (im.pool.empty())
         fatal("fleet: no deployable dies for %s (wafer seed %llu)",
@@ -415,12 +458,14 @@ FleetEngine::run(FleetState &state, uint32_t stopAfter,
     // cleanly may still name a part this campaign never deployed.
     for (size_t d = 0; d < state.dies.size(); ++d) {
         const FleetDie &die = state.dies[d];
-        if (!std::binary_search(im.pool.begin(), im.pool.end(),
-                                die.poolIndex))
+        uint8_t deployed = die.poolIndex < im.deployedBin.size()
+                               ? im.deployedBin[die.poolIndex]
+                               : 0;
+        if (!deployed)
             fatal("fleet: die %zu has poolIndex %u, not a deployable "
                   "part of this campaign's %zu-die wafer", d,
                   die.poolIndex, im.report.study.dies.size());
-        DieBin bin = im.report.dies[die.poolIndex].bin;
+        auto bin = static_cast<DieBin>(deployed - 1);
         if (die.bin != bin)
             fatal("fleet: die %zu is binned %s but its part %u is %s",
                   d, dieBinName(die.bin), die.poolIndex,

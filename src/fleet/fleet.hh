@@ -27,11 +27,14 @@
  *
  * Each epoch is one runCheckedPopulation() call over the live dies,
  * each carrying its part's manufacturing defects and its in-field
- * schedule: one golden tape for the epoch, a word-parallel prescreen
- * that proves most dies fault-free in 512-lane blocks, and the
- * lane-parallel checked runtime, 64 dies to a word, for the rest.
- * Results are bit-identical for any thread count and any
- * batchLanes, and the whole campaign checkpoints to a versioned,
+ * schedule: one golden tape for the epoch; one shared run for all
+ * the dies of a part that see no in-field event (most of them), so
+ * an epoch costs in proportion to its events; a word-parallel
+ * prescreen that proves most runs fault-free in 512-lane blocks; and
+ * the lane-parallel checked runtime, 64 runs to a word, for the
+ * rest. Each die's record is merged from its run's packed end state
+ * in parallel. Results are bit-identical for any thread count and
+ * any batchLanes, and the whole campaign checkpoints to a versioned,
  * checksummed file after every epoch, so a killed run resumed from
  * its checkpoint is bit-identical to an uninterrupted one (see
  * checkpoint.hh).
@@ -169,6 +172,14 @@ struct FleetState
  * lifecycle, end-of-mission DFF state included.
  */
 uint64_t fleetDigest(const FleetState &state);
+
+/**
+ * FNV-1a of @p h over @p n bytes, byte i being bit i of the packed
+ * words @p bits (bit i % 64 of word i / 64) as 0 or 1: how a die's
+ * digest folds in its end-of-mission DFF state, one table step per
+ * packed byte.
+ */
+uint64_t fnv1aBits(uint64_t h, const uint64_t *bits, size_t n);
 
 /**
  * The fleet lifecycle engine. Construction is the expensive part —

@@ -149,6 +149,15 @@ struct RunKernels
 #undef FLEXI_OP_ENTRY
 };
 
+/** A fused run's force-split code: its op (blending kernel) while
+ *  an output word of the run is forced, op + kNumWordOps (blend-free
+ *  kernel) otherwise. */
+uint8_t
+forceSplitOp(uint8_t op, bool forced)
+{
+    return forced ? op : static_cast<uint8_t>(op + kNumWordOps);
+}
+
 } // namespace
 
 unsigned
@@ -189,29 +198,37 @@ void
 LaneGroup::rebuildForceIndex()
 {
     const Netlist::EvalPlan &plan = s_->plan;
-    qForced_.assign(plan.dffQ.size(), 0);
-    qForcedList_.clear();
-    qFreeList_.clear();
-    for (size_t i = 0; i < qForced_.size(); ++i) {
-        size_t q = size_t(plan.dffQ[i]) * words_;
-        for (unsigned w = 0; w < words_; ++w)
-            if (mask_[q + w]) {
-                qForced_[i] = 1;
-                break;
-            }
-        if (qForced_[i])
-            qForcedList_.push_back(static_cast<uint32_t>(i));
-        else
-            qFreeList_.push_back(static_cast<uint32_t>(i));
+    std::vector<uint8_t> seen(val_.size(), 0);
+    allForced_.clear();
+    auto note = [&](NetId net, unsigned lane) {
+        size_t idx = size_t(net) * words_ + lane / kWordLanes;
+        if (!seen[idx]) {
+            seen[idx] = 1;
+            allForced_.push_back(idx);
+        }
+    };
+    for (const LaneFault &f : faults_)
+        note(f.f.net, f.lane);
+    for (const LaneTransient &t : transients_)
+        note(t.f.net, t.lane);
+    primaryForced_.clear();
+    for (size_t idx : allForced_)
+        if (!plan.blendCovered(static_cast<NetId>(idx / words_)))
+            primaryForced_.push_back(idx);
+
+    // Only words with a record can carry a force bit, so counting
+    // theirs gives every DFF's and every run's forced-word count.
+    qForcedWords_.assign(plan.dffQ.size(), 0);
+    runForcedWords_.assign(plan.runOp.size(), 0);
+    for (size_t idx : allForced_) {
+        if (!mask_[idx])
+            continue;
+        NetId net = static_cast<NetId>(idx / words_);
+        if (plan.netRun[net] != plan.kNone)
+            ++runForcedWords_[plan.netRun[net]];
+        if (plan.netDff[net] != plan.kNone)
+            ++qForcedWords_[plan.netDff[net]];
     }
-    primaryFaults_.clear();
-    for (size_t k = 0; k < faults_.size(); ++k)
-        if (!plan.blendCovered[faults_[k].f.net])
-            primaryFaults_.push_back(static_cast<uint32_t>(k));
-    primaryTransients_.clear();
-    for (size_t k = 0; k < transients_.size(); ++k)
-        if (!plan.blendCovered[transients_[k].f.net])
-            primaryTransients_.push_back(static_cast<uint32_t>(k));
 
     // Select a kernel flavor per fused run: blending a step whose
     // output group carries no force bit is the identity, so a run
@@ -220,21 +237,126 @@ LaneGroup::rebuildForceIndex()
     // than re-splitting at every forced step) keeps the dispatch
     // count — and its branch-prediction footprint — independent of
     // the fault population.
-    size_t nruns = plan.runOp.size();
-    fsRunOp_.resize(nruns);
-    for (size_t r = 0; r < nruns; ++r) {
-        bool forced = false;
-        for (uint32_t s = plan.runBegin[r];
-             !forced && s < plan.runBegin[r + 1]; ++s) {
-            size_t o = size_t(plan.out[s]) * words_;
-            for (unsigned w = 0; w < words_; ++w)
-                forced |= mask_[o + w] != 0;
-        }
-        fsRunOp_[r] =
-            forced ? plan.runOp[r]
-                   : static_cast<uint8_t>(plan.runOp[r] + kNumWordOps);
+    fsRunOp_.resize(plan.runOp.size());
+    for (size_t r = 0; r < fsRunOp_.size(); ++r)
+        fsRunOp_[r] = forceSplitOp(plan.runOp[r], runForcedWords_[r]);
+    listForcedDffs();
+}
+
+void
+LaneGroup::listForcedDffs()
+{
+    qForcedList_.clear();
+    qFreeList_.clear();
+    for (size_t i = 0; i < qForcedWords_.size(); ++i)
+        (qForcedWords_[i] ? qForcedList_ : qFreeList_)
+            .push_back(static_cast<uint32_t>(i));
+}
+
+bool
+LaneGroup::noteForceWord(size_t idx, uint64_t before)
+{
+    bool forced = mask_[idx] != 0;
+    if (forced == (before != 0))
+        return false;
+    const Netlist::EvalPlan &plan = s_->plan;
+    NetId net = static_cast<NetId>(idx / words_);
+    if (uint32_t r = plan.netRun[net]; r != plan.kNone) {
+        runForcedWords_[r] += forced ? 1 : -1;
+        fsRunOp_[r] = forceSplitOp(plan.runOp[r], runForcedWords_[r]);
     }
+    if (uint32_t d = plan.netDff[net]; d != plan.kNone) {
+        // The DFF's Q changes list when its first word gains a force
+        // bit or its last one loses it.
+        qForcedWords_[d] += forced ? 1 : -1;
+        return qForcedWords_[d] == (forced ? 1u : 0u);
+    }
+    return false;
+}
+
+void
+LaneGroup::applyWindows(const WindowSlot &slot)
+{
+    // The reference's precedence: the stuck-at beneath, then every
+    // open window in injection order, the last one winning.
+    bool forced = slot.stuck, value = slot.stuckValue;
+    for (uint32_t k = slot.begin; k < slot.end; ++k) {
+        const TransientFault &f = transients_[slotTransients_[k]].f;
+        if (cycle_ >= f.fromCycle && cycle_ < f.untilCycle) {
+            forced = true;
+            value = f.value;
+        }
+    }
+    uint64_t &m = mask_[slot.idx];
+    uint64_t &v = fval_[slot.idx];
+    m = forced ? m | slot.bit : m & ~slot.bit;
+    v = forced && value ? v | slot.bit : v & ~slot.bit;
+}
+
+void
+LaneGroup::syncForces()
+{
+    slots_.clear();
+    slotTransients_.clear();
+    edges_.clear();
+    if (!transients_.empty()) {
+        releaseWindows();
+        // Group the transients by (net, lane), keeping injection
+        // order within a pair — one sort of (pair << 32 | index)
+        // keys — and open the windows the clock is in.
+        std::vector<uint64_t> keys(transients_.size());
+        for (size_t k = 0; k < keys.size(); ++k) {
+            const LaneTransient &t = transients_[k];
+            uint64_t pair = (uint64_t(t.f.net) * words_ +
+                             t.lane / kWordLanes) * kWordLanes +
+                            t.lane % kWordLanes;
+            keys[k] = pair << 32 | k;
+        }
+        std::sort(keys.begin(), keys.end());
+        slotTransients_.resize(keys.size());
+        for (uint32_t k = 0; k < keys.size(); ++k) {
+            slotTransients_[k] = static_cast<uint32_t>(keys[k]);
+            uint64_t pair = keys[k] >> 32;
+            if (k && pair == keys[k - 1] >> 32) {
+                ++slots_.back().end;
+                continue;
+            }
+            size_t idx = pair / kWordLanes;
+            uint64_t bit = 1ull << (pair % kWordLanes);
+            slots_.push_back({idx, bit, (mask_[idx] & bit) != 0,
+                              (fval_[idx] & bit) != 0, k, k + 1});
+        }
+        // Edges up to now are in the masks already; the rest wait in
+        // a min-heap, since a run rarely reaches them all.
+        for (uint32_t s = 0; s < slots_.size(); ++s) {
+            applyWindows(slots_[s]);
+            for (uint32_t k = slots_[s].begin; k < slots_[s].end; ++k) {
+                const TransientFault &f = transients_[slotTransients_[k]].f;
+                for (uint64_t edge : {f.fromCycle, f.untilCycle})
+                    if (edge > cycle_)
+                        edges_.push_back({edge, s});
+            }
+        }
+        std::make_heap(edges_.begin(), edges_.end(), laterEdge);
+    }
+    rebuildForceIndex();
     forceDirty_ = false;
+}
+
+void
+LaneGroup::advanceWindows()
+{
+    bool qChanged = false;
+    while (edgeDue()) {
+        std::pop_heap(edges_.begin(), edges_.end(), laterEdge);
+        const WindowSlot &slot = slots_[edges_.back().slot];
+        edges_.pop_back();
+        uint64_t before = mask_[slot.idx];
+        applyWindows(slot);
+        qChanged |= noteForceWord(slot.idx, before);
+    }
+    if (qChanged)
+        listForcedDffs();
 }
 
 void
@@ -287,24 +409,29 @@ LaneGroup::injectTransient(unsigned lane, const TransientFault &fault)
 }
 
 void
-LaneGroup::clearTransients()
+LaneGroup::releaseWindows()
 {
-    // Release any currently forced windows, then let the stuck-at
-    // faults reassert their own force bits.
+    // Release every window's force bit, then let the stuck-at faults
+    // reassert their own.
     for (const auto &t : transients_) {
         size_t idx = size_t(t.f.net) * words_ + t.lane / kWordLanes;
         uint64_t bit = 1ull << (t.lane % kWordLanes);
         mask_[idx] &= ~bit;
         fval_[idx] &= ~bit;
     }
-    transients_.clear();
-    transientActive_.clear();
     for (const auto &f : faults_) {
         size_t idx = size_t(f.f.net) * words_ + f.lane / kWordLanes;
         uint64_t bit = 1ull << (f.lane % kWordLanes);
         mask_[idx] |= bit;
         fval_[idx] = (fval_[idx] & ~bit) | (f.f.value ? bit : 0);
     }
+}
+
+void
+LaneGroup::clearTransients()
+{
+    releaseWindows();
+    transients_.clear();
     forceDirty_ = true;
 }
 
@@ -346,6 +473,64 @@ LaneGroup::restoreDffState(unsigned lane,
     }
 }
 
+namespace
+{
+
+/**
+ * Transpose a 64x64 bit matrix in place: bit c of row r trades places
+ * with bit r of row c. Six rounds of block swaps (Hacker's Delight
+ * 7-3, widened to 64 bits).
+ */
+void
+transpose64(uint64_t *a)
+{
+    uint64_t m = 0x00000000FFFFFFFFull;
+    for (unsigned j = 32; j; j >>= 1, m ^= m << j) {
+        for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
+            uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+        }
+    }
+}
+
+} // namespace
+
+void
+LaneGroup::packDffState(uint64_t *out) const
+{
+    size_t nd = numDffs();
+    size_t sw = dffStateWords();
+    uint64_t a[kWordLanes];
+    for (unsigned w = 0; w * kWordLanes < lanes_; ++w) {
+        unsigned live = std::min(kWordLanes, lanes_ - w * kWordLanes);
+        uint64_t *lane0 = out + size_t(w) * kWordLanes * sw;
+        for (size_t b = 0; b < sw; ++b) {
+            // Row r = DFF 64b + r across the word's lanes; transposed,
+            // row L = lane L's 64 DFFs.
+            size_t rows = std::min<size_t>(kWordLanes, nd - b * kWordLanes);
+            for (size_t r = 0; r < rows; ++r)
+                a[r] = dffState_[(b * kWordLanes + r) * words_ + w];
+            std::fill(a + rows, a + kWordLanes, 0);
+            transpose64(a);
+            for (unsigned l = 0; l < live; ++l)
+                lane0[l * sw + b] = a[l];
+        }
+    }
+}
+
+void
+LaneGroup::packDffState(unsigned lane, uint64_t *out) const
+{
+    checkLane(lane);
+    size_t word = lane / kWordLanes;
+    unsigned bit = lane % kWordLanes;
+    std::fill(out, out + dffStateWords(), 0);
+    for (size_t i = 0; i < numDffs(); ++i)
+        out[i / kWordLanes] |= ((dffState_[i * words_ + word] >> bit) & 1)
+                               << (i % kWordLanes);
+}
+
 void
 LaneGroup::reset()
 {
@@ -377,103 +562,28 @@ LaneGroup::reset(unsigned lane)
 void
 LaneGroup::applyFaultForces()
 {
-    // Per-lane force rebuild: transient windows open and close
-    // against the group cycle counter; stuck-at bits reassert
-    // themselves once a lane's window closes. The rebuild
-    // only has to run when a window actually opened or closed (or
-    // the fault set itself changed) — between boundaries the masks
-    // are already exact.
-    bool rebuild = false;
-    if (!transients_.empty()) {
-        if (transientActive_.size() != transients_.size()) {
-            transientActive_.assign(transients_.size(), 0xFF);
-            rebuild = true;
-        }
-        for (size_t i = 0; i < transients_.size(); ++i) {
-            const auto &t = transients_[i];
-            uint8_t act = cycle_ >= t.f.fromCycle &&
-                          cycle_ < t.f.untilCycle;
-            if (act != transientActive_[i]) {
-                transientActive_[i] = act;
-                rebuild = true;
-            }
-        }
-    }
-    if (!transients_.empty() && (rebuild || forceDirty_)) {
-        for (const auto &t : transients_) {
-            size_t idx =
-                size_t(t.f.net) * words_ + t.lane / kWordLanes;
-            uint64_t bit = 1ull << (t.lane % kWordLanes);
-            mask_[idx] &= ~bit;
-            fval_[idx] &= ~bit;
-        }
-        for (const auto &f : faults_) {
-            size_t idx =
-                size_t(f.f.net) * words_ + f.lane / kWordLanes;
-            uint64_t bit = 1ull << (f.lane % kWordLanes);
-            mask_[idx] |= bit;
-            fval_[idx] = (fval_[idx] & ~bit) | (f.f.value ? bit : 0);
-        }
-        for (const auto &t : transients_) {
-            if (cycle_ >= t.f.fromCycle && cycle_ < t.f.untilCycle) {
-                size_t idx =
-                    size_t(t.f.net) * words_ + t.lane / kWordLanes;
-                uint64_t bit = 1ull << (t.lane % kWordLanes);
-                mask_[idx] |= bit;
-                fval_[idx] =
-                    (fval_[idx] & ~bit) | (t.f.value ? bit : 0);
-            }
-        }
-        // Window opens/closes move force bits between nets; the
-        // sparse index below must track them.
-        forceDirty_ = true;
-    }
-
+    // A changed fault set rebuilds the forces and their index whole;
+    // otherwise only the transient windows that opened or closed
+    // since the last pass move force bits, so only their (net, lane)
+    // pairs are recomputed.
     if (forceDirty_)
-        rebuildForceIndex();
+        syncForces();
+    else if (edgeDue())
+        advanceWindows();
 
     // Apply fault forcing to primary/state nets. Cell outputs and
     // DFF Q nets are blend-covered — their producing step (or the
     // Q-expose) applies the force before any consumer reads them —
-    // so only the handful of faults on primary nets need a value
-    // write here, not the whole fault list. Toggle counting is the
-    // exception: the counters difference each step against the
-    // previously *stored* word, so a force window opening must land
-    // in val_ before the pass for every faulted net — exactly the
-    // reference interpreter's order — or the blend would count an
-    // edge the reference run never saw.
-    if (countToggles_) {
-        for (const LaneFault &f : faults_) {
-            size_t idx =
-                size_t(f.f.net) * words_ + f.lane / kWordLanes;
-            uint64_t bit = 1ull << (f.lane % kWordLanes);
-            val_[idx] = (val_[idx] & ~bit) | (f.f.value ? bit : 0);
-        }
-        for (const LaneTransient &t : transients_) {
-            if (cycle_ >= t.f.fromCycle && cycle_ < t.f.untilCycle) {
-                size_t idx =
-                    size_t(t.f.net) * words_ + t.lane / kWordLanes;
-                uint64_t bit = 1ull << (t.lane % kWordLanes);
-                val_[idx] =
-                    (val_[idx] & ~bit) | (t.f.value ? bit : 0);
-            }
-        }
-        return;
-    }
-    for (uint32_t k : primaryFaults_) {
-        const LaneFault &f = faults_[k];
-        size_t idx = size_t(f.f.net) * words_ + f.lane / kWordLanes;
-        uint64_t bit = 1ull << (f.lane % kWordLanes);
-        val_[idx] = (val_[idx] & ~bit) | (f.f.value ? bit : 0);
-    }
-    for (uint32_t k : primaryTransients_) {
-        const LaneTransient &t = transients_[k];
-        if (cycle_ >= t.f.fromCycle && cycle_ < t.f.untilCycle) {
-            size_t idx =
-                size_t(t.f.net) * words_ + t.lane / kWordLanes;
-            uint64_t bit = 1ull << (t.lane % kWordLanes);
-            val_[idx] = (val_[idx] & ~bit) | (t.f.value ? bit : 0);
-        }
+    // so only the handful of words on primary nets need a value
+    // write here. Toggle counting is the exception: the counters
+    // difference each step against the previously *stored* word, so
+    // a force window opening must land in val_ before the pass for
+    // every faulted net — exactly the reference interpreter's order
+    // — or the blend would count an edge the reference run never
+    // saw.
+    for (size_t idx : countToggles_ ? allForced_ : primaryForced_) {
+        uint64_t m = mask_[idx];
+        val_[idx] = (val_[idx] & ~m) | (fval_[idx] & m);
     }
 }
 
@@ -619,8 +729,6 @@ template <unsigned W, bool kToggles>
 void
 LaneGroup::clockEdgeImpl()
 {
-    if (forceDirty_)
-        rebuildForceIndex();
     const Netlist::EvalPlan &plan = s_->plan;
     size_t nd = plan.dffD.size();
     for (size_t i = 0; i < nd; ++i) {
@@ -750,7 +858,7 @@ LaneGroup::exposeStateImpl(const PadCone &cone)
     for (uint32_t i : cone.dffs) {
         size_t q = size_t(plan.dffQ[i]) * W;
         const uint64_t *st = dffState_.data() + i * W;
-        if (qForced_[i]) {
+        if (qForcedWords_[i]) {
             for (unsigned w = 0; w < W; ++w) {
                 uint64_t m = mask_[q + w];
                 val_[q + w] = (st[w] & ~m) | (fval_[q + w] & m);

@@ -109,6 +109,19 @@ class LaneGroup
     std::vector<uint8_t> saveDffState(unsigned lane) const;
     void restoreDffState(unsigned lane,
                          const std::vector<uint8_t> &state);
+
+    /** Words per lane of a packed DFF state: ceil(numDffs() / 64). */
+    size_t dffStateWords() const { return dffStateWords(numDffs()); }
+    static size_t dffStateWords(size_t dffs) { return (dffs + 63) / 64; }
+    /**
+     * Every lane's DFF state, packed: lane L's dffStateWords() words
+     * at out[L * dffStateWords()], bit i % 64 of word i / 64 holding
+     * DFF i in saveDffState() order and the bits past numDffs() 0.
+     * One 64x64 bit transpose per lane word and 64 DFFs.
+     */
+    void packDffState(uint64_t *out) const;
+    /** One lane's packed DFF state (dffStateWords() words). */
+    void packDffState(unsigned lane, uint64_t *out) const;
     ///@}
 
     /** @name Simulation */
@@ -248,7 +261,14 @@ class LaneGroup
     template <unsigned W, bool kToggles> void clockEdgeImpl();
     template <unsigned W> void exposeStateImpl(const PadCone &cone);
     void applyFaultForces();
+    void releaseWindows();
+    void syncForces();
+    void advanceWindows();
     void rebuildForceIndex();
+    struct WindowSlot;
+    void applyWindows(const WindowSlot &slot);
+    bool noteForceWord(size_t idx, uint64_t before);
+    void listForcedDffs();
     void checkLane(unsigned lane) const;
 
     /** One lane's stuck-at / transient fault record. */
@@ -277,26 +297,68 @@ class LaneGroup
     std::vector<LaneTransient> transients_;
 
     /**
-     * Sparse force index, rebuilt lazily whenever the force masks
-     * change. Forces on blend-covered nets (EvalPlan::blendCovered)
-     * are applied by the per-step / per-commit blends, so only
-     * faults on the remaining (primary) nets need the direct value
-     * writes in applyFaultForces, and only DFFs with a forced Q need
-     * the Q-expose blend at all.
+     * Sparse force index. Forces on blend-covered nets
+     * (EvalPlan::blendCovered) are applied by the per-step /
+     * per-commit blends, so only the force words of the remaining
+     * (primary) nets need the direct value writes in
+     * applyFaultForces, and only DFFs with a forced Q need the
+     * Q-expose blend at all. A change to the fault set rebuilds it
+     * whole (syncForces); a transient window opening or closing only
+     * updates the entries of the (net, lane) it touches
+     * (advanceWindows), through per-DFF and per-run counts of
+     * non-zero mask words.
      */
-    std::vector<uint8_t> qForced_;          ///< per DFF
+    std::vector<uint32_t> qForcedWords_;    ///< per DFF
     std::vector<uint32_t> qForcedList_;     ///< DFFs with forced Q
     std::vector<uint32_t> qFreeList_;       ///< DFFs without
-    std::vector<uint32_t> primaryFaults_;   ///< indices into faults_
-    std::vector<uint32_t> primaryTransients_;
+    std::vector<uint32_t> runForcedWords_;  ///< per fused run
     /**
      * Force-split op code per shared fused run: the run's op when
      * any of its steps has a forced output group (blending kernel),
      * op + kNumWordOps otherwise (blend-free kernel).
      */
     std::vector<uint8_t> fsRunOp_;
-    /** Last seen in-window state per transient (change detector). */
-    std::vector<uint8_t> transientActive_;
+
+    /**
+     * Value words (net * words() + lane word) holding a lane with a
+     * fault or transient record, each once: the direct writes blend
+     * them from mask_ / fval_ — the primary nets' words, or with
+     * toggle counting every one.
+     */
+    std::vector<size_t> primaryForced_;
+    std::vector<size_t> allForced_;
+
+    /**
+     * The transients on one (net, lane), in injection order, over the
+     * stuck-at state beneath them: a window edge recomputes the
+     * pair's force bit from these alone.
+     */
+    struct WindowSlot
+    {
+        size_t idx;              ///< value word of (net, lane)
+        uint64_t bit;
+        bool stuck, stuckValue;
+        uint32_t begin, end;     ///< range of slotTransients_
+    };
+    std::vector<WindowSlot> slots_;
+    std::vector<uint32_t> slotTransients_;   ///< indices into transients_
+    /** The open and close cycles still ahead, as a min-heap. */
+    struct WindowEdge
+    {
+        uint64_t cycle;
+        uint32_t slot;
+    };
+    static bool
+    laterEdge(const WindowEdge &a, const WindowEdge &b)
+    {
+        return a.cycle > b.cycle;
+    }
+    std::vector<WindowEdge> edges_;
+    bool
+    edgeDue() const
+    {
+        return !edges_.empty() && edges_.front().cycle <= cycle_;
+    }
     bool forceDirty_ = true;
 
     uint64_t cycle_ = 0;

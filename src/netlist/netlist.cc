@@ -526,11 +526,13 @@ Netlist::compilePlan()
         plan.dffCell[i] = static_cast<uint32_t>(idx);
     }
 
-    plan.blendCovered.assign(s_->nextNet, 0);
-    for (NetId net : plan.out)
-        plan.blendCovered[net] = 1;
-    for (NetId net : plan.dffQ)
-        plan.blendCovered[net] = 1;
+    plan.netRun.assign(s_->nextNet, EvalPlan::kNone);
+    for (size_t r = 0; r < plan.runOp.size(); ++r)
+        for (uint32_t s = plan.runBegin[r]; s < plan.runBegin[r + 1]; ++s)
+            plan.netRun[plan.out[s]] = static_cast<uint32_t>(r);
+    plan.netDff.assign(s_->nextNet, EvalPlan::kNone);
+    for (size_t i = 0; i < nd; ++i)
+        plan.netDff[plan.dffQ[i]] = static_cast<uint32_t>(i);
 }
 
 void

@@ -473,13 +473,23 @@ class Netlist
         std::vector<NetId> dffD;
         std::vector<NetId> dffQ;
         std::vector<uint32_t> dffCell;
+        /** No run / no DFF, in netRun and netDff. */
+        static constexpr uint32_t kNone = ~0u;
         /**
-         * Per net: 1 when a plan step produces it or it is a DFF Q,
-         * so the engine's per-step / Q-expose blends apply its
-         * forces; a force on any other (primary) net needs a direct
-         * value write.
+         * Per net: the fused run whose step produces it, and the DFF
+         * whose Q it is (kNone where neither). A net with either is
+         * blend-covered — the engine's per-step / Q-expose blends
+         * apply its forces; a force on any other (primary) net needs
+         * a direct value write.
          */
-        std::vector<uint8_t> blendCovered;
+        std::vector<uint32_t> netRun;
+        std::vector<uint32_t> netDff;
+
+        bool
+        blendCovered(NetId net) const
+        {
+            return netRun[net] != kNone || netDff[net] != kNone;
+        }
     };
 
     /** Immutable (once elaborated) shared structure. */

@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 #include <span>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -663,40 +664,49 @@ class GoldenTape
  * A LaneGroup of @p golden's structure with one die per lane, each
  * lane's stuck-ats and transients installed and its flips queued in
  * die-clock order: what the prescreen and the lane runner share.
+ * The group never evaluates past die cycle @p lastCycle (the
+ * prescreen's is the tape's end), so a window that opens later is
+ * left out: it could not move a force bit.
  */
 class DieLanes
 {
   public:
     DieLanes(const Netlist &golden, IsaKind isa, ScheduleSpan schedules,
-             StuckSpan stuck)
+             StuckSpan stuck, uint64_t lastCycle)
         : group(golden, static_cast<unsigned>(schedules.size())),
           pads(padsOf(golden, isa)),
-          cone(group.padCone({&pads.pc, &pads.oport})),
-          flips_(schedules.size()), flipIdx_(schedules.size(), 0)
+          cone(group.padCone({&pads.pc, &pads.oport}))
     {
         if (!stuck.empty() && stuck.size() != schedules.size())
             fatal("checked run: %zu fault lists for %zu lanes",
                   stuck.size(), schedules.size());
+        size_t dffs = group.numDffs();
         for (unsigned l = 0; l < schedules.size(); ++l) {
             if (!stuck.empty() && stuck[l])
                 for (const StuckFault &f : *stuck[l])
                     group.injectFault(l, f);
             for (const auto &t : schedules[l]->transients)
-                group.injectTransient(l, t);
-            flips_[l] = flipsInOrder(*schedules[l]);
+                if (t.fromCycle <= lastCycle)
+                    group.injectTransient(l, t);
+            if (dffs)
+                for (const FaultSchedule::DffFlip &f : schedules[l]->flips)
+                    flips_.push_back({f.cycle, l, f.dff % dffs});
         }
+        std::sort(flips_.begin(), flips_.end(),
+                  [](const LaneFlip &a, const LaneFlip &b) {
+                      return a.cycle < b.cycle;
+                  });
     }
 
-    /** Land lane @p l's flips that are due by the group clock (they
-     *  land before the next fetch, as in CheckedRunner). */
+    /** Land every lane's flips that are due by the group clock (they
+     *  land before the next fetch, as in CheckedRunner). A flip is an
+     *  XOR, so flips due together land in any order. */
     void
-    applyDueFlips(unsigned l)
+    applyDueFlips()
     {
-        const std::vector<FaultSchedule::DffFlip> &f = flips_[l];
-        size_t &i = flipIdx_[l];
-        for (; i < f.size() && f[i].cycle <= group.cycle(); ++i)
-            if (group.numDffs())
-                group.flipDff(l, f[i].dff % group.numDffs());
+        for (; next_ < flips_.size() && flips_[next_].cycle <= group.cycle();
+             ++next_)
+            group.flipDff(flips_[next_].lane, flips_[next_].dff);
     }
 
     LaneGroup group;
@@ -706,8 +716,14 @@ class DieLanes
     LaneGroup::PadCone cone;
 
   private:
-    std::vector<std::vector<FaultSchedule::DffFlip>> flips_;
-    std::vector<size_t> flipIdx_;
+    struct LaneFlip
+    {
+        uint64_t cycle;
+        unsigned lane;
+        size_t dff;
+    };
+    std::vector<LaneFlip> flips_;   ///< every lane's, by cycle
+    size_t next_ = 0;
 };
 
 /**
@@ -723,8 +739,11 @@ class LaneCheckedRunner
     LaneCheckedRunner(const GoldenTape &tape, const Netlist &golden,
                       const CheckedRunConfig &cfg, ScheduleSpan schedules,
                       StuckSpan stuck)
-        : cfg_(cfg), tape_(tape), dies_(golden, cfg.isa, schedules, stuck),
-          lanes_(schedules.size())
+        : cfg_(cfg), tape_(tape),
+          dies_(golden, cfg.isa, schedules, stuck, ~0ull),
+          lanes_(schedules.size()),
+          stateWords_(dies_.group.dffStateWords()),
+          endState_(lanes_.size() * stateWords_)
     {
         running_ = dies_.group.laneMaskWord(0);
     }
@@ -742,11 +761,11 @@ class LaneCheckedRunner
         while (running_) {
             // Fetch from each lane's own PC pads and MMU page, with
             // its own held input; flips land before the fetch.
+            dies_.applyDueFlips();
             dies_.group.gatherBusBytes(dies_.pads.pc, pc.data());
             for (uint64_t m = running_; m; m &= m - 1) {
                 unsigned l = static_cast<unsigned>(__builtin_ctzll(m));
                 Lane &ln = lanes_[l];
-                dies_.applyDueFlips(l);
                 instr[l] = tape_.fetch(ln.diePage)[pc[l] %
                                                    GoldenTape::kPcSpace];
                 held[l] = tape_.at(ln.k).held;
@@ -786,6 +805,20 @@ class LaneCheckedRunner
             results.push_back(std::move(ln.res));
         return results;
     }
+
+    /** @name After run(): what a lane's result leaves out */
+    ///@{
+    /** Golden outputs up to where lane @p l ended. */
+    uint32_t goldenOutputCount(unsigned l) const
+    {
+        return tape_.at(lanes_[l].k).outputs;
+    }
+    /** Lane @p l's end state, packed (LaneGroup::packDffState). */
+    const uint64_t *endState(unsigned l) const
+    {
+        return endState_.data() + size_t(l) * stateWords_;
+    }
+    ///@}
 
   private:
     enum class Reaction
@@ -899,13 +932,13 @@ class LaneCheckedRunner
     {
         Lane &ln = lanes_[l];
         const std::vector<uint8_t> &gold = tape_.outputs();
+        const std::vector<uint8_t> &out = ln.res.dieOutputs;
         ln.res.outcome = outcome;
-        ln.res.goldenOutputs.assign(
-            gold.begin(), gold.begin() + tape_.at(ln.k).outputs);
         ln.res.outputsCorrect =
             outcome == CheckedOutcome::Completed &&
-            ln.res.dieOutputs == ln.res.goldenOutputs;
-        ln.res.endDff = dies_.group.saveDffState(l);
+            out.size() == tape_.at(ln.k).outputs &&
+            std::equal(out.begin(), out.end(), gold.begin());
+        dies_.group.packDffState(l, endState_.data() + l * stateWords_);
         running_ &= ~(1ull << l);
     }
 
@@ -1034,6 +1067,9 @@ class LaneCheckedRunner
     DieLanes dies_;
     std::vector<Lane> lanes_;
 
+    size_t stateWords_;
+    std::vector<uint64_t> endState_;   ///< per lane, at finish
+
     uint64_t running_ = 0;
     /** A lane rolled back this cycle: the pads need a re-expose. */
     bool exposePending_ = false;
@@ -1053,10 +1089,11 @@ class LaneCheckedRunner
 PrescreenResult
 prescreen(const GoldenTape &tape, const Netlist &golden,
           const CheckedRunConfig &cfg, ScheduleSpan schedules,
-          StuckSpan stuck, bool captureEndState)
+          StuckSpan stuck, uint64_t *endState)
 {
     unsigned lanes = static_cast<unsigned>(schedules.size());
-    DieLanes dies(golden, cfg.isa, schedules, stuck);
+    DieLanes dies(golden, cfg.isa, schedules, stuck,
+                  tape.at(tape.last()).elapsed);
     LaneGroup &batch = dies.group;
     const Pads &pads = dies.pads;
     bool wide = wideFetch(cfg.isa);
@@ -1097,8 +1134,7 @@ prescreen(const GoldenTape &tape, const Netlist &golden,
             fetchBytesPage = p.page;
         }
         for (unsigned c = 0; c < p.cycles; ++c) {
-            for (unsigned lane = 0; lane < lanes; ++lane)
-                dies.applyDueFlips(lane);
+            dies.applyDueFlips();
             if (wide) {
                 batch.gatherBusBytes(pads.pc, diePc.data());
                 for (unsigned lane = 0; lane < lanes; ++lane)
@@ -1154,13 +1190,20 @@ prescreen(const GoldenTape &tape, const Netlist &golden,
 
     if (res.completed) {
         res.cleanMask = active;
-        if (captureEndState) {
-            res.endDff.resize(lanes);
-            for (unsigned lane = 0; lane < lanes; ++lane)
-                res.endDff[lane] = batch.saveDffState(lane);
-        }
+        if (endState)
+            batch.packDffState(endState);
     }
     return res;
+}
+
+/** Lane @p state (packed) as saveDffState() lays it out. */
+std::vector<uint8_t>
+unpackDffState(const uint64_t *state, size_t dffs)
+{
+    std::vector<uint8_t> bytes(dffs);
+    for (size_t i = 0; i < dffs; ++i)
+        bytes[i] = (state[i / 64] >> (i % 64)) & 1;
+    return bytes;
 }
 
 } // namespace
@@ -1176,10 +1219,18 @@ runCheckedLanes(const Netlist &golden, const Program &prog,
     if (schedules.empty() || schedules.size() > LaneGroup::kWordLanes)
         fatal("runCheckedLanes: bad lane count %zu", schedules.size());
     GoldenTape tape(prog, inputs, cfg);
-    return LaneCheckedRunner(tape, golden, cfg, schedules,
+    LaneCheckedRunner runner(tape, golden, cfg, schedules,
                              laneFaults ? StuckSpan(*laneFaults)
-                                        : StuckSpan())
-        .run();
+                                        : StuckSpan());
+    std::vector<CheckedRunResult> results = runner.run();
+    const std::vector<uint8_t> &gold = tape.outputs();
+    for (unsigned l = 0; l < results.size(); ++l) {
+        results[l].goldenOutputs.assign(
+            gold.begin(), gold.begin() + runner.goldenOutputCount(l));
+        results[l].endDff =
+            unpackDffState(runner.endState(l), golden.numDffs());
+    }
+    return results;
 }
 
 unsigned
@@ -1205,12 +1256,21 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
         fatal("prescreenSchedules: bad lane count %zu",
               schedules.size());
     GoldenTape tape(prog, inputs, cfg);
-    return prescreen(tape, golden, cfg, schedules,
-                     laneFaults ? StuckSpan(*laneFaults) : StuckSpan(),
-                     captureEndState);
+    std::vector<uint64_t> endState;
+    if (captureEndState)
+        endState.resize(schedules.size() * LaneGroup::dffStateWords(golden.numDffs()));
+    PrescreenResult res = prescreen(
+        tape, golden, cfg, schedules,
+        laneFaults ? StuckSpan(*laneFaults) : StuckSpan(),
+        captureEndState ? endState.data() : nullptr);
+    if (captureEndState && res.completed) {
+        res.stateWords = endState.size() / schedules.size();
+        res.endState = std::move(endState);
+    }
+    return res;
 }
 
-std::vector<CheckedRunSummary>
+PopulationResult
 runCheckedPopulation(const Netlist &golden, const Program &prog,
                      const std::vector<uint8_t> &inputs,
                      const CheckedRunConfig &cfg,
@@ -1224,49 +1284,70 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
     if (stuck && stuck->size() != dies)
         fatal("runCheckedPopulation: %zu fault lists for %zu dies",
               stuck->size(), dies);
-    std::vector<CheckedRunSummary> results(dies);
+    PopulationResult pop;
     if (dies == 0)
-        return results;
+        return pop;
     GoldenTape tape(prog, inputs, cfg);
 
-    // The lane inputs in die order; prescreen blocks take slices.
-    std::vector<const FaultSchedule *> scheds(dies);
-    std::vector<const std::vector<StuckFault> *> faults(dies);
+    // The runs to simulate, in die order of first appearance: a die
+    // with an in-field event gets its own; event-free dies with the
+    // same stuck-at list (null and empty alike) share one.
+    pop.runOf.resize(dies);
+    std::vector<const FaultSchedule *> scheds;
+    std::vector<const std::vector<StuckFault> *> faults;
+    std::unordered_map<const std::vector<StuckFault> *, uint32_t> shared;
     for (size_t i = 0; i < dies; ++i) {
-        scheds[i] = &schedules[i];
-        faults[i] = stuck ? (*stuck)[i] : nullptr;
+        const std::vector<StuckFault> *f = stuck ? (*stuck)[i] : nullptr;
+        if (f && f->empty())
+            f = nullptr;
+        const FaultSchedule &sched = schedules[i];
+        auto next = static_cast<uint32_t>(scheds.size());
+        if (sched.transients.empty() && sched.flips.empty()) {
+            auto [it, fresh] = shared.try_emplace(f, next);
+            pop.runOf[i] = it->second;
+            if (!fresh)
+                continue;
+        } else {
+            pop.runOf[i] = next;
+        }
+        scheds.push_back(&sched);
+        faults.push_back(f);
     }
+    size_t runs = scheds.size();
+    pop.runs.resize(runs);
+    pop.stateWords = captureEndState ? LaneGroup::dffStateWords(golden.numDffs()) : 0;
+    size_t sw = pop.stateWords;
+    pop.endState.resize(runs * sw);
 
     // Phase 1: the word-parallel prescreen settles, block by block,
-    // every die whose pads track golden all the way — most of them,
+    // every run whose pads track golden all the way — most of them,
     // since an upset usually lands in logic the run never exercises.
     size_t width = std::clamp(prescreenLanes, 1u, LaneGroup::kMaxLanes);
-    std::vector<uint8_t> settled(dies, 0);
+    std::vector<uint8_t> settled(runs, 0);
     if (width > 1) {
-        parallelFor((dies + width - 1) / width, threads, [&](size_t b) {
+        parallelFor((runs + width - 1) / width, threads, [&](size_t b) {
             size_t begin = b * width;
-            size_t n = std::min(width, dies - begin);
-            PrescreenResult ps =
-                prescreen(tape, golden, cfg, {&scheds[begin], n},
-                          {&faults[begin], n}, captureEndState);
+            size_t n = std::min(width, runs - begin);
+            PrescreenResult ps = prescreen(
+                tape, golden, cfg, {&scheds[begin], n},
+                {&faults[begin], n},
+                sw ? pop.endState.data() + begin * sw : nullptr);
             for (size_t l = 0; l < n; ++l) {
                 if (!ps.clean(static_cast<unsigned>(l)))
                     continue;
-                CheckedRunSummary &r = results[begin + l];
+                CheckedRunSummary &r = pop.runs[begin + l];
                 r.outputsCorrect = true;
                 r.cycles = ps.cycles;
-                if (captureEndState)
-                    r.endDff = std::move(ps.endDff[l]);
                 settled[begin + l] = 1;
             }
         });
     }
 
-    // Phase 2: the checked runtime for every other die, packed in die
-    // order (in place: the lane inputs move down over settled dies)
+    // Phase 2: the checked runtime for every other run, packed in die
+    // order (in place: the lane inputs move down over settled runs)
     // into one-word lane groups over the pool.
     std::vector<size_t> dirty;
-    for (size_t i = 0; i < dies; ++i) {
+    for (size_t i = 0; i < runs; ++i) {
         if (settled[i])
             continue;
         scheds[dirty.size()] = scheds[i];
@@ -1278,18 +1359,17 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
     parallelFor(groups, threads, [&](size_t g) {
         size_t begin = g * groupLanes;
         size_t n = std::min(groupLanes, dirty.size() - begin);
-        std::vector<CheckedRunResult> runs =
-            LaneCheckedRunner(tape, golden, cfg, {&scheds[begin], n},
-                              {&faults[begin], n})
-                .run();
+        LaneCheckedRunner runner(tape, golden, cfg, {&scheds[begin], n},
+                                 {&faults[begin], n});
+        std::vector<CheckedRunResult> out = runner.run();
         for (size_t l = 0; l < n; ++l) {
-            CheckedRunSummary &r = results[dirty[begin + l]];
-            r = std::move(static_cast<CheckedRunSummary &>(runs[l]));
-            if (!captureEndState)
-                r.endDff = {};
+            size_t r = dirty[begin + l];
+            pop.runs[r] = out[l];
+            std::copy_n(runner.endState(static_cast<unsigned>(l)), sw,
+                        pop.endState.data() + r * sw);
         }
     });
-    return results;
+    return pop;
 }
 
 } // namespace flexi

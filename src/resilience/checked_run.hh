@@ -27,11 +27,13 @@
  *
  * Populations of dies — fault campaigns, salvage binning, fleet
  * epochs — all take one path, runCheckedPopulation(): the golden
- * trajectory is recorded once as a read-only tape, a word-parallel
- * prescreen over it settles the dies no detector could fire on, and
- * the rest run the same runtime 64 dies to a LaneGroup word against
- * the same tape. The scalar runChecked() is the oracle both halves
- * are tested against, and the fault-free baseline every population
+ * trajectory is recorded once as a read-only tape, dies without an
+ * in-field event that share a defect list share one run, a
+ * word-parallel prescreen over the tape settles the runs no detector
+ * could fire on, and the rest run the same runtime 64 to a LaneGroup
+ * word against the same tape; end states come back packed, a few
+ * words per run. The scalar runChecked() is the oracle every half is
+ * tested against, and the fault-free baseline every population
  * draws its fault windows over.
  */
 
@@ -89,7 +91,8 @@ const char *checkedOutcomeName(CheckedOutcome outcome);
 /**
  * What population studies keep of a checked run, per die: the fields
  * campaign classification (classifyCheckedRun), salvage binning and
- * the fleet's die records read.
+ * the fleet's die records read. A die's end state travels packed in
+ * its PopulationResult, not here.
  */
 struct CheckedRunSummary
 {
@@ -112,15 +115,15 @@ struct CheckedRunSummary
     /** Detector that fired first ("crc" / "watchdog" / "lockstep",
      *  static strings), empty if none did. */
     std::string_view firstDetector;
-
-    /** The die's DFF state when the run ended (the state the part
-     *  powers down with), in saveDffState() layout. */
-    std::vector<uint8_t> endDff;
 };
 
 /** Full result of one checked run. */
 struct CheckedRunResult : CheckedRunSummary
 {
+    /** The die's DFF state when the run ended (the state the part
+     *  powers down with), in saveDffState() layout. */
+    std::vector<uint8_t> endDff;
+
     uint64_t instructions = 0;   ///< golden instructions executed
     /** Ground truth kept even when the detectors are disarmed. */
     uint64_t padMismatches = 0;
@@ -178,27 +181,66 @@ CheckedRunResult runChecked(Netlist &die, const Program &prog,
                             const FaultSchedule &schedule = {});
 
 /**
+ * What runCheckedPopulation() returns: one result per simulated run,
+ * and for every die the run it took.
+ */
+struct PopulationResult
+{
+    /** Per die, in die order: its index into runs. */
+    std::vector<uint32_t> runOf;
+    /** One summary per simulated run. */
+    std::vector<CheckedRunSummary> runs;
+    /**
+     * Words per run of endState: LaneGroup::dffStateWords() of the
+     * golden netlist when end state was captured, else 0.
+     */
+    size_t stateWords = 0;
+    /**
+     * Every run's DFF state when it ended (the state the part powers
+     * down with), packed as LaneGroup::packDffState() packs a lane.
+     */
+    std::vector<uint64_t> endState;
+
+    /** Dies in the population. */
+    size_t size() const { return runOf.size(); }
+    /** Die @p i's result. */
+    const CheckedRunSummary &die(size_t i) const { return runs[runOf[i]]; }
+    /** Die @p i's packed end state (stateWords words). */
+    const uint64_t *
+    endDff(size_t i) const
+    {
+        return endState.data() + runOf[i] * stateWords;
+    }
+};
+
+/**
  * The checked runtime over a population of dies. Die i runs @p prog
  * under schedules[i], with (*stuck)[i]'s stuck-at faults installed
  * when given (null entries allowed), and result i is what
  * runChecked() returns for a clone of @p golden — fault-free and
  * with its die clock at 0, as built — carrying those faults, cut
- * down to a CheckedRunSummary.
+ * down to a CheckedRunSummary (PopulationResult::die) plus, with
+ * @p captureEndState, its endDff packed
+ * (PopulationResult::endDff).
  *
  * One golden run serves the whole call: the golden model's
- * trajectory is recorded once, up front, as a read-only tape. The
- * dies are prescreened in blocks of @p prescreenLanes (clamped to
- * 1..LaneGroup::kMaxLanes; 1 skips the prescreen) against it; the
- * dies a block cannot prove clean then run the lane-parallel checked
- * runtime against the same tape, in die order, in one-word groups of
- * checkedLanesPerGroup() lanes. Blocks and groups spread over
- * @p threads workers (0 = the thread pool's default). A die's result
- * depends on neither its block, its group nor the thread count.
- *
- * @p captureEndState fills every result's endDff; without it none
- * carries one. An empty population returns an empty result.
+ * trajectory is recorded once, up front, as a read-only tape. Dies
+ * whose schedules hold no transient and no flip, and whose stuck-at
+ * lists are the same object (or both null or empty), would run
+ * identical missions, so they share one simulated run — in a fleet
+ * most dies see no in-field event and most parts share a defect
+ * list, so an epoch costs in proportion to its events; nothing
+ * survives the call. The runs are prescreened in blocks of
+ * @p prescreenLanes (clamped to 1..LaneGroup::kMaxLanes; 1 skips the
+ * prescreen) against the tape; the runs a block cannot prove clean
+ * then run the lane-parallel checked runtime against the same tape,
+ * in die order, in one-word groups of checkedLanesPerGroup() lanes.
+ * Blocks and groups spread over @p threads workers (0 = the thread
+ * pool's default). A die's result depends on neither its block, its
+ * group, its sharing nor the thread count. An empty population
+ * returns an empty result.
  */
-std::vector<CheckedRunSummary>
+PopulationResult
 runCheckedPopulation(const Netlist &golden, const Program &prog,
                      const std::vector<uint8_t> &inputs,
                      const CheckedRunConfig &cfg,
@@ -261,13 +303,15 @@ struct PrescreenResult
      *  budgets (false means every lane must be re-run). */
     bool completed = false;
     /**
-     * Per-lane end-of-run DFF state in saveDffState() layout, only
-     * filled when the prescreen was asked to capture end state and
-     * completed. Meaningful for clean lanes (bit-identical to the
-     * scalar runChecked endDff); dirty lanes' entries are whatever
+     * Every lane's end-of-run DFF state, packed as
+     * LaneGroup::packDffState() packs it (stateWords words per lane),
+     * only filled when the prescreen was asked to capture end state
+     * and completed. Meaningful for clean lanes (the scalar
+     * runChecked endDff, packed); dirty lanes' entries are whatever
      * the unprotected pass left behind and must not be consumed.
      */
-    std::vector<std::vector<uint8_t>> endDff;
+    size_t stateWords = 0;
+    std::vector<uint64_t> endState;
 };
 
 /**
@@ -289,7 +333,7 @@ struct PrescreenResult
  * mismatch, the output CRCs agree at every checkpoint, and a lane
  * whose PC freezes past an armed watchdog is retired as not clean.
  * @p captureEndState also snapshots every lane's end state into
- * PrescreenResult::endDff.
+ * PrescreenResult::endState.
  */
 PrescreenResult
 prescreenSchedules(const Netlist &golden, const Program &prog,

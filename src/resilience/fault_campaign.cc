@@ -214,13 +214,13 @@ runFaultCampaign(const CampaignConfig &config)
             injectionSchedule(config, *golden, result.baselineCycles,
                               static_cast<unsigned>(i));
     });
-    std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+    PopulationResult runs = runCheckedPopulation(
         *golden, work.prog, work.inputs, runCfg, sched, nullptr,
         config.batchLanes, config.threads, false);
 
     result.injections.reserve(config.injections);
     for (size_t i = 0; i < runs.size(); ++i) {
-        const CheckedRunSummary &run = runs[i];
+        const CheckedRunSummary &run = runs.die(i);
         result.injections.push_back(
             {kinds[i], classifyCheckedRun(run, config.detectors),
              run.outcome, run.outputsCorrect, run.detections,

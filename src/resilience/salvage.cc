@@ -191,11 +191,11 @@ runSalvageStudy(const SalvageConfig &config)
                 model.glitchRate(die.sample, config.vdd), k,
                 w.baselineCycles);
         });
-        std::vector<CheckedRunSummary> runs = runCheckedPopulation(
+        PopulationResult runs = runCheckedPopulation(
             *golden, w.prog, w.inputs, w.runCfg, sched, &stuck,
             LaneGroup::kMaxLanes, config.study.threads, false);
         for (size_t j = 0; j < failed.size(); ++j) {
-            const CheckedRunSummary &run = runs[j];
+            const CheckedRunSummary &run = runs.die(j);
             DieSalvage &verdict = report.dies[failed[j]];
             verdict.detections += run.detections;
             verdict.retries += run.retries;

@@ -462,79 +462,230 @@ TEST(CheckedLanes, GroupSizeFillsTheWorkers)
     EXPECT_EQ(checkedLanesPerGroup(1000, 2), 64u);
 }
 
+/** Scalar endDff bytes, packed as runCheckedPopulation() packs them. */
+std::vector<uint64_t>
+packedState(const std::vector<uint8_t> &bytes)
+{
+    std::vector<uint64_t> words((bytes.size() + 63) / 64, 0);
+    for (size_t i = 0; i < bytes.size(); ++i)
+        words[i / 64] |= uint64_t(bytes[i] != 0) << (i % 64);
+    return words;
+}
+
+/**
+ * Every die of @p got against its scalar runChecked() result, the
+ * packed end state included when @p capture.
+ */
+void
+expectPopulation(const PopulationResult &got,
+                 const std::vector<CheckedRunResult> &want,
+                 const DetectorConfig &detectors, bool capture,
+                 const std::string &where)
+{
+    ASSERT_EQ(got.size(), want.size()) << where;
+    if (capture) {
+        ASSERT_EQ(got.endState.size(), got.runs.size() * got.stateWords)
+            << where;
+        ASSERT_EQ(got.stateWords, (want[0].endDff.size() + 63) / 64)
+            << where;
+    } else {
+        EXPECT_EQ(got.stateWords, 0u) << where;
+        EXPECT_TRUE(got.endState.empty()) << where;
+    }
+    for (size_t i = 0; i < want.size(); ++i) {
+        const CheckedRunResult &w = want[i];
+        const CheckedRunSummary &g = got.die(i);
+        std::string at = strfmt("%s, die %zu", where.c_str(), i);
+        EXPECT_EQ(g.outcome, w.outcome) << at;
+        EXPECT_EQ(g.outputsCorrect, w.outputsCorrect) << at;
+        EXPECT_EQ(g.cycles, w.cycles) << at;
+        EXPECT_EQ(g.detections, w.detections) << at;
+        EXPECT_EQ(g.retries, w.retries) << at;
+        EXPECT_EQ(g.restarts, w.restarts) << at;
+        EXPECT_EQ(g.firstDetector, w.firstDetector) << at;
+        EXPECT_EQ(classifyCheckedRun(g, detectors),
+                  classifyCheckedRun(w, detectors))
+            << at;
+        if (capture) {
+            std::vector<uint64_t> end(got.endDff(i),
+                                      got.endDff(i) + got.stateWords);
+            EXPECT_EQ(end, packedState(w.endDff)) << at;
+        }
+    }
+}
+
 TEST(CheckedPopulation, MatchesScalarPerDie)
 {
-    // 530 dies: prescreen blocks straddle the 512-lane group, and the
-    // dies the prescreen hands on straddle the 64-lane word; FC4
-    // Calculator and the two-page FC8 program page through the MMU.
+    // More than 512 runs: prescreen blocks straddle the 512-lane
+    // group, and the runs the prescreen hands on straddle the 64-lane
+    // word; FC4 Calculator and the two-page FC8 program page through
+    // the MMU.
     std::vector<Rig> rigs;
     rigs.push_back(ready(kernelRig(IsaKind::FlexiCore4,
                                    KernelId::Calculator, 3)));
     rigs.push_back(ready(fc8Rig(false)));
     rigs.push_back(ready(fc8Rig(true)));
     for (const Rig &rig : rigs) {
-        std::vector<LaneDie> dies = drawDies(rig, 530, 53);
-        std::vector<FaultSchedule> scheds;
+        // Shared defect lists: a PC freezer (dirty: the lane runner
+        // shares it), a random stuck-at, two, an empty list, and one
+        // more that first appears past the 512th run.
+        Rng rng(deriveSeed(0x5A4EDull, rig.golden->numNets()));
+        auto randomStuck = [&] {
+            return StuckFault{
+                static_cast<NetId>(rng.below(rig.golden->numNets())),
+                rng.chance(0.5)};
+        };
+        std::vector<std::vector<StuckFault>> lists = {
+            {rig.freezers[0]},
+            {randomStuck()},
+            {randomStuck(), randomStuck()},
+            {},
+            {randomStuck()},
+        };
+        const std::vector<StuckFault> *late = &lists.back();
+
+        // Every drawn die keeps its own list. After every seventh one
+        // from die 3 on comes an extra die with no in-field event,
+        // carrying one of the first four shared lists or none at all
+        // (past drawn die 600, the late list), so the dies sharing a
+        // run sit both within one prescreen block and across blocks.
+        std::vector<LaneDie> drawn = drawDies(rig, 640, 53);
+        std::vector<LaneDie> dies;
         std::vector<const std::vector<StuckFault> *> stuck;
+        dies.reserve(2 * drawn.size()); // stuck points into dies
+        size_t sharers = 0, nulls = 0, firstFreezer = 0, firstLate = 0;
+        for (size_t i = 0; i < drawn.size(); ++i) {
+            dies.push_back(drawn[i]);
+            stuck.push_back(&dies.back().stuck);
+            if (i % 7 != 3)
+                continue;
+            const std::vector<StuckFault> *s = nullptr;
+            if (i >= 600)
+                s = late;
+            else if ((i / 7) % 5 < 4)
+                s = &lists[(i / 7) % 5];
+            if (s == &lists[0] && !firstFreezer)
+                firstFreezer = dies.size();
+            if (s == late && !firstLate)
+                firstLate = dies.size();
+            LaneDie d;
+            if (s)
+                d.stuck = *s;
+            dies.push_back(d);
+            stuck.push_back(s);
+            ++(s ? sharers : nulls);
+        }
+        EXPECT_GT(sharers, 4 * lists.size()) << rig.name;
+        EXPECT_GT(nulls, 4u) << rig.name;
+        ASSERT_GT(firstFreezer, 0u) << rig.name;
+        ASSERT_GT(firstLate, 0u) << rig.name;
+
+        std::vector<FaultSchedule> scheds;
         std::vector<CheckedRunResult> want;
-        size_t clean = 0;
-        for (const LaneDie &d : dies) {
-            scheds.push_back(d.sched);
-            stuck.push_back(&d.stuck);
-            want.push_back(scalarRun(rig, d, rig.cfg));
+        size_t clean = 0, sharedDirty = 0;
+        for (size_t i = 0; i < dies.size(); ++i) {
+            scheds.push_back(dies[i].sched);
+            want.push_back(scalarRun(rig, dies[i], rig.cfg));
             clean += want.back().outputsCorrect &&
                      want.back().detections == 0;
+            sharedDirty += stuck[i] == &lists[0] &&
+                           want.back().detections > 0;
         }
         // Both halves must see work: clean dies for the prescreen to
-        // settle, and more than a word of dies it cannot.
+        // settle, and more than a word of dies it cannot; the shared
+        // freezer list runs dirty.
         EXPECT_GT(clean, 0u) << rig.name;
         EXPECT_GT(dies.size() - clean, 64u) << rig.name;
+        EXPECT_GT(sharedDirty, 0u) << rig.name;
 
         for (unsigned width : {1u, 5u, 64u, 512u}) {
             for (unsigned threads : {1u, 4u}) {
                 bool capture = threads == 1;
-                std::vector<CheckedRunSummary> got =
-                    runCheckedPopulation(*rig.golden, rig.prog,
-                                         rig.inputs, rig.cfg, scheds,
-                                         &stuck, width, threads,
-                                         capture);
-                ASSERT_EQ(got.size(), dies.size());
-                for (size_t i = 0; i < dies.size(); ++i) {
-                    const CheckedRunResult &w = want[i];
-                    const CheckedRunSummary &g = got[i];
-                    std::string at = strfmt(
-                        "%s die %zu, width %u, %u threads",
-                        rig.name.c_str(), i, width, threads);
-                    EXPECT_EQ(g.outcome, w.outcome) << at;
-                    EXPECT_EQ(g.outputsCorrect, w.outputsCorrect)
-                        << at;
-                    EXPECT_EQ(g.cycles, w.cycles) << at;
-                    EXPECT_EQ(g.detections, w.detections) << at;
-                    EXPECT_EQ(g.retries, w.retries) << at;
-                    EXPECT_EQ(g.restarts, w.restarts) << at;
-                    EXPECT_EQ(g.firstDetector, w.firstDetector) << at;
-                    EXPECT_EQ(classifyCheckedRun(g, rig.cfg.detectors),
-                              classifyCheckedRun(w, rig.cfg.detectors))
-                        << at;
-                    if (capture) {
-                        EXPECT_EQ(g.endDff, w.endDff) << at;
-                    } else {
-                        EXPECT_TRUE(g.endDff.empty()) << at;
-                    }
-                }
+                PopulationResult got = runCheckedPopulation(
+                    *rig.golden, rig.prog, rig.inputs, rig.cfg, scheds,
+                    &stuck, width, threads, capture);
+                // The sharers (and the event-free unfaulted dies)
+                // took far fewer runs than dies, yet more than one
+                // 512-lane block: the freezer list's run sits in the
+                // first, the late list's in the second.
+                EXPECT_LT(got.runs.size() + sharers, dies.size())
+                    << rig.name;
+                ASSERT_GT(got.runs.size(), 512u) << rig.name;
+                EXPECT_LT(got.runOf[firstFreezer], 512u) << rig.name;
+                EXPECT_GE(got.runOf[firstLate], 512u) << rig.name;
+                expectPopulation(got, want, rig.cfg.detectors, capture,
+                                 strfmt("%s, width %u, %u threads",
+                                        rig.name.c_str(), width,
+                                        threads));
             }
         }
+
+        // With every die carrying an event, no run is shared.
+        std::vector<FaultSchedule> eventful;
+        std::vector<const std::vector<StuckFault> *> eventfulStuck;
+        std::vector<CheckedRunResult> eventfulWant;
+        for (size_t i = 0; i < dies.size(); ++i) {
+            if (scheds[i].transients.empty() && scheds[i].flips.empty())
+                continue;
+            eventful.push_back(scheds[i]);
+            eventfulStuck.push_back(stuck[i]);
+            eventfulWant.push_back(want[i]);
+        }
+        PopulationResult own = runCheckedPopulation(
+            *rig.golden, rig.prog, rig.inputs, rig.cfg, eventful,
+            &eventfulStuck, 64, 4, true);
+        EXPECT_EQ(own.runs.size(), eventful.size()) << rig.name;
+        expectPopulation(own, eventfulWant, rig.cfg.detectors, true,
+                         rig.name + ", every die eventful");
     }
+}
+
+TEST(CheckedPopulation, WindowsAtTheTapeEndCount)
+{
+    // The prescreen leaves out windows that open after the tape ends;
+    // one opening on the last cycle still forces the pads of the
+    // final boundary compare, which armed lockstep reads.
+    Rig rig = ready(kernelRig(IsaKind::FlexiCore4,
+                              KernelId::Thresholding, 2));
+    CheckedRunConfig cfg = rig.cfg;
+    cfg.detectors.lockstep = true;
+    std::vector<LaneDie> dies;
+    for (const auto &[name, net] : rig.golden->primaryOutputs()) {
+        if (name.rfind("pc", 0) && name.rfind("oport", 0))
+            continue;
+        for (uint64_t at : {rig.horizon - 1, rig.horizon,
+                            rig.horizon + 1})
+            for (bool v : {false, true}) {
+                LaneDie d;
+                d.sched.transients.push_back({net, v, at, at + 1});
+                dies.push_back(std::move(d));
+            }
+    }
+    std::vector<FaultSchedule> scheds;
+    std::vector<CheckedRunResult> want;
+    size_t caughtAtEnd = 0;
+    for (const LaneDie &d : dies) {
+        scheds.push_back(d.sched);
+        want.push_back(scalarRun(rig, d, cfg));
+        caughtAtEnd += d.sched.transients[0].fromCycle == rig.horizon &&
+                       want.back().detections > 0;
+    }
+    EXPECT_GT(caughtAtEnd, 0u);
+    expectPopulation(runCheckedPopulation(*rig.golden, rig.prog,
+                                          rig.inputs, cfg, scheds,
+                                          nullptr, 512, 1, true),
+                     want, cfg.detectors, true, "tape-end windows");
 }
 
 TEST(CheckedPopulation, EmptyAndMismatchedPopulations)
 {
     Rig rig = kernelRig(IsaKind::FlexiCore4, KernelId::Thresholding, 1);
     std::vector<FaultSchedule> none;
-    EXPECT_TRUE(runCheckedPopulation(*rig.golden, rig.prog, rig.inputs,
-                                     rig.cfg, none, nullptr, 512, 4,
-                                     true)
-                    .empty());
+    PopulationResult empty = runCheckedPopulation(
+        *rig.golden, rig.prog, rig.inputs, rig.cfg, none, nullptr, 512,
+        4, true);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_TRUE(empty.endState.empty());
     std::vector<FaultSchedule> two(2);
     std::vector<const std::vector<StuckFault> *> one(1, nullptr);
     EXPECT_THROW(runCheckedPopulation(*rig.golden, rig.prog, rig.inputs,

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -235,6 +236,38 @@ TEST(Crc32, MatchesReference)
             ASSERT_EQ(crc32(crc32(0, a, split), a + split, len - split),
                       crc32(0, a, len))
                 << "length " << len << ", split " << split;
+}
+
+TEST(Fleet, PackedDigestMatchesByteSerialFnv)
+{
+    // fnv1aBits() folds a packed byte per table step; the digest is
+    // defined byte-serially over one 0/1 byte per DFF.
+    constexpr uint64_t kPrime = 1099511628211ull;
+    Rng rng(0xF17Eull);
+    for (size_t n = 0; n <= 130; ++n) {
+        for (int trial = 0; trial < 24; ++trial) {
+            std::vector<uint64_t> words((n + 63) / 64 + 1, 0);
+            std::vector<uint8_t> bytes(n);
+            // Sparse, dense and uniform states.
+            double p = trial % 3 == 0 ? 0.1 : trial % 3 == 1 ? 0.9 : 0.5;
+            for (size_t i = 0; i < n; ++i) {
+                bytes[i] = rng.chance(p);
+                words[i / 64] |= uint64_t(bytes[i]) << (i % 64);
+            }
+            // Bits past n must not leak in.
+            words.back() |= rng.next() << 1;
+            if (n % 64)
+                words[n / 64] |= ~0ull << (n % 64);
+            uint64_t start = rng.next() ^ (trial & 1);
+            uint64_t want = start;
+            for (uint8_t b : bytes) {
+                want ^= b;
+                want *= kPrime;
+            }
+            ASSERT_EQ(fnv1aBits(start, words.data(), n), want)
+                << n << " DFFs, trial " << trial;
+        }
+    }
 }
 
 TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)

@@ -8,9 +8,11 @@
  * (evaluateReference()) — on all four fabricated cores, at every
  * group width (1 word / 4 words / 8 words) and at the word-boundary
  * lane counts (1, 63, 64, 65, 255, 256, 512), down to per-lane
- * toggle counts. The group lockstep harness must likewise reproduce
+ * toggle counts, transient windows that open and close by event
+ * included. The group lockstep harness must likewise reproduce
  * runLockstep() per lane, including its pad-cone exposeState()
- * shortcut.
+ * shortcut, and the packed DFF export must read what saveDffState()
+ * reads, lane by lane.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "tech/cell_library.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/lockstep.hh"
@@ -44,71 +47,179 @@ const Design kDesigns[] = {
 };
 
 /**
- * Drive two @p width lane groups and @p width reference mirrors — one
- * Netlist clone per lane, stepped with evaluateReference() — with the
- * same random stimulus and per-lane fault schedule for @p cycles
- * cycles, asserting every net of every lane of both groups matches
- * after each evaluate, and every per-cell toggle count at the end.
- * One group counts toggles; the other runs the production path
- * (force-split blend-free runs, sparse primary-force writes), which
- * the counting path never takes.
+ * Two @p width lane groups of one design and @p width reference
+ * mirrors — one Netlist clone per lane, stepped with
+ * evaluateReference() — under the same fault traffic and random
+ * stimulus. One group counts toggles; the other runs the production
+ * path (force-split blend-free runs, sparse primary-force writes),
+ * which the counting path never takes. cycle() asserts every net of
+ * every lane of both groups after each evaluate, checkToggles()
+ * every per-cell toggle count.
+ */
+class Mirror
+{
+  public:
+    Mirror(const Design &design, unsigned width, uint64_t seed)
+        : rng(deriveSeed(seed, width)), design_(design),
+          golden_(design.build()), counting_(*golden_, width),
+          plain_(*golden_, width), refs_(width)
+    {
+        counting_.enableToggles(true);
+        for (auto &ref : refs_) {
+            ref = golden_->clone();
+            ref->enableToggles(true);
+        }
+        for (const auto &[in_name, net] : golden_->primaryInputs())
+            inputNames_.push_back(in_name);
+        while (golden_->primaryInputs().count(
+            "instr" + std::to_string(instrWidth_)))
+            ++instrWidth_;
+        instr_ = golden_->inputBus("instr", instrWidth_);
+    }
+
+    const Netlist &golden() const { return *golden_; }
+    unsigned width() const { return counting_.lanes(); }
+    unsigned words() const { return counting_.words(); }
+    uint64_t now() const { return counting_.cycle(); }
+
+    void
+    injectFault(unsigned lane, const StuckFault &f)
+    {
+        for (LaneGroup *g : groups())
+            g->injectFault(lane, f);
+        refs_[lane]->injectFault(f);
+    }
+    void
+    injectTransient(unsigned lane, const TransientFault &t)
+    {
+        for (LaneGroup *g : groups())
+            g->injectTransient(lane, t);
+        refs_[lane]->injectTransient(t);
+    }
+    void
+    flipDff(unsigned lane, size_t d)
+    {
+        for (LaneGroup *g : groups())
+            g->flipDff(lane, d);
+        refs_[lane]->flipDff(d);
+    }
+    void
+    clearFaults()
+    {
+        for (LaneGroup *g : groups())
+            g->clearFaults();
+        for (auto &ref : refs_)
+            ref->clearFaults();
+    }
+    void
+    clearTransients()
+    {
+        for (LaneGroup *g : groups())
+            g->clearTransients();
+        for (auto &ref : refs_)
+            ref->clearTransients();
+    }
+
+    /** Independent random stimulus per lane on every input, except
+     *  the instruction bus: one uniform setBus() value on all. */
+    void
+    drive()
+    {
+        std::array<uint64_t, LaneGroup::kMaxWords> bits{};
+        for (const auto &in_name : inputNames_) {
+            for (unsigned w = 0; w < words(); ++w)
+                bits[w] = rng.next();
+            for (LaneGroup *g : groups())
+                g->setInputLanes(in_name, bits.data());
+            for (unsigned lane = 0; lane < width(); ++lane)
+                refs_[lane]->setInput(
+                    in_name, (bits[lane / 64] >> (lane % 64)) & 1ull);
+        }
+        unsigned instr_value =
+            static_cast<unsigned>(rng.below(1u << instrWidth_));
+        for (LaneGroup *g : groups())
+            g->setBus(instr_, instr_value);
+        for (auto &ref : refs_)
+            ref->setBus(instr_, instr_value);
+    }
+
+    /** Evaluate, clock and evaluate everything; compare all nets. */
+    void
+    cycle(const std::string &where)
+    {
+        for (LaneGroup *g : groups()) {
+            g->evaluate();
+            g->clockEdge();
+            g->evaluate();
+        }
+        for (auto &ref : refs_) {
+            ref->evaluateReference();
+            ref->clockEdge();
+            ref->evaluateReference();
+        }
+        ASSERT_EQ(counting_.cycle(), refs_[0]->cycle());
+        size_t nets = golden_->numNets();
+        for (unsigned lane = 0; lane < width(); ++lane) {
+            for (NetId n = 0; n < static_cast<NetId>(nets); ++n) {
+                bool want = refs_[lane]->netValue(n);
+                for (LaneGroup *g : groups()) {
+                    if (g->netValue(n, lane) != want) {
+                        FAIL() << design_.name << " width " << width()
+                               << " " << where << " lane " << lane
+                               << " net " << n << ": "
+                               << (g == &plain_ ? "plain" : "counting")
+                               << " group vs reference " << want;
+                    }
+                }
+            }
+        }
+    }
+
+    /** Per-lane toggle counts, accumulated over the whole run. */
+    void
+    checkToggles()
+    {
+        for (unsigned lane = 0; lane < width(); ++lane)
+            ASSERT_EQ(counting_.toggleCounts(lane),
+                      refs_[lane]->toggleCounts())
+                << design_.name << " width " << width() << " lane "
+                << lane;
+    }
+
+    Rng rng;
+
+  private:
+    std::array<LaneGroup *, 2> groups() { return {&counting_, &plain_}; }
+
+    const Design &design_;
+    std::unique_ptr<Netlist> golden_;
+    LaneGroup counting_;
+    LaneGroup plain_;
+    std::vector<std::unique_ptr<Netlist>> refs_;
+    std::vector<std::string> inputNames_;
+    unsigned instrWidth_ = 0;
+    BusHandle instr_;
+};
+
+/**
+ * A Mirror of @p width lanes through @p cycles cycles of random
+ * stimulus and per-lane fault traffic: stuck-ats land on random lanes
+ * early, transients open short absolute-cycle windows mid-run, latch
+ * upsets flip, then everything is cleared so the post-clear state is
+ * compared too.
  */
 void
 runDifferential(const Design &design, unsigned width, int cycles,
                 uint64_t seed)
 {
-    auto golden = design.build();
-    LaneGroup counting(*golden, width);
-    LaneGroup plain(*golden, width);
-    ASSERT_EQ(counting.lanes(), width);
-    ASSERT_EQ(counting.words(), LaneGroup::wordsFor(width));
-    counting.enableToggles(true);
-    LaneGroup *groups[] = {&counting, &plain};
-
-    std::vector<std::unique_ptr<Netlist>> refs(width);
-    for (auto &ref : refs) {
-        ref = golden->clone();
-        ref->enableToggles(true);
-    }
-
-    std::vector<std::string> input_names;
-    for (const auto &[in_name, net] : golden->primaryInputs())
-        input_names.push_back(in_name);
-    unsigned instr_width = 0;
-    while (golden->primaryInputs().count(
-        "instr" + std::to_string(instr_width)))
-        ++instr_width;
-    BusHandle instr = golden->inputBus("instr", instr_width);
-    size_t nets = golden->numNets();
-    size_t dffs = golden->numDffs() ? golden->numDffs() : 1;
-    unsigned words = counting.words();
-
-    Rng rng(deriveSeed(seed, width));
-    std::array<uint64_t, LaneGroup::kMaxWords> bits{};
+    Mirror m(design, width, seed);
+    ASSERT_EQ(m.width(), width);
+    ASSERT_EQ(m.words(), LaneGroup::wordsFor(width));
+    size_t nets = m.golden().numNets();
+    size_t dffs = m.golden().numDffs() ? m.golden().numDffs() : 1;
+    Rng &rng = m.rng;
     for (int cycle = 0; cycle < cycles; ++cycle) {
-        // Independent random stimulus per lane on every input...
-        for (const auto &in_name : input_names) {
-            for (unsigned w = 0; w < words; ++w)
-                bits[w] = rng.next();
-            for (LaneGroup *g : groups)
-                g->setInputLanes(in_name, bits.data());
-            for (unsigned lane = 0; lane < width; ++lane)
-                refs[lane]->setInput(
-                    in_name, (bits[lane / 64] >> (lane % 64)) & 1ull);
-        }
-        // ...except the instruction bus, which carries one uniform
-        // setBus() value on every lane.
-        unsigned instr_value =
-            static_cast<unsigned>(rng.below(1u << instr_width));
-        for (LaneGroup *g : groups)
-            g->setBus(instr, instr_value);
-        for (auto &ref : refs)
-            ref->setBus(instr, instr_value);
-
-        // Per-lane fault traffic: stuck-ats land on random lanes
-        // early, transients open short absolute-cycle windows
-        // mid-run, latch upsets flip, then everything is cleared so
-        // the post-clear state is compared too.
+        m.drive();
         if (cycle % 6 == 2 && cycle < cycles / 2) {
             for (unsigned lane = 0; lane < width; ++lane) {
                 if (!rng.chance(0.4))
@@ -116,9 +227,7 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 StuckFault f;
                 f.net = static_cast<NetId>(rng.below(nets));
                 f.value = rng.chance(0.5);
-                for (LaneGroup *g : groups)
-                    g->injectFault(lane, f);
-                refs[lane]->injectFault(f);
+                m.injectFault(lane, f);
             }
         }
         if (cycle % 9 == 4) {
@@ -128,68 +237,27 @@ runDifferential(const Design &design, unsigned width, int cycles,
                 TransientFault t;
                 t.net = static_cast<NetId>(rng.below(nets));
                 t.value = rng.chance(0.5);
-                t.fromCycle = counting.cycle() + rng.below(3);
+                t.fromCycle = m.now() + rng.below(3);
                 t.untilCycle = t.fromCycle + 1 + rng.below(3);
-                for (LaneGroup *g : groups)
-                    g->injectTransient(lane, t);
-                refs[lane]->injectTransient(t);
+                m.injectTransient(lane, t);
             }
         }
         if (cycle % 11 == 7) {
             for (unsigned lane = 0; lane < width; ++lane) {
                 if (!rng.chance(0.3))
                     continue;
-                size_t d = rng.below(dffs);
-                for (LaneGroup *g : groups)
-                    g->flipDff(lane, d);
-                refs[lane]->flipDff(d);
+                m.flipDff(lane, rng.below(dffs));
             }
         }
         if (cycle == (2 * cycles) / 3) {
-            for (LaneGroup *g : groups) {
-                g->clearFaults();
-                g->clearTransients();
-            }
-            for (auto &ref : refs) {
-                ref->clearFaults();
-                ref->clearTransients();
-            }
+            m.clearFaults();
+            m.clearTransients();
         }
-
-        for (LaneGroup *g : groups) {
-            g->evaluate();
-            g->clockEdge();
-            g->evaluate();
-        }
-        for (auto &ref : refs) {
-            ref->evaluateReference();
-            ref->clockEdge();
-            ref->evaluateReference();
-        }
-        ASSERT_EQ(counting.cycle(), refs[0]->cycle());
-
-        for (unsigned lane = 0; lane < width; ++lane) {
-            for (NetId n = 0; n < static_cast<NetId>(nets); ++n) {
-                bool want = refs[lane]->netValue(n);
-                for (LaneGroup *g : groups) {
-                    if (g->netValue(n, lane) != want) {
-                        FAIL() << design.name << " width " << width
-                               << " cycle " << cycle << " lane " << lane
-                               << " net " << n << ": "
-                               << (g == &plain ? "plain" : "counting")
-                               << " group vs reference " << want;
-                    }
-                }
-            }
-        }
+        m.cycle("cycle " + std::to_string(cycle));
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-
-    // Per-lane toggle counts, accumulated over the whole faulted
-    // run.
-    for (unsigned lane = 0; lane < width; ++lane)
-        ASSERT_EQ(counting.toggleCounts(lane),
-                  refs[lane]->toggleCounts())
-            << design.name << " width " << width << " lane " << lane;
+    m.checkToggles();
 }
 
 TEST(LaneGroup, OneWordWidthsMatchScalarAndReferenceAllCores)
@@ -223,6 +291,151 @@ TEST(LaneGroup, EightWordFullWidthMatchesScalarAndReferenceAllCores)
     for (const auto &design : kDesigns) {
         SCOPED_TRACE(design.name);
         runDifferential(design, 512, 10, 0x6AB512u);
+    }
+}
+
+TEST(LaneGroup, ForceWindowEdgesMatchReference)
+{
+    // Scripted window traffic the random suites rarely line up:
+    // overlapping windows on one (net, lane), windows over stuck-ats,
+    // edges that coincide, windows on DFF Q nets and primary inputs,
+    // and transients injected and cleared mid-run — on a one-lane and
+    // a 70-lane (two words live of four) group, toggles counted.
+    for (const auto &design : kDesigns) {
+        SCOPED_TRACE(design.name);
+        for (unsigned width : {1u, 70u}) {
+            Mirror m(design, width, 0xED6Eu);
+            const Netlist &g = m.golden();
+            std::vector<Netlist::PlanStep> steps = g.planSteps();
+            NetId cell = steps[steps.size() / 2].out;
+            NetId cell2 = steps[steps.size() / 3].out;
+            NetId cell3 = steps[steps.size() / 4].out;
+            NetId q = g.dffs()[1].q;
+            NetId q2 = g.dffs()[2].q;
+            NetId in = g.primaryInputs().begin()->second;
+            auto lane = [&](unsigned l) { return l % width; };
+            auto window = [&](unsigned l, NetId net, bool v,
+                              uint64_t from, uint64_t until) {
+                m.injectTransient(lane(l),
+                                  {net, v, m.now() + from, m.now() + until});
+            };
+
+            // Overlapping windows on one (net, lane): the later
+            // injection wins while open, the earlier shows again
+            // after it closes.
+            window(3, cell, true, 2, 9);
+            window(3, cell, false, 4, 6);
+            window(3, cell, false, 7, 11);
+            // Windows over stuck-ats on the same (net, lane), on a
+            // cell output, a DFF Q net and a primary input.
+            m.injectFault(lane(5), {cell, true});
+            window(5, cell, false, 3, 6);
+            m.injectFault(lane(6), {q, false});
+            window(6, q, true, 1, 4);
+            m.injectFault(lane(7), {in, true});
+            window(7, in, false, 2, 5);
+            // Coinciding edges: one window closes as another opens on
+            // the same pair; one-cycle windows; edges on other pairs
+            // of the same word in the same cycle.
+            window(8, cell2, true, 4, 5);
+            window(8, cell2, false, 5, 8);
+            window(9, q, true, 5, 6);
+            window(10, in, true, 5, 6);
+            window(11, cell2, true, 0, 1);
+            // A window the clock already sits in opens at once.
+            window(12, q, false, 0, 3);
+            // Windows of both values, and nothing else, on a cell
+            // output and a DFF Q net: their opening edges must switch
+            // the run to its blending kernel and the DFF to the
+            // Q-expose blend.
+            window(20, cell3, true, 2, 4);
+            window(21, cell3, false, 2, 4);
+            window(22, q2, true, 2, 4);
+            window(23, q2, false, 2, 4);
+
+            for (int cycle = 0; cycle < 20; ++cycle) {
+                m.drive();
+                if (cycle == 6) {
+                    // Mid-run injections: one already open, one ahead,
+                    // one over a stuck-at that must reassert later.
+                    window(13, cell, true, 0, 2);
+                    window(14, q, true, 3, 5);
+                    window(5, cell, false, 1, 3);
+                }
+                if (cycle == 9) {
+                    // Clear while windows are open (lane 3's closes at
+                    // 11 from the start); the stuck-ats beneath
+                    // reassert.
+                    window(6, q, true, 0, 6);
+                    m.clearTransients();
+                }
+                if (cycle == 12) {
+                    window(3, cell, false, 0, 4);
+                    window(7, in, false, 1, 2);
+                }
+                m.cycle("cycle " + std::to_string(cycle));
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+            m.checkToggles();
+        }
+    }
+}
+
+/** A 130-DFF ring (three packed words per lane), with a mix of
+ *  power-on values, so the packed export spans several DFF blocks. */
+std::unique_ptr<Netlist>
+buildWideRing()
+{
+    auto nl = std::make_unique<Netlist>("wide-ring");
+    NetId prev = nl->addInput("d");
+    for (unsigned i = 0; i < 130; ++i) {
+        NetId x = nl->addCell(i % 3 ? CellType::BUF_X1 : CellType::INV_X1,
+                              {prev}, "ring");
+        prev = nl->addDff(x, "ring", i % 5 == 0);
+    }
+    nl->addOutput("q", prev);
+    nl->elaborate();
+    return nl;
+}
+
+TEST(LaneGroup, PackedDffStateMatchesSaveDffState)
+{
+    std::vector<std::unique_ptr<Netlist>> nets;
+    for (const auto &design : kDesigns)
+        nets.push_back(design.build());
+    nets.push_back(buildWideRing());
+    ASSERT_GT(nets.back()->numDffs(), 128u);
+    for (const auto &golden : nets) {
+        SCOPED_TRACE(golden->name());
+        size_t dffs = golden->numDffs();
+        for (unsigned width : {1u, 64u, 256u, 512u}) {
+            SCOPED_TRACE(width);
+            LaneGroup group(*golden, width);
+            Rng rng(deriveSeed(0x9ACCull, width + dffs));
+            for (unsigned l = 0; l < width; ++l) {
+                std::vector<uint8_t> state(dffs);
+                for (auto &b : state)
+                    b = rng.chance(0.5);
+                group.restoreDffState(l, state);
+            }
+            size_t sw = group.dffStateWords();
+            ASSERT_EQ(sw, (dffs + 63) / 64);
+            std::vector<uint64_t> all(width * sw, ~0ull);
+            group.packDffState(all.data());
+            std::vector<uint64_t> one(sw);
+            for (unsigned l = 0; l < width; ++l) {
+                std::vector<uint8_t> want = group.saveDffState(l);
+                group.packDffState(l, one.data());
+                for (size_t i = 0; i < sw * 64; ++i) {
+                    bool bit = (all[l * sw + i / 64] >> (i % 64)) & 1;
+                    bool lone = (one[i / 64] >> (i % 64)) & 1;
+                    ASSERT_EQ(bit, i < dffs && want[i])
+                        << "lane " << l << ", DFF " << i;
+                    ASSERT_EQ(lone, bit) << "lane " << l << ", DFF " << i;
+                }
+            }
+        }
     }
 }
 
