@@ -11,7 +11,8 @@ set -eu
 build=${1:-build}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
-cmake --build "$build" -j"$(nproc)" --target flexifleet flexifault
+cmake --build "$build" -j"$(nproc)" --target flexifleet flexifault \
+    flexilint
 FLEXI_GOLDEN_REGEN=1 ctest --test-dir "$build" -L golden-pin -j4 \
     --output-on-failure
 ctest --test-dir "$build" -L golden -j4 --output-on-failure
