@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "analysis/equiv.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace flexi
 {
@@ -505,6 +507,92 @@ encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
             faulted[dffs[i].q] ? enc.net[dffs[i].q]
                                : getLit(dffs[i].d);
     return enc;
+}
+
+bool
+proveEqual(CnfBuilder &cnf, SatLit a, SatLit b, uint64_t &solves)
+{
+    if (a == b)
+        return true;
+    SatSolver &solver = cnf.solver();
+    ++solves;
+    if (solver.solve({a, ~b}) == SatSolver::Result::Sat)
+        return false;
+    ++solves;
+    if (solver.solve({~a, b}) == SatSolver::Result::Sat)
+        return false;
+    solver.addClause({~a, b});
+    solver.addClause({a, ~b});
+    return true;
+}
+
+bool
+proveConst(CnfBuilder &cnf, SatLit l, bool value, uint64_t &solves)
+{
+    SatSolver &solver = cnf.solver();
+    SatLit want = value ? l : ~l;
+    ++solves;
+    if (solver.solve({~want}) == SatSolver::Result::Sat)
+        return false;
+    solver.addClause({want});
+    return true;
+}
+
+EquivCounterexample
+extractCex(const SatSolver &solver, const Netlist &nl,
+           const NetlistEncoding &enc)
+{
+    EquivCounterexample cex;
+    for (const auto &[name, net] : nl.primaryInputs())
+        if (enc.hasLit(net))
+            cex.assignment.emplace_back(
+                name, solver.modelValue(enc.lit(net)));
+    auto dffs = nl.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i)
+        cex.assignment.emplace_back(nl.netName(dffs[i].q),
+                                    solver.modelValue(enc.dffQ[i]));
+    return cex;
+}
+
+ModelSamples
+sampleModels(SatSolver &solver, const std::vector<SatLit> &primaries,
+             unsigned count, uint64_t seed, uint64_t &solves)
+{
+    const SatVar nvars = solver.numVars();
+    ModelSamples out;
+    out.sig.assign(nvars, 0);
+
+    // Assume only free primaries: a root-fixed one has its value in
+    // every model already, and assuming the other value would make
+    // the draw unsatisfiable.
+    std::vector<SatLit> unfixed;
+    std::vector<uint8_t> seen(nvars, 0);
+    for (SatLit l : primaries) {
+        if (solver.fixedAtRoot(l.var()) || seen[l.var()])
+            continue;
+        seen[l.var()] = 1;
+        unfixed.push_back(l);
+    }
+    // One random word per primary; bit s is its value in draw s.
+    Rng rng(seed);
+    std::vector<uint64_t> pattern(unfixed.size());
+    for (uint64_t &w : pattern)
+        w = rng.next();
+
+    std::vector<SatLit> assume(unfixed.size());
+    for (unsigned s = 0; s < std::min(count, 64u); ++s) {
+        for (size_t k = 0; k < unfixed.size(); ++k)
+            assume[k] =
+                (pattern[k] >> s) & 1 ? unfixed[k] : ~unfixed[k];
+        ++solves;
+        if (solver.solve(assume) != SatSolver::Result::Sat)
+            continue;
+        uint64_t bit = 1ull << out.count++;
+        for (SatVar v = 0; v < nvars; ++v)
+            if (solver.modelValue(v))
+                out.sig[v] |= bit;
+    }
+    return out;
 }
 
 } // namespace flexi

@@ -22,6 +22,12 @@
  * A miter between the two (shared primary-input and DFF-Q
  * variables) therefore proves the fused word-op dispatch program
  * bit-equal to the reference interpreter for every cell cone.
+ *
+ * The checkers' shared proof helpers live here too: proveEqual() and
+ * proveConst() (incremental SAT-sweep steps that harden what they
+ * prove), extractCex() (a named counterexample from the last model)
+ * and sampleModels() (64-bit model signatures that nominate sweep
+ * candidates and witness separations before any real search).
  */
 
 #ifndef FLEXI_ANALYSIS_CNF_ENCODER_HH
@@ -143,6 +149,68 @@ struct NetlistEncodeOptions
 
 NetlistEncoding encodeNetlist(CnfBuilder &cnf, const Netlist &nl,
                               const NetlistEncodeOptions &opts = {});
+
+/** @name SAT proof helpers shared by the sweeps and checkers */
+///@{
+
+/**
+ * Prove @p a == @p b with two assumption solves ({a, ~b}, then
+ * {~a, b}) and, on success, harden the equality into the CNF so
+ * later proofs get it for free. Each solve bumps @p solves.
+ */
+bool proveEqual(CnfBuilder &cnf, SatLit a, SatLit b,
+                uint64_t &solves);
+
+/** Prove @p l == @p value with one solve; harden it on success. */
+bool proveConst(CnfBuilder &cnf, SatLit l, bool value,
+                uint64_t &solves);
+
+struct EquivCounterexample;   // analysis/equiv.hh
+
+/**
+ * Full named input + state assignment of @p nl under @p enc, read
+ * from the solver's last Sat model (mismatched left empty).
+ */
+EquivCounterexample extractCex(const SatSolver &solver,
+                               const Netlist &nl,
+                               const NetlistEncoding &enc);
+
+/** Per-variable signatures over a handful of sampled models. */
+struct ModelSamples
+{
+    /** Satisfiable samples drawn (bits 0..count-1 are valid). */
+    unsigned count = 0;
+    /** Bit s of sig[v]: variable v's value in sample s. */
+    std::vector<uint64_t> sig;
+
+    /** The valid signature bits. */
+    uint64_t mask() const
+    {
+        return count >= 64 ? ~0ull : (1ull << count) - 1;
+    }
+    /** The signature of a literal (complemented when negated). */
+    uint64_t of(SatLit l) const
+    {
+        return (l.negated() ? ~sig[l.var()] : sig[l.var()]) & mask();
+    }
+};
+
+/**
+ * Draw up to @p count (<= 64) models of the solver's formula, each
+ * by solving under seeded random values for @p primaries. Every
+ * encoding here is a function of its primary inputs and state, so
+ * such a solve is pure propagation. Primaries fixed at the root (a
+ * stuck-at constant, a tied pad) and repeats are skipped, so the
+ * assumptions never contradict the formula; an unsatisfiable draw is
+ * dropped rather than counted. Each solve bumps @p solves. Hardening
+ * only implied clauses later never invalidates a sample: it stays a
+ * model of the formula.
+ */
+ModelSamples sampleModels(SatSolver &solver,
+                          const std::vector<SatLit> &primaries,
+                          unsigned count, uint64_t seed,
+                          uint64_t &solves);
+///@}
 
 } // namespace flexi
 

@@ -19,7 +19,9 @@
  *  - checkIsaEquivalence(): proves a core netlist's next-state
  *    function (the D cones of its architectural DFFs, matched by net
  *    label) equivalent to the behavioral ISA specification of
- *    src/analysis/isa_spec.cc, one instruction class at a time.
+ *    src/analysis/isa_spec.cc, one instruction class at a time,
+ *    after a signature-guided sweep has proven and hardened the
+ *    spec's internal signals against their netlist twins.
  *
  * A failed proof comes back as a concrete counterexample: a full
  * input and state assignment plus the state bits that disagree.
@@ -120,6 +122,14 @@ EquivResult checkNetlistEquivalence(const Netlist &a,
  * specification's state names. Injected stuck-at faults count as
  * part of the instance's semantics, so a defective die fails the
  * proof with a counterexample naming the corrupted state.
+ *
+ * Before the class solves, 64 sampled models of the miter give every
+ * variable a signature; each spec-side variable whose signature (or
+ * its complement) matches an earlier netlist-side variable is proven
+ * equal to it and hardened. The sweep adds only implied clauses, so
+ * class verdicts are those of the unswept miter and a counterexample
+ * is a genuine model of it; `solves` counts the sampling and sweep
+ * solves too.
  */
 IsaEquivResult checkIsaEquivalence(const Netlist &nl, IsaKind kind);
 

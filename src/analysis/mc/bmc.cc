@@ -37,6 +37,16 @@ extractTrace(const SatSolver &solver, const Netlist &nl,
     return trace;
 }
 
+/**
+ * Models sampled before xfree's per-bit solves. On the shipped cores
+ * 0-1 of 39-47 state bits are covered, and four models leave at most
+ * 8 bits to the per-bit loop (every core and single-page kernel, at
+ * depths 1, 2 and 4).
+ */
+constexpr unsigned kXFreeSamples = 4;
+/** Fixed, so solve counts repeat run to run. */
+constexpr uint64_t kXFreeSampleSeed = 0x5EEDF1A7ull;
+
 McResult
 invalidProperty(const McProperty &p)
 {
@@ -175,16 +185,37 @@ seqResetCoverage(const Netlist &nl, const McModel &model,
              resolvePadBus(nl, "instr", wide ? 16 : 8, true))
             own[n] = 1;
     }
+    // The free primaries: the shared inputs of every frame and both
+    // copies' power-on state.
+    std::vector<SatLit> primaries;
     for (unsigned t = 0; t <= depth; ++t)
         for (const auto &in : nl.primaryInputs())
-            if (!own[in.second])
+            if (!own[in.second]) {
                 cnf.bindEqual(a.netLit(t, in.second),
                               b.netLit(t, in.second));
-
+                primaries.push_back(a.netLit(t, in.second));
+            }
     auto dffs = nl.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i) {
+        primaries.push_back(a.stateLit(0, i));
+        primaries.push_back(b.stateLit(0, i));
+    }
+
+    // Witnesses first: nearly every bit is separable, and any model
+    // whose two copies differ on a bit proves it uncovered without a
+    // search of its own. Only the unseparated bits get a solve.
+    ModelSamples ms = sampleModels(solver, primaries, kXFreeSamples,
+                                   kXFreeSampleSeed, r.solves);
+    std::vector<uint8_t> separated(dffs.size(), 0);
+    for (size_t i = 0; i < dffs.size(); ++i)
+        separated[i] = ms.of(a.stateLit(depth, i)) !=
+                       ms.of(b.stateLit(depth, i));
+
     r.covered.assign(dffs.size(), 0);
     size_t num_covered = 0;
     for (size_t i = 0; i < dffs.size(); ++i) {
+        if (separated[i])
+            continue;
         SatLit ne = cnf.mkXor(a.stateLit(depth, i),
                               b.stateLit(depth, i));
         ++r.solves;
@@ -194,8 +225,15 @@ seqResetCoverage(const Netlist &nl, const McModel &model,
             // Harden the proven convergence: later bits usually
             // depend on earlier ones.
             cnf.assertLit(~ne);
+            continue;
         }
+        // The model is a witness for every later bit it separates.
+        for (size_t j = i + 1; j < dffs.size(); ++j)
+            separated[j] |=
+                solver.modelValue(a.stateLit(depth, j)) !=
+                solver.modelValue(b.stateLit(depth, j));
     }
+    r.conflicts = solver.stats().conflicts;
 
     r.ok = num_covered == dffs.size();
     r.detail = strfmt("%zu/%zu state bits self-initialize within "

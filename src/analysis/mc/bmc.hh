@@ -115,7 +115,9 @@ struct SeqResetCoverageResult
     /** Per DFF (commit order): value after `depth` cycles is fully
      *  determined by the inputs, regardless of the power-on state. */
     std::vector<uint8_t> covered;
+    /** Solver effort, the sampled witnesses included. */
     uint64_t solves = 0;
+    uint64_t conflicts = 0;
 };
 
 /**
@@ -126,6 +128,13 @@ struct SeqResetCoverageResult
  * refines PR 6's ternary reset-coverage rule, which must give up on
  * any state bit whose re-initialization needs correlated values the
  * ternary domain cannot express.
+ *
+ * Witnesses first: four sampled models of the two-copy unrolling
+ * mark every bit whose copies they separate, and each Sat answer of
+ * the per-bit loop marks every later bit its model separates; only
+ * unmarked bits are solved. A witness is a real model and hardening
+ * a covered bit adds only implied clauses, so `covered` is exactly
+ * what a solve per bit would give.
  */
 SeqResetCoverageResult seqResetCoverage(const Netlist &nl,
                                         const McModel &model,

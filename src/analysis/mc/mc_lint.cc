@@ -36,11 +36,15 @@ checkProperty(const Netlist &nl, const McLintOptions &opts,
                                     opts.bmcDepth);
             out.report.add(mcDiag(Severity::Warning, "prop-unknown",
                                   res.detail));
+            out.solves += res.solves;
+            out.conflicts += res.conflicts;
             res = bmc;
         }
     } else {
         res = checkBmc(nl, opts.model, p, opts.bmcDepth);
     }
+    out.solves += res.solves;
+    out.conflicts += res.conflicts;
 
     switch (res.status) {
       case McStatus::Proved:
@@ -86,6 +90,8 @@ checkXFree(const Netlist &nl, const McLintOptions &opts,
 {
     SeqResetCoverageResult res =
         seqResetCoverage(nl, opts.model, p.param);
+    out.solves += res.solves;
+    out.conflicts += res.conflicts;
     if (res.covered.empty() && !res.ok) {
         out.report.add(
             mcDiag(Severity::Error, "prop-invalid", res.detail));

@@ -55,6 +55,9 @@ struct McLintOutcome
     LintReport report;
     /** Confirmed counterexample traces, for VCD dumping. */
     std::vector<McTrace> traces;
+    /** Solver effort summed over every property checked. */
+    uint64_t solves = 0;
+    uint64_t conflicts = 0;
 };
 
 McLintOutcome mcLint(const Netlist &nl, const McLintOptions &opts);

@@ -1,7 +1,7 @@
 #include "property.hh"
 
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/logging.hh"
 
@@ -11,15 +11,23 @@ namespace flexi
 namespace
 {
 
+/** Decimal digits only; a value past 2^64 - 1 is rejected, not
+ *  clamped (strtoull would saturate it into a vacuous limit). */
 bool
 parseUnsigned(const std::string &s, uint64_t &out)
 {
     if (s.empty())
         return false;
-    for (char c : s)
+    uint64_t v = 0;
+    for (char c : s) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return false;
-    out = std::strtoull(s.c_str(), nullptr, 10);
+        unsigned d = static_cast<unsigned>(c - '0');
+        if (v > (UINT64_MAX - d) / 10)
+            return false;
+        v = v * 10 + d;
+    }
+    out = v;
     return true;
 }
 

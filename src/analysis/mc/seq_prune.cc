@@ -31,54 +31,6 @@ struct Rng
     bool bit() { return (next() >> 33) & 1; }
 };
 
-/** Full named input + state assignment from the last Sat model. */
-EquivCounterexample
-extractCex(const SatSolver &solver, const Netlist &nl,
-           const NetlistEncoding &enc)
-{
-    EquivCounterexample cex;
-    for (const auto &[name, net] : nl.primaryInputs())
-        if (enc.hasLit(net))
-            cex.assignment.emplace_back(
-                name, solver.modelValue(enc.lit(net)));
-    auto dffs = nl.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i)
-        cex.assignment.emplace_back(nl.netName(dffs[i].q),
-                                    solver.modelValue(enc.dffQ[i]));
-    return cex;
-}
-
-/** Two-solve equality proof with incremental hardening. */
-bool
-proveEqual(CnfBuilder &cnf, SatLit a, SatLit b, uint64_t &solves)
-{
-    if (a == b)
-        return true;
-    SatSolver &solver = cnf.solver();
-    ++solves;
-    if (solver.solve({a, ~b}) == Result::Sat)
-        return false;
-    ++solves;
-    if (solver.solve({~a, b}) == Result::Sat)
-        return false;
-    solver.addClause({~a, b});
-    solver.addClause({a, ~b});
-    return true;
-}
-
-/** Prove @p l equals constant @p value; harden on success. */
-bool
-proveConst(CnfBuilder &cnf, SatLit l, bool value, uint64_t &solves)
-{
-    SatSolver &solver = cnf.solver();
-    SatLit want = value ? l : ~l;
-    ++solves;
-    if (solver.solve({~want}) == Result::Sat)
-        return false;
-    solver.addClause({want});
-    return true;
-}
-
 bool
 assertTies(CnfBuilder &cnf, const Netlist &nl,
            const DataflowOptions &opts, const NetlistEncoding &enc,

@@ -11,8 +11,12 @@
  * The instances we solve are miters over a few hundred standard
  * cells — thousands of variables, tens of thousands of clauses — so
  * the solver favors clarity over heroics: no clause-database
- * reduction, no preprocessing. Equivalence proofs on these netlists
- * complete in milliseconds.
+ * reduction, no preprocessing. Most equivalence proofs on these
+ * netlists complete in milliseconds, but a monolithic miter can
+ * still cost thousands of conflicts: LoadStore4's unswept ISA miter
+ * takes ~11.8k conflicts and ~180 ms. The ISA checker therefore
+ * sweeps its miter first (sampleModels() in analysis/cnf_encoder.hh),
+ * which cuts that to ~1.2k conflicts without touching this engine.
  */
 
 #ifndef FLEXI_ANALYSIS_SAT_HH
@@ -86,6 +90,16 @@ class SatSolver
      * Incremental: clauses learned in one call carry over.
      */
     Result solve(const std::vector<SatLit> &assumptions = {});
+
+    /**
+     * True iff @p v is assigned at decision level 0: the root
+     * clauses fix it to the same value in every model (a unit
+     * clause, a tied pad, a stuck-at constant).
+     */
+    bool fixedAtRoot(SatVar v) const
+    {
+        return assign_[v] != kUnassigned && level_[v] == 0;
+    }
 
     /** Model value of a variable after a Sat result. */
     bool modelValue(SatVar v) const;

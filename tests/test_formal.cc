@@ -4,19 +4,31 @@
  * against brute force), the plan-vs-reference equivalence sweep on
  * all four cores, counterexample extraction on a deliberately broken
  * netlist (replayed in simulation to prove the cex is real), the
- * clone/fault identity checks, and the per-instruction ISA proofs.
+ * clone/fault identity checks, the per-instruction ISA proofs, the
+ * model sampler and the ISA sweep it guides (differentially against
+ * the unswept per-class loop, on clean and seeded stuck-at dies),
+ * and the checkers run concurrently.
  */
 
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "analysis/cnf_encoder.hh"
 #include "analysis/equiv.hh"
+#include "analysis/isa_spec.hh"
+#include "analysis/mc/mc_lint.hh"
 #include "analysis/sat.hh"
+#include "assembler/assembler.hh"
+#include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "netlist/netlist.hh"
+#include "tech/cell_library.hh"
 
 namespace flexi
 {
@@ -296,6 +308,73 @@ TEST(CnfBuilder, AdderMatchesArithmetic)
 }
 
 // ---------------------------------------------------------------
+// Model sampling.
+
+TEST(SampleModels, DrawsDistinctGenuineModels)
+{
+    // An 8-bit adder is a function of its 16 primaries: every draw
+    // is pure propagation, every draw is a model (the sum adds up),
+    // and the seeded draws differ from each other.
+    SatSolver s;
+    CnfBuilder cnf(s);
+    CnfBuilder::Word a = cnf.freshWord(8);
+    CnfBuilder::Word b = cnf.freshWord(8);
+    SatLit cout;
+    CnfBuilder::Word sum = cnf.add(a, b, cnf.constFalse(), &cout);
+    std::vector<SatLit> primaries = a;
+    primaries.insert(primaries.end(), b.begin(), b.end());
+
+    uint64_t solves = 0;
+    ModelSamples ms = sampleModels(s, primaries, 64, 7, solves);
+    ASSERT_EQ(ms.count, 64u);
+    EXPECT_EQ(solves, 64u);
+    EXPECT_EQ(s.stats().conflicts, 0u);
+    auto value = [&](const CnfBuilder::Word &w, unsigned k) {
+        unsigned v = 0;
+        for (size_t i = 0; i < w.size(); ++i)
+            v |= static_cast<unsigned>((ms.of(w[i]) >> k) & 1) << i;
+        return v;
+    };
+    std::set<unsigned> draws;
+    for (unsigned k = 0; k < ms.count; ++k) {
+        unsigned x = value(a, k);
+        unsigned y = value(b, k);
+        unsigned got = value(sum, k) |
+                       static_cast<unsigned>((ms.of(cout) >> k) & 1)
+                           << 8;
+        EXPECT_EQ(got, x + y) << "draw " << k;
+        draws.insert(x | y << 8);
+    }
+    EXPECT_GT(draws.size(), 60u);
+    for (SatLit l : primaries) {
+        EXPECT_NE(ms.of(l), 0u);
+        EXPECT_NE(ms.of(l), ms.mask());
+        EXPECT_EQ(ms.of(~l), ~ms.of(l) & ms.mask());
+    }
+}
+
+TEST(SampleModels, SkipsRootFixedAndRepeatedPrimaries)
+{
+    // A tied primary has one value in every model and a repeated one
+    // cannot take two: assuming either would make draws
+    // unsatisfiable, so the sampler leaves both out.
+    SatSolver s;
+    CnfBuilder cnf(s);
+    SatLit x = cnf.fresh();
+    SatLit y = cnf.fresh();
+    SatLit tied = cnf.fresh();
+    cnf.assertLit(~tied);
+    SatLit o = cnf.mkAnd(x, cnf.mkOr(y, tied));
+    uint64_t solves = 0;
+    ModelSamples ms =
+        sampleModels(s, {x, tied, y, ~x}, 64, 3, solves);
+    EXPECT_EQ(ms.count, 64u);
+    EXPECT_EQ(solves, 64u);
+    EXPECT_EQ(ms.of(tied), 0u);
+    EXPECT_EQ(ms.of(o), ms.of(x) & ms.of(y));
+}
+
+// ---------------------------------------------------------------
 // Plan-vs-reference equivalence (tentpole claim (a)).
 
 std::unique_ptr<Netlist>
@@ -507,6 +586,173 @@ TEST_P(IsaEquiv, NetlistImplementsBehavioralSpec)
 INSTANTIATE_TEST_SUITE_P(AllCores, IsaEquiv,
                          ::testing::Values(0, 1, 2, 3));
 
+constexpr IsaKind kCoreKinds[4] = {IsaKind::FlexiCore4,
+                                   IsaKind::FlexiCore8,
+                                   IsaKind::ExtAcc4,
+                                   IsaKind::LoadStore4};
+
+/**
+ * The oracle: the ISA miter without the sweep, solved one class at a
+ * time.
+ */
+struct UnsweptIsaMiter
+{
+    SatSolver solver;
+    CnfBuilder cnf{solver};
+    NetlistEncoding enc;
+    IsaSpecInputs in;
+    IsaSpec spec;
+    std::vector<std::string> labels;
+    std::vector<SatLit> diffs;
+    SatLit any;
+
+    UnsweptIsaMiter(const Netlist &nl, IsaKind kind)
+    {
+        NetlistEncodeOptions opts;
+        opts.applyFaults = true;
+        enc = encodeNetlist(cnf, nl, opts);
+        for (unsigned i = 0; i < isaInstrWidth(kind); ++i)
+            in.instr.push_back(
+                enc.lit(nl.findNet("instr" + std::to_string(i))));
+        for (unsigned i = 0; i < isaDataWidth(kind); ++i)
+            in.iport.push_back(
+                enc.lit(nl.findNet("iport" + std::to_string(i))));
+        auto dffs = nl.dffs();
+        for (size_t i = 0; i < dffs.size(); ++i) {
+            labels.push_back(nl.netName(dffs[i].q));
+            in.state[labels.back()] = enc.dffQ[i];
+        }
+        spec = buildIsaSpec(cnf, kind, in);
+        for (size_t i = 0; i < dffs.size(); ++i)
+            diffs.push_back(
+                cnf.mkXor(enc.dffD[i], spec.nextState.at(labels[i])));
+        any = cnf.mkOrN(diffs);
+    }
+
+    /** The class's pinned instruction and state bits. */
+    std::vector<SatLit> pins(const InstrClass &cls) const
+    {
+        std::vector<SatLit> out;
+        for (const auto &[bit, v] : cls.instrBits)
+            out.push_back(v ? in.instr[bit] : ~in.instr[bit]);
+        for (const auto &[name, v] : cls.stateBits)
+            out.push_back(v ? in.state.at(name) : ~in.state.at(name));
+        return out;
+    }
+};
+
+/**
+ * A failing class's counterexample, asserted on a fresh unswept
+ * miter: it must be a model in which the class's pins hold and
+ * exactly the reported state bits mismatch.
+ */
+void
+expectGenuineCex(const Netlist &nl, IsaKind kind, size_t cls,
+                 const EquivCounterexample &cex)
+{
+    UnsweptIsaMiter m(nl, kind);
+    std::vector<SatLit> assume;
+    for (const auto &[name, v] : cex.assignment) {
+        SatLit l;
+        auto pi = nl.primaryInputs().find(name);
+        if (pi != nl.primaryInputs().end()) {
+            l = m.enc.lit(pi->second);
+        } else {
+            auto it =
+                std::find(m.labels.begin(), m.labels.end(), name);
+            ASSERT_NE(it, m.labels.end()) << name;
+            l = m.enc.dffQ[it - m.labels.begin()];
+        }
+        assume.push_back(v ? l : ~l);
+    }
+    ASSERT_EQ(m.solver.solve(assume), Result::Sat) << cex.text();
+    for (SatLit pin : m.pins(m.spec.classes[cls]))
+        EXPECT_TRUE(m.solver.modelValue(pin)) << cex.text();
+    std::vector<std::string> mismatched;
+    for (size_t i = 0; i < m.diffs.size(); ++i)
+        if (m.solver.modelValue(m.diffs[i]))
+            mismatched.push_back(m.labels[i]);
+    EXPECT_EQ(mismatched, cex.mismatched) << cex.text();
+    EXPECT_FALSE(mismatched.empty());
+}
+
+class IsaSweep : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(IsaSweep, VerdictsMatchUnsweptLoopOnSeededDies)
+{
+    auto clean = buildCore(GetParam());
+    IsaKind kind = kCoreKinds[GetParam()];
+
+    // Nets to stick: DFF Qs, decode and ALU cell outputs, pads.
+    std::vector<NetId> pools[4];
+    for (const auto &d : clean->dffs())
+        pools[0].push_back(d.q);
+    for (const CellInst &c : clean->cells()) {
+        if (isSequential(c.type))
+            continue;
+        if (c.module == "dec")
+            pools[1].push_back(c.output);
+        else if (c.module == "alu")
+            pools[2].push_back(c.output);
+    }
+    for (const auto &[name, net] : clean->primaryInputs())
+        pools[3].push_back(net);
+
+    // The clean die, then two seeded stuck-at dies per pool.
+    Rng rng(0x15A0 + GetParam());
+    std::vector<std::unique_ptr<Netlist>> dies;
+    dies.push_back(clean->clone());
+    for (const std::vector<NetId> &pool : pools) {
+        ASSERT_FALSE(pool.empty());
+        for (int k = 0; k < 2; ++k) {
+            auto die = clean->clone();
+            die->injectFault(
+                {pool[rng.below(pool.size())], rng.chance(0.5)});
+            dies.push_back(std::move(die));
+        }
+    }
+
+    size_t failing = 0;
+    for (size_t d = 0; d < dies.size(); ++d) {
+        const Netlist &nl = *dies[d];
+        IsaEquivResult swept = checkIsaEquivalence(nl, kind);
+        ASSERT_TRUE(swept.detail.empty()) << swept.detail;
+        UnsweptIsaMiter oracle(nl, kind);
+        const auto &classes = oracle.spec.classes;
+        ASSERT_EQ(swept.classes.size(), classes.size());
+        bool all = true;
+        for (size_t c = 0; c < classes.size(); ++c) {
+            std::vector<SatLit> assume = oracle.pins(classes[c]);
+            assume.push_back(oracle.any);
+            bool proven = oracle.solver.solve(assume) == Result::Unsat;
+            const IsaClassCheck &chk = swept.classes[c];
+            EXPECT_EQ(chk.name, classes[c].name);
+            EXPECT_EQ(chk.proven, proven)
+                << nl.name() << " die " << d << " class " << chk.name;
+            all &= proven;
+            if (!chk.proven)
+                expectGenuineCex(nl, kind, c, chk.cex);
+        }
+        EXPECT_EQ(swept.proven, all) << "die " << d;
+        failing += !all;
+        if (d == 0) {
+            // The clean die proves, and the sweep makes it cheaper.
+            EXPECT_TRUE(all);
+            uint64_t unswept = oracle.solver.stats().conflicts;
+            EXPECT_LT(swept.conflicts, unswept);
+            if (kind == IsaKind::LoadStore4) {
+                EXPECT_LT(4 * swept.conflicts, unswept);
+            }
+        }
+    }
+    EXPECT_GT(failing, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCores, IsaSweep,
+                         ::testing::Values(0, 1, 2, 3));
+
 TEST(IsaEquivNegative, FaultedDieBlamesTheCorruptedState)
 {
     // A die with pc bit 0 stuck at 1 cannot fetch sequentially; the
@@ -549,6 +795,66 @@ TEST(EquivLint, FaultedCoreReportsError)
     LintReport rep = equivLint(*nl, IsaKind::FlexiCore4);
     EXPECT_FALSE(rep.clean());
     EXPECT_TRUE(rep.fires("equiv-mismatch"));
+}
+
+// ---------------------------------------------------------------
+// Checkers run concurrently, as a formal_lint round runs them.
+
+std::string
+fixtureSource(const std::string &file)
+{
+    std::ifstream in(std::string(FLEXI_TEST_DATA_DIR) + "/" + file);
+    EXPECT_TRUE(in.good()) << file;
+    std::ostringstream src;
+    src << in.rdbuf();
+    return src.str();
+}
+
+TEST(FormalConcurrency, ParallelChecksMatchSerial)
+{
+    // Each checker owns its solver and reads the netlist through
+    // const methods only, so four ISA proofs and four mcLint calls
+    // at once must render exactly what they render one at a time.
+    static const char *fixtures[4] = {"mc_fc4.s", "mc_fc8.s",
+                                      "mc_ext.s", "mc_ls.s"};
+    std::vector<std::unique_ptr<Netlist>> cores;
+    std::vector<Program> progs;
+    for (int which = 0; which < 4; ++which) {
+        cores.push_back(buildCore(which));
+        progs.push_back(
+            assemble(kCoreKinds[which], fixtureSource(fixtures[which])));
+    }
+    auto call = [&](size_t i) {
+        size_t which = i % 4;
+        std::ostringstream out;
+        if (i < 4) {
+            IsaEquivResult r =
+                checkIsaEquivalence(*cores[which], kCoreKinds[which]);
+            out << r.proven << r.detail << " " << r.solves << " "
+                << r.conflicts;
+            for (const IsaClassCheck &c : r.classes)
+                out << " " << c.name << c.proven << c.cex.text();
+        } else {
+            McLintOptions mo;
+            mo.inductDepth = 4;
+            mo.model.program = &progs[which];
+            McLintOutcome r = mcLint(*cores[which], mo);
+            out << r.solves << " " << r.conflicts;
+            for (const Diagnostic &d : r.report.diagnostics()) {
+                out << " " << d.rule << ":" << d.message;
+                for (const std::string &n : d.netNames)
+                    out << "," << n;
+            }
+        }
+        return out.str();
+    };
+
+    std::vector<std::string> serial(8), parallel(8);
+    for (size_t i = 0; i < 8; ++i)
+        serial[i] = call(i);
+    parallelFor(8, 4, [&](size_t i) { parallel[i] = call(i); });
+    for (size_t i = 0; i < 8; ++i)
+        EXPECT_EQ(parallel[i], serial[i]) << "call " << i;
 }
 
 } // namespace

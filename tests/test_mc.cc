@@ -20,6 +20,8 @@
 #include "analysis/mc/property.hh"
 #include "analysis/mc/seq_prune.hh"
 #include "assembler/assembler.hh"
+#include "kernels/fc8_programs.hh"
+#include "kernels/kernels.hh"
 #include "netlist/builder.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "netlist/netlist.hh"
@@ -82,6 +84,27 @@ TEST(McProperty, MalformedSpecsRejectedWithReason)
     EXPECT_FALSE(parsePropertySpec("bound:pc/0/1", p, &err));
     EXPECT_FALSE(parsePropertySpec("watchdog:0", p, &err));
     EXPECT_FALSE(parsePropertySpec("", p, &err));
+}
+
+TEST(McProperty, OverflowingBoundLimitRejected)
+{
+    McProperty p;
+    std::string err;
+    // One past 2^64 - 1 must fail closed, not saturate into a limit
+    // no 7-bit bus can reach.
+    EXPECT_FALSE(parsePropertySpec("bound:pc/7/18446744073709551616",
+                                   p, &err));
+    EXPECT_FALSE(err.empty());
+    EXPECT_FALSE(parsePropertySpec(
+        "bound:pc/7/99999999999999999999999", p, &err));
+    EXPECT_FALSE(parsePropertySpec("xfree:99999999999999999999", p,
+                                   &err));
+    // The largest representable limit, and vacuous ones, stay legal.
+    ASSERT_TRUE(parsePropertySpec("bound:pc/7/18446744073709551615",
+                                  p, &err));
+    EXPECT_EQ(p.limit, UINT64_MAX);
+    ASSERT_TRUE(parsePropertySpec("bound:pc/7/128", p, &err));
+    EXPECT_EQ(p.limit, 128u);
 }
 
 TEST(McProperty, ValidationResolvesModelParameters)
@@ -248,6 +271,170 @@ TEST(SeqResetCoverage, SeparatesSelfInitializingFromHoldingState)
     EXPECT_FALSE(cov.covered[1]);
 }
 
+/**
+ * The oracle: one solve per state bit over the two-copy unrolling,
+ * hardening each covered bit, with no sampled witnesses.
+ */
+std::vector<uint8_t>
+perBitCoverage(const Netlist &nl, const McModel &model, unsigned depth)
+{
+    SatSolver solver;
+    CnfBuilder cnf(solver);
+    Unrolling a(cnf, nl, model);
+    Unrolling b(cnf, nl, model);
+    a.ensureFrames(depth + 1);
+    b.ensureFrames(depth + 1);
+    std::vector<uint8_t> own(nl.numNets(), 0);
+    if (model.program) {
+        IsaKind isa = model.program->isa();
+        bool wide = isa == IsaKind::ExtAcc4 ||
+                    isa == IsaKind::LoadStore4;
+        for (NetId n :
+             resolvePadBus(nl, "instr", wide ? 16 : 8, true))
+            own[n] = 1;
+    }
+    for (unsigned t = 0; t <= depth; ++t)
+        for (const auto &in : nl.primaryInputs())
+            if (!own[in.second])
+                cnf.bindEqual(a.netLit(t, in.second),
+                              b.netLit(t, in.second));
+    std::vector<uint8_t> covered(nl.dffs().size(), 0);
+    for (size_t i = 0; i < covered.size(); ++i) {
+        SatLit ne = cnf.mkXor(a.stateLit(depth, i),
+                              b.stateLit(depth, i));
+        if (solver.solve({ne}) == SatSolver::Result::Unsat) {
+            covered[i] = 1;
+            cnf.assertLit(~ne);
+        }
+    }
+    return covered;
+}
+
+TEST(SeqResetCoverage, CoveredBitsAfterUncoveredOnesStayCovered)
+{
+    // Uncovered DFFs come first, then two that reload from the
+    // inputs, then one that mixes a held bit in. `rare` keeps its
+    // power-on value only while eight inputs are all 1, so sampled
+    // models almost never separate its copies: it takes a per-bit
+    // solve, whose Sat model may mark only the later bits it
+    // separates, never the covered ones.
+    Netlist nl("t");
+    std::vector<NetId> in;
+    for (int i = 0; i < 8; ++i)
+        in.push_back(nl.addInput("in" + std::to_string(i)));
+    NetId rare = nl.addDff(in[0], "m");
+    NetId h0 = nl.addDff(in[0], "m");
+    NetId h1 = nl.addDff(in[0], "m");
+    NetId c0 = nl.addDff(in[0], "m");
+    NetId c1 = nl.addDff(in[0], "m");
+    NetId u = nl.addDff(in[0], "m");
+    Builder b(nl, "m");
+    NetId all = rare;
+    for (NetId i : in)
+        all = b.and2(all, i);
+    nl.setDffInput(rare, all);
+    nl.setDffInput(h0, h0);
+    nl.setDffInput(h1, b.inv(h1));
+    nl.setDffInput(c1, b.nand2(c0, in[1]));
+    nl.setDffInput(u, b.xor2(h0, in[0]));
+    nl.addOutput("y", b.nand2(b.nand2(h1, c1), b.nand2(u, rare)));
+    nl.elaborate();
+
+    McModel model;
+    for (unsigned depth : {1u, 2u, 4u}) {
+        SeqResetCoverageResult cov = seqResetCoverage(nl, model, depth);
+        std::vector<uint8_t> want = {0, 0, 0, 1, depth >= 2, 0};
+        EXPECT_EQ(cov.covered, want) << "depth " << depth;
+        EXPECT_EQ(cov.covered, perBitCoverage(nl, model, depth))
+            << "depth " << depth;
+        EXPECT_FALSE(cov.ok);
+    }
+}
+
+std::unique_ptr<Netlist>
+buildCoreByIndex(int which)
+{
+    switch (which) {
+      case 0: return buildFlexiCore4Netlist();
+      case 1: return buildFlexiCore8Netlist();
+      case 2: return buildExtAcc4Netlist();
+      default: return buildLoadStore4Netlist();
+    }
+}
+
+constexpr IsaKind kCoreKinds[4] = {IsaKind::FlexiCore4,
+                                   IsaKind::FlexiCore8,
+                                   IsaKind::ExtAcc4,
+                                   IsaKind::LoadStore4};
+
+/** The core's single-page kernels (page 0 is all the model closes). */
+std::vector<Program>
+singlePageKernels(IsaKind isa)
+{
+    std::vector<std::string> sources;
+    if (isa == IsaKind::FlexiCore8) {
+        for (size_t i = 0; i < kNumFc8Programs; ++i)
+            sources.push_back(
+                fc8ProgramSource(static_cast<Fc8Program>(i)));
+    } else {
+        for (KernelId id : allKernels())
+            sources.push_back(kernelSource(id, isa));
+    }
+    std::vector<Program> progs;
+    for (const std::string &src : sources) {
+        Program p = assemble(isa, src);
+        if (p.numPages() == 1)
+            progs.push_back(std::move(p));
+    }
+    return progs;
+}
+
+class XFreeWitness : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(XFreeWitness, CoverageEqualsPerBitLoop)
+{
+    auto nl = buildCoreByIndex(GetParam());
+    IsaKind isa = kCoreKinds[GetParam()];
+    std::vector<Program> kernels = singlePageKernels(isa);
+    ASSERT_FALSE(kernels.empty());
+
+    std::vector<std::pair<std::string, McModel>> models;
+    for (size_t k = 0; k < kernels.size(); ++k) {
+        McModel m;
+        m.program = &kernels[k];
+        models.emplace_back("kernel " + std::to_string(k), m);
+    }
+    models.emplace_back("no program", McModel{});
+    // Tied pads are root-fixed primaries the sampler must skip.
+    McModel tied;
+    tied.ties = {{"iport0", true}, {"instr0", false}};
+    models.emplace_back("tied", tied);
+
+    size_t separable = 0;
+    for (const auto &[what, model] : models) {
+        for (unsigned depth : {1u, 2u, 4u}) {
+            SeqResetCoverageResult cov =
+                seqResetCoverage(*nl, model, depth);
+            std::vector<uint8_t> want =
+                perBitCoverage(*nl, model, depth);
+            EXPECT_EQ(cov.covered, want)
+                << nl->name() << " " << what << " depth " << depth;
+            for (uint8_t c : want)
+                separable += !c;
+            // Witnesses spare most per-bit solves: four samples and a
+            // handful of solves, against one solve per bit.
+            EXPECT_LT(cov.solves, want.size() / 2)
+                << nl->name() << " " << what << " depth " << depth;
+        }
+    }
+    EXPECT_GT(separable, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCores, XFreeWitness,
+                         ::testing::Values(0, 1, 2, 3));
+
 // ---------------------------------------------------------------
 // The lint layer.
 
@@ -282,6 +469,33 @@ TEST(McLint, CounterexampleIsAnErrorWithTrace)
     EXPECT_FALSE(out.report.fires("prop-replay-diverged"));
     ASSERT_EQ(out.traces.size(), 1u);
     EXPECT_GE(out.traces[0].frames.size(), 3u);
+}
+
+TEST(McLint, ReportsRepeatableSolverEffort)
+{
+    auto nl = buildLoadStore4Netlist();
+    Program prog =
+        assemble(IsaKind::LoadStore4, fixtureSource("mc_ls.s"));
+    McLintOptions opts;
+    opts.inductDepth = 4;
+    opts.model.program = &prog;   // the default catalog, xfree included
+    McLintOutcome first = mcLint(*nl, opts);
+    McLintOutcome second = mcLint(*nl, opts);
+    EXPECT_GT(first.solves, 0u);
+    EXPECT_GT(first.conflicts, 0u);
+    EXPECT_EQ(first.solves, second.solves);
+    EXPECT_EQ(first.conflicts, second.conflicts);
+
+    SeqResetCoverageResult a = seqResetCoverage(*nl, opts.model, 4);
+    SeqResetCoverageResult b = seqResetCoverage(*nl, opts.model, 4);
+    EXPECT_GT(a.solves, 0u);
+    EXPECT_GT(a.conflicts, 0u);
+    EXPECT_EQ(a.solves, b.solves);
+    EXPECT_EQ(a.conflicts, b.conflicts);
+    EXPECT_EQ(a.covered, b.covered);
+    // The outcome's totals include the xfree pass.
+    EXPECT_GE(first.solves, a.solves);
+    EXPECT_GE(first.conflicts, a.conflicts);
 }
 
 TEST(McLint, InvalidSpecIsReportedNotFatal)
