@@ -7,9 +7,12 @@
  * clone/fault identity checks, the per-instruction ISA proofs, the
  * model sampler and the ISA sweep it guides (differentially against
  * the unswept per-class loop, on clean and seeded stuck-at dies),
- * and the checkers run concurrently.
+ * the checkers run concurrently, and the search pin (the solver's
+ * effort and models on scripted incremental workloads, and the
+ * checkers' solve and conflict counts).
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -855,6 +858,181 @@ TEST(FormalConcurrency, ParallelChecksMatchSerial)
     parallelFor(8, 4, [&](size_t i) { parallel[i] = call(i); });
     for (size_t i = 0; i < 8; ++i)
         EXPECT_EQ(parallel[i], serial[i]) << "call " << i;
+}
+
+// ---------------------------------------------------------------
+// The search pin. The solver's order of decisions, propagations and
+// learned clauses is part of its contract: every effort count in the
+// fixtures and the golden corpus depends on it. A change to the
+// solver's data layout must leave these numbers untouched; a change
+// to its search must update them on purpose.
+
+/** FNV-1a over every verdict and model a solver phase produces. */
+struct SearchDigest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void byte(uint8_t b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    void verdict(const SatSolver &s, Result r)
+    {
+        byte(r == Result::Sat ? 1 : 0);
+        if (r != Result::Sat)
+            return;
+        for (SatVar v = 0; v < s.numVars(); ++v)
+            byte(s.modelValue(v) ? 1 : 0);
+    }
+};
+
+/** One phase's pinned effort and digest. */
+struct PinnedPhase
+{
+    uint64_t decisions, propagations, conflicts, restarts, digest;
+};
+
+void
+expectPhase(const char *phase, const SatSolver &s,
+            const SearchDigest &d, const PinnedPhase &want)
+{
+    const SatSolver::Stats &st = s.stats();
+    EXPECT_EQ(st.decisions, want.decisions) << phase;
+    EXPECT_EQ(st.propagations, want.propagations) << phase;
+    EXPECT_EQ(st.conflicts, want.conflicts) << phase;
+    EXPECT_EQ(st.restarts, want.restarts) << phase;
+    EXPECT_EQ(d.h, want.digest) << phase;
+}
+
+TEST(Sat, SearchIsPinned)
+{
+    SatSolver s;
+    SearchDigest d;
+
+    // Phase 1: PHP(7,6) posed eight times under fresh activation
+    // literals. Past ~4,490 conflicts the activities pass 1e100 and
+    // are rescaled, heap keys included.
+    for (int round = 0; round < 8; ++round) {
+        SatLit sel = SatLit::make(s.newVar());
+        addGuardedPigeonhole(s, 7, 6, sel);
+        d.verdict(s, s.solve({sel}));
+        d.verdict(s, s.solve({~sel}));
+    }
+    const double rescale_after = std::log(1e100) / std::log(1 / 0.95);
+    EXPECT_GT(static_cast<double>(s.stats().conflicts), rescale_after);
+    expectPhase("pigeonhole", s, d,
+                {9755, 98130, 5955, 14, 1967285194696290568ull});
+
+    // Phase 2: a binary-heavy random 2/3-CNF, grown between solves
+    // and solved under random assumptions. Random 3-clauses near the
+    // satisfiability threshold make the search; each variable also
+    // gains aliases (fresh variables bound equal or opposite to it
+    // by two binary clauses) that the 3-clauses and assumptions name
+    // at random, so most clauses are binary and most implications
+    // run through binary watches. Learned clauses, binary ones too,
+    // serve as reasons in later solves.
+    Rng rng(0x5EA2C4);
+    const int nv = 120;
+    std::vector<std::vector<SatLit>> names(nv);
+    for (auto &alias : names)
+        alias.push_back(SatLit::make(s.newVar()));
+    auto pick = [&] {
+        const auto &alias = names[rng.below(nv)];
+        SatLit l = alias[rng.below(alias.size())];
+        return rng.chance(0.5) ? l : ~l;
+    };
+    for (int round = 0; round < 30; ++round) {
+        for (int k = 0; k < 12; ++k) {
+            auto &alias = names[rng.below(nv)];
+            SatLit of = alias[rng.below(alias.size())];
+            SatLit y = SatLit::make(s.newVar(), rng.chance(0.5));
+            ASSERT_TRUE(s.addClause({~y, of}));
+            ASSERT_TRUE(s.addClause({y, ~of}));
+            alias.push_back(y);
+        }
+        for (int k = 0; k < 16; ++k)
+            ASSERT_TRUE(s.addClause({pick(), pick(), pick()}));
+        for (int q = 0; q < 4; ++q)
+            d.verdict(s, s.solve({pick(), pick()}));
+    }
+    expectPhase("random 2/3-CNF", s, d,
+                {59582, 425612, 8063, 14, 1358054081638842248ull});
+
+    // Phase 3: proveEqual sweeps on an FC4 plan miter: each plan
+    // step's reference and word-program literals (proven and
+    // hardened), then against the previous step's word literal
+    // (usually separated by a model).
+    auto nl = buildFlexiCore4Netlist();
+    CnfBuilder cnf(s);
+    NetlistEncodeOptions ref_opts;
+    ref_opts.applyFaults = true;
+    NetlistEncoding ref = encodeNetlist(cnf, *nl, ref_opts);
+    NetlistEncodeOptions word_opts;
+    word_opts.mode = NetlistEncodeMode::WordPlan;
+    word_opts.applyFaults = true;
+    word_opts.share = &ref;
+    word_opts.shareWith = nl.get();
+    NetlistEncoding word = encodeNetlist(cnf, *nl, word_opts);
+    uint64_t solves = 0;
+    SatLit prev;
+    for (const auto &step : nl->planSteps()) {
+        if (!ref.hasLit(step.out) || !word.hasLit(step.out))
+            continue;
+        SatLit a = ref.lit(step.out);
+        SatLit b = word.lit(step.out);
+        ASSERT_TRUE(proveEqual(cnf, a, b, solves));
+        if (prev.code >= 0 && !proveEqual(cnf, a, prev, solves))
+            d.verdict(s, Result::Sat);
+        prev = b;
+    }
+    expectPhase("plan sweep", s, d,
+                {136777, 667598, 8517, 14, 13800825479966398367ull});
+    EXPECT_EQ(solves, 569u);
+}
+
+TEST(SearchPin, IsaEquivalenceEffort)
+{
+    // (solves, conflicts) of the swept ISA proof on each core; the
+    // fc4 pair also appears in tests/data/flexilint_fc4_equiv.json.
+    static const uint64_t want[4][2] = {
+        {317, 533}, {418, 706}, {553, 1008}, {613, 1227}};
+    for (int which = 0; which < 4; ++which) {
+        auto nl = buildCore(which);
+        IsaEquivResult r = checkIsaEquivalence(*nl, kCoreKinds[which]);
+        EXPECT_TRUE(r.proven) << nl->name();
+        EXPECT_EQ(r.solves, want[which][0]) << nl->name();
+        EXPECT_EQ(r.conflicts, want[which][1]) << nl->name();
+    }
+}
+
+TEST(SearchPin, McLintEffort)
+{
+    // (solves, conflicts) of mcLint's default catalog at --induct 4
+    // over each fixture program, the escape fixture's counterexample
+    // search included.
+    struct Case
+    {
+        int core;
+        const char *fixture;
+        uint64_t solves, conflicts;
+    };
+    static const Case cases[] = {
+        {0, "mc_fc4.s", 11, 45},  {1, "mc_fc8.s", 15, 36},
+        {2, "mc_ext.s", 11, 40},  {3, "mc_ls.s", 11, 96},
+        {0, "mc_escape.s", 12, 10},
+    };
+    for (const Case &c : cases) {
+        auto nl = buildCore(c.core);
+        Program prog =
+            assemble(kCoreKinds[c.core], fixtureSource(c.fixture));
+        McLintOptions mo;
+        mo.inductDepth = 4;
+        mo.model.program = &prog;
+        McLintOutcome r = mcLint(*nl, mo);
+        EXPECT_EQ(r.solves, c.solves) << c.fixture;
+        EXPECT_EQ(r.conflicts, c.conflicts) << c.fixture;
+    }
 }
 
 } // namespace
