@@ -38,12 +38,6 @@ CnfBuilder::isConstFalse(SatLit l)
     return haveConst_ && l == ~const_;
 }
 
-void
-CnfBuilder::addClause(std::vector<SatLit> lits)
-{
-    solver_.addClause(std::move(lits));
-}
-
 SatLit
 CnfBuilder::mkAnd(SatLit a, SatLit b)
 {
@@ -131,7 +125,7 @@ CnfBuilder::mkAndN(const std::vector<SatLit> &lits)
         addClause({~o, l});
         big.push_back(~l);
     }
-    addClause(std::move(big));
+    addClause(big);
     return o;
 }
 

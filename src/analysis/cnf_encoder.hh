@@ -59,7 +59,19 @@ class CnfBuilder
     bool isConstTrue(SatLit l);
     bool isConstFalse(SatLit l);
 
-    void addClause(std::vector<SatLit> lits);
+    /** Add a clause; see SatSolver::addClause. */
+    void addClause(const SatLit *begin, const SatLit *end)
+    {
+        solver_.addClause(begin, end);
+    }
+    void addClause(std::initializer_list<SatLit> lits)
+    {
+        solver_.addClause(lits);
+    }
+    void addClause(const std::vector<SatLit> &lits)
+    {
+        solver_.addClause(lits);
+    }
     void assertLit(SatLit l) { addClause({l}); }
 
     /** Gates (with constant folding). */

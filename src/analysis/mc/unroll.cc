@@ -159,7 +159,7 @@ Unrolling::assertSimplePath()
             for (size_t d = 0; d < ndff; ++d)
                 differs.push_back(cnf_.mkXor(frames_[i].dffQ[d],
                                              frames_[j].dffQ[d]));
-            cnf_.addClause(std::move(differs));
+            cnf_.addClause(differs);
         }
     }
     simplePathDone_ = frames_.size();

@@ -284,6 +284,90 @@ TEST(Sat, DifferentialAgainstBruteForce)
     }
 }
 
+TEST(Sat, IncrementalDifferentialAgainstBruteForce)
+{
+    // Binary-heavy CNFs over at most 10 variables, each solver asked
+    // 8 times under random assumptions with clauses added between
+    // solves: the clause store grows while watchers hold offsets
+    // into it, and clauses learned in one solve (binary ones too)
+    // serve as reasons in the next. Every verdict is checked
+    // against enumeration under the assumptions, and every model
+    // against every clause and every assumption.
+    auto holds = [](uint32_t m, SatLit l) {
+        return ((m >> l.var()) & 1u) != (l.negated() ? 1u : 0u);
+    };
+    uint32_t rng = 0x1dc5a7u;
+    uint64_t verdicts[2] = {0, 0};
+    uint64_t conflicts = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        int num_vars = 3 + static_cast<int>(nextRand(rng) % 8);
+        SatSolver s;
+        for (int v = 0; v < num_vars; ++v)
+            s.newVar();
+        auto randomLit = [&] {
+            int v = static_cast<int>(nextRand(rng) % num_vars);
+            return SatLit::make(v, (nextRand(rng) & 1) != 0);
+        };
+        std::vector<std::vector<SatLit>> clauses;
+        bool root_unsat = false;
+        for (int q = 0; q < 8; ++q) {
+            int add = static_cast<int>(nextRand(rng) % 5);
+            for (int c = 0; c < add; ++c) {
+                uint32_t roll = nextRand(rng) % 20;
+                int width = roll < 12 ? 2 : roll < 19 ? 3 : 1;
+                std::vector<SatLit> cl;
+                for (int k = 0; k < width; ++k)
+                    cl.push_back(randomLit());
+                root_unsat |= !s.addClause(cl);
+                clauses.push_back(cl);
+            }
+            std::vector<SatLit> assume;
+            int nassume = static_cast<int>(nextRand(rng) % 4);
+            for (int k = 0; k < nassume; ++k)
+                assume.push_back(randomLit());
+
+            bool brute_sat = false;
+            for (uint32_t m = 0; m < (1u << num_vars) && !brute_sat;
+                 ++m) {
+                bool ok = true;
+                for (SatLit a : assume)
+                    ok &= holds(m, a);
+                for (const auto &cl : clauses) {
+                    bool any = false;
+                    for (SatLit l : cl)
+                        any |= holds(m, l);
+                    ok &= any;
+                }
+                brute_sat = ok;
+            }
+
+            Result r = s.solve(assume);
+            ASSERT_EQ(r == Result::Sat, brute_sat)
+                << "iter " << iter << " solve " << q << " vars "
+                << num_vars << " clauses " << clauses.size();
+            if (root_unsat) {
+                ASSERT_EQ(r, Result::Unsat);
+            }
+            ++verdicts[r == Result::Sat];
+            if (r != Result::Sat)
+                continue;
+            for (SatLit a : assume)
+                ASSERT_TRUE(s.modelValue(a)) << "model drops an assumption";
+            for (const auto &cl : clauses) {
+                bool any = false;
+                for (SatLit l : cl)
+                    any |= s.modelValue(l);
+                ASSERT_TRUE(any) << "model violates a clause";
+            }
+        }
+        conflicts += s.stats().conflicts;
+    }
+    // Both verdicts are common, and the search really learns.
+    EXPECT_GT(verdicts[0], 1000u);
+    EXPECT_GT(verdicts[1], 1000u);
+    EXPECT_GT(conflicts, 200u);
+}
+
 // ---------------------------------------------------------------
 // CNF builder sanity.
 

@@ -28,10 +28,10 @@
  *                   the improvement over --prune's baseline
  *   --hash          canonical structural hash of each netlist
  *                   subject (the DSE sweep's cache key)
- *   --bmc <K>       bounded model checking to depth K on each
- *                   netlist subject (property catalog below)
- *   --induct <K>    k-induction proof attempt up to k = K, with BMC
- *                   fallback for falsification
+ *   --bmc <K>       bounded model checking to depth K (1..256) on
+ *                   each netlist subject (property catalog below)
+ *   --induct <K>    k-induction proof attempt up to k = K (1..64),
+ *                   with BMC fallback for falsification
  *   --prop <spec>   property to check (repeatable; see
  *                   src/analysis/mc/property.hh for the grammar:
  *                   assert:<net>=<0|1>, bound:<bus>/<w>/<limit>,
@@ -44,8 +44,10 @@
  *   --trace-vcd <path>
  *                   dump the first confirmed counterexample trace
  *                   as a VCD file
- *   --vdd <volts>   supply for --timing slack (default nominal 4.5)
- *   --paths <k>     top-K critical paths for --timing (default 8)
+ *   --vdd <volts>   supply for --timing slack, finite and in
+ *                   (0, 20] (default nominal 4.5)
+ *   --paths <k>     top-K critical paths for --timing, 1..4096
+ *                   (default 8)
  *   --suppress <rule[,rule...]>
  *                   drop findings for the named rules before
  *                   rendering and before the exit-code count
@@ -55,9 +57,13 @@
  * findings at error severity (or warnings under --werror) — this
  * includes falsified properties (prop-cex) and failed prune
  * certifications, 2 = usage error (unknown flag, malformed
- * --prop spec, unreadable file, assembly failure).
+ * --prop spec, a numeric option that is not a whole in-range
+ * number, unreadable file, assembly failure).
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -125,6 +131,54 @@ buildNetlist(IsaKind isa)
     fatal("bad IsaKind");
 }
 
+/**
+ * Upper bounds of the numeric options. Each BMC frame is a full copy
+ * of the core's CNF, and induction unrolls afresh for every k.
+ */
+constexpr unsigned kMaxBmcDepth = 256;
+constexpr unsigned kMaxInductDepth = 64;
+constexpr unsigned kMaxPaths = 4096;
+constexpr double kMaxVdd = 20.0;
+
+/**
+ * Strict count option: decimal digits only, in [1, @p max]. No sign,
+ * no blanks, no trailing characters and no wrap-around, so "-1",
+ * "8x" and "4294967296" are usage errors rather than huge or
+ * truncated values.
+ */
+bool
+parseCount(const char *opt, const char *v, unsigned max, unsigned &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(v, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+        errno == ERANGE || n < 1 || n > max) {
+        std::fprintf(stderr, "flexilint: %s: expected an integer in "
+                     "1..%u, got '%s'\n", opt, max, v);
+        return false;
+    }
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
+/** Strict --vdd: a finite voltage in (0, kMaxVdd]; NaN, infinities
+ *  and trailing characters are usage errors. */
+bool
+parseVdd(const char *v, double &out)
+{
+    char *end = nullptr;
+    double x = std::strtod(v, &end);
+    if (end == v || *end != '\0' ||
+        !(std::isfinite(x) && x > 0.0 && x <= kMaxVdd)) {
+        std::fprintf(stderr, "flexilint: --vdd: expected a finite "
+                     "supply in (0, %g] V, got '%s'\n", kMaxVdd, v);
+        return false;
+    }
+    out = x;
+    return true;
+}
+
 int
 usage()
 {
@@ -142,7 +196,10 @@ usage()
         "                 [--kernels]\n"
         "with no subjects, lints all netlists and all kernels\n"
         "exit codes: 0 clean, 1 errors (or warnings under\n"
-        "--werror), 2 usage error\n");
+        "--werror), 2 usage error\n"
+        "bounds: --bmc 1..%u, --induct 1..%u, --paths 1..%u,\n"
+        "--vdd finite in (0, %g] V\n",
+        kMaxBmcDepth, kMaxInductDepth, kMaxPaths, kMaxVdd);
     return 2;
 }
 
@@ -210,7 +267,7 @@ main(int argc, char **argv)
     std::vector<std::pair<IsaKind, std::string>> mc_programs;
     std::string vcd_path;
     double vdd = kVddNominal;
-    size_t top_paths = 8;
+    unsigned top_paths = 8;
     std::vector<std::string> suppressed;
     std::vector<IsaKind> netlists;
     std::vector<std::pair<IsaKind, std::string>> programs;
@@ -236,17 +293,13 @@ main(int argc, char **argv)
         } else if (arg == "--hash") {
             do_hash = true;
         } else if (arg == "--bmc") {
-            if (++i >= argc)
-                return usage();
-            bmc_depth = static_cast<unsigned>(std::atoi(argv[i]));
-            if (bmc_depth == 0)
+            if (++i >= argc ||
+                !parseCount("--bmc", argv[i], kMaxBmcDepth, bmc_depth))
                 return usage();
         } else if (arg == "--induct") {
-            if (++i >= argc)
-                return usage();
-            induct_depth =
-                static_cast<unsigned>(std::atoi(argv[i]));
-            if (induct_depth == 0)
+            if (++i >= argc ||
+                !parseCount("--induct", argv[i], kMaxInductDepth,
+                            induct_depth))
                 return usage();
         } else if (arg == "--prop") {
             if (++i >= argc)
@@ -274,16 +327,11 @@ main(int argc, char **argv)
                 return usage();
             vcd_path = argv[i];
         } else if (arg == "--vdd") {
-            if (++i >= argc)
-                return usage();
-            vdd = std::atof(argv[i]);
-            if (vdd <= 0.0)
+            if (++i >= argc || !parseVdd(argv[i], vdd))
                 return usage();
         } else if (arg == "--paths") {
-            if (++i >= argc)
-                return usage();
-            top_paths = static_cast<size_t>(std::atoi(argv[i]));
-            if (top_paths == 0)
+            if (++i >= argc ||
+                !parseCount("--paths", argv[i], kMaxPaths, top_paths))
                 return usage();
         } else if (arg == "--suppress") {
             if (++i >= argc)
