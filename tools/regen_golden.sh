@@ -12,7 +12,8 @@ build=${1:-build}
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 cmake --build "$build" -j"$(nproc)" --target flexifleet flexifault \
-    flexilint
+    flexilint bench_fault_coverage bench_table5_yield \
+    bench_fig6_error_maps bench_fig7_current_maps
 FLEXI_GOLDEN_REGEN=1 ctest --test-dir "$build" -L golden-pin -j4 \
     --output-on-failure
 ctest --test-dir "$build" -L golden -j4 --output-on-failure
