@@ -191,9 +191,10 @@ BM_LaneGroupCycleRate(benchmark::State &state)
 }
 BENCHMARK(BM_LaneGroupCycleRate)->Arg(64)->Arg(256)->Arg(512);
 
-/** Full gate-level fault simulation of every defective die on the
- *  scalar clone-per-die path — the speedup yardstick for the lane
- *  batching; the thread count sweeps single-threaded to auto (0). */
+/** Full gate-level fault simulation of every defective die in
+ *  one-lane groups, one die per group — the speedup yardstick for
+ *  the lane batching; the thread count sweeps single-threaded to
+ *  auto (0). */
 void
 BM_WaferStudyGateLevel(benchmark::State &state)
 {
@@ -214,7 +215,7 @@ BENCHMARK(BM_WaferStudyGateLevel)->Arg(1)->Arg(0)
 /** The same wafer workload with defective dies packed into wide
  *  lane groups (the runWaferStudy default, up to 512 lanes);
  *  bit-identical yields and error counts to
- *  BM_WaferStudyGateLevel's scalar path. */
+ *  BM_WaferStudyGateLevel's one-lane groups. */
 void
 BM_WaferStudyGateLevelBatched(benchmark::State &state)
 {

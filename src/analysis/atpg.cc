@@ -1,5 +1,6 @@
 #include "atpg.hh"
 
+#include <algorithm>
 #include <memory>
 
 #include "analysis/equiv.hh"
@@ -54,31 +55,46 @@ runAtpg(const AtpgConfig &config, const Program &prog,
     size_t universe = cells.size() * 2;
     size_t count = config.maxFaults && config.maxFaults < universe
                        ? config.maxFaults : universe;
-    std::vector<size_t> picks(count);
-    for (size_t i = 0; i < count; ++i)
-        picks[i] = i * universe / count;
-
     std::vector<AtpgFault> verdicts(count);
-    std::vector<uint64_t> solves(count, 0), conflicts(count, 0);
-    parallelFor(count, config.threads, [&](size_t i) {
-        size_t idx = picks[i];
+    for (size_t i = 0; i < count; ++i) {
+        size_t idx = i * universe / count;
         const CellInst &cell = cells[idx / 2];
         AtpgFault &v = verdicts[i];
         v.fault = StuckFault{cell.output, (idx & 1) != 0};
         v.net = golden->netName(cell.output);
         v.module = cell.module;
+    }
 
-        std::unique_ptr<Netlist> faulty = golden->clone();
-        faulty->injectFault(v.fault);
-        LockstepResult sim = runLockstep(*faulty, config.isa, prog,
-                                         inputs, config.simCycles);
-        v.simDetected = sim.errors > 0;
+    // Fault simulation: the faults in order, up to 512 to a lane
+    // group, against one golden tape. Detection is all ATPG needs,
+    // so a lane retires at its first mismatch and a group stops once
+    // every lane has.
+    GoldenTape tape(config.isa, prog, inputs, config.simCycles);
+    size_t groups = (count + LaneGroup::kMaxLanes - 1) /
+                    LaneGroup::kMaxLanes;
+    parallelFor(groups, config.threads, [&](size_t g) {
+        size_t begin = g * LaneGroup::kMaxLanes;
+        unsigned n = static_cast<unsigned>(
+            std::min<size_t>(LaneGroup::kMaxLanes, count - begin));
+        LaneGroup group(*golden, n);
+        for (unsigned lane = 0; lane < n; ++lane)
+            group.injectFault(lane, verdicts[begin + lane].fault);
+        LockstepGroupResult sim =
+            runLockstepGroup(group, *golden, tape, /*early_exit=*/true);
+        for (unsigned lane = 0; lane < n; ++lane)
+            verdicts[begin + lane].simDetected = !sim.laneClean(lane);
+    });
+
+    std::vector<uint64_t> solves(count, 0), conflicts(count, 0);
+    parallelFor(count, config.threads, [&](size_t i) {
+        AtpgFault &v = verdicts[i];
         if (v.simDetected)
             return;
 
         // Simulation escape: ask the SAT miter whether *any* input
         // and state assignment distinguishes the faulty die.
-        faulty->reset();
+        std::unique_ptr<Netlist> faulty = golden->clone();
+        faulty->injectFault(v.fault);
         EquivResult eq = checkNetlistEquivalence(*golden, *faulty);
         solves[i] = eq.solves;
         conflicts[i] = eq.conflicts;

@@ -8,8 +8,11 @@
  * better vector would catch them) or *redundant faults* (no input or
  * state assignment can ever expose them)?
  *
- * For every fault the simulation missed, the PR-3 CNF encoder builds
- * a miter between the golden netlist and the faulted clone. An UNSAT
+ * The faults are simulated up to 512 to a lane group against one
+ * golden tape (runLockstepGroup), each lane retiring at its first
+ * pad mismatch. For every fault the simulation missed, the CNF
+ * encoder builds a miter between the golden netlist and a faulted
+ * clone. An UNSAT
  * result is a proof of redundancy — the fault cannot change any
  * primary output or next-state bit in any cycle, so no test program
  * can see it and it should be excluded from the coverage

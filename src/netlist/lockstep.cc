@@ -3,38 +3,9 @@
 #include "common/logging.hh"
 #include "isa/encoding.hh"
 #include "sim/core_sim.hh"
-#include "sim/environment.hh"
 
 namespace flexi
 {
-
-namespace
-{
-
-/** Environment returning a value chosen by the harness per step. */
-class HeldInputEnv : public Environment
-{
-  public:
-    uint8_t readInput() override { return held; }
-    void
-    writeOutput(uint8_t value) override
-    {
-        outputs.push_back(value);
-    }
-
-    uint8_t held = 0;
-    std::vector<uint8_t> outputs;
-};
-
-/** Does this instruction architecturally sample the input bus? */
-bool
-readsInput(const Instruction &inst)
-{
-    return inst.mode == Mode::Mem && inst.op != Op::Store &&
-           inst.operand == kInputPortAddr;
-}
-
-} // namespace
 
 LockstepResult
 runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
@@ -44,11 +15,7 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
     if (!netlist.elaborated())
         fatal("netlist must be elaborated");
 
-    // The DSE single-cycle netlists have the wide 16-bit program
-    // bus: both bytes of an instruction arrive at once and every
-    // instruction takes one cycle. LoadStore4's PC counts words.
-    bool wide_bus = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
+    bool wide_bus = wideFetch(isa);
     bool word_pc = isa == IsaKind::LoadStore4;
 
     unsigned w = isaDataWidth(isa);
@@ -59,10 +26,7 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
 
     // Resolve every pad bus once; the per-cycle loop below then
     // never touches a name map or builds a string.
-    BusHandle pc_bus = netlist.outputBus("pc", 7);
-    BusHandle instr_bus = netlist.inputBus("instr", wide_bus ? 16 : 8);
-    BusHandle iport_bus = netlist.inputBus("iport", w);
-    BusHandle oport_bus = netlist.outputBus("oport", w);
+    Pads pads = padsOf(netlist, isa);
 
     HeldInputEnv env;
     TimingConfig cfg;
@@ -86,15 +50,15 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
         // fetching from the netlist's own PC pads.
         unsigned cycles = wide_bus ? 1 : dec.bytes;
         for (unsigned c = 0; c < cycles; ++c) {
-            unsigned die_pc = netlist.bus(pc_bus);
+            unsigned die_pc = netlist.bus(pads.pc);
             if (wide_bus) {
                 unsigned base = word_pc ? die_pc * 2 : die_pc;
-                netlist.setBus(instr_bus,
+                netlist.setBus(pads.instr,
                                fetch(base) | (fetch(base + 1) << 8));
             } else {
-                netlist.setBus(instr_bus, fetch(die_pc));
+                netlist.setBus(pads.instr, fetch(die_pc));
             }
-            netlist.setBus(iport_bus, env.held);
+            netlist.setBus(pads.iport, env.held);
             netlist.evaluate();
             netlist.clockEdge();
             netlist.evaluate();   // expose new state on the pads
@@ -104,9 +68,9 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
         golden.step();
         ++res.instructions;
 
-        if (netlist.bus(pc_bus) != golden.pc())
+        if (netlist.bus(pads.pc) != golden.pc())
             ++res.errors;
-        if (netlist.bus(oport_bus) != golden.outputLatch())
+        if (netlist.bus(pads.oport) != golden.outputLatch())
             ++res.errors;
     }
 
@@ -116,135 +80,47 @@ runLockstep(Netlist &netlist, IsaKind isa, const Program &prog,
 
 LockstepGroupResult
 runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
-                 IsaKind isa, const Program &prog,
-                 const std::vector<uint8_t> &inputs,
-                 uint64_t max_instructions, bool early_exit)
+                 const GoldenTape &tape, bool early_exit)
 {
     if (!golden_netlist.elaborated())
         fatal("netlist must be elaborated");
+    if (tape.multiPage())
+        fatal("lockstep runs are single-page");
 
-    bool wide_bus = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
-    bool word_pc = isa == IsaKind::LoadStore4;
-
-    unsigned w = isaDataWidth(isa);
-    const std::vector<uint8_t> &image = prog.page(0);
-    auto fetch = [&](unsigned pc) -> uint8_t {
-        return pc < image.size() ? image[pc] : 0;
-    };
-
-    BusHandle pc_bus = golden_netlist.outputBus("pc", 7);
-    BusHandle instr_bus =
-        golden_netlist.inputBus("instr", wide_bus ? 16 : 8);
-    BusHandle iport_bus = golden_netlist.inputBus("iport", w);
-    BusHandle oport_bus = golden_netlist.outputBus("oport", w);
-
+    Pads pads = padsOf(golden_netlist, tape.isa());
     // Between clockEdge() and the pad sample only the PC/OPORT pads
     // are read, so the post-edge evaluate is narrowed to their
     // fan-in cones — exact for those nets, and a fraction of the
     // full plan.
-    LaneGroup::PadCone pad_cone =
-        group.padCone({&pc_bus, &oport_bus});
-
-    // The narrow-bus cores fetch one byte at the lane's own PC every
-    // cycle: exactly LaneGroup's fused indexed drive. Pad the image
-    // to the PC pads' full address space (out-of-image fetches read
-    // 0, as the scalar fetch lambda) so no lane needs a bounds check.
-    std::vector<uint8_t> fetch_table;
-    if (!wide_bus) {
-        fetch_table.assign(size_t(1)
-                               << pc_bus.width(), 0);
-        for (size_t a = 0;
-             a < fetch_table.size() && a < image.size(); ++a)
-            fetch_table[a] = image[a];
-    }
-
-    // Memoized per-address decode of the golden program: the driver
-    // only consumes the instruction length and whether the input bus
-    // is sampled, and the golden core revisits the same handful of
-    // addresses for hundreds of instructions.
-    struct DecodeMemo
-    {
-        uint8_t bytes = 0;
-        bool readsIn = false;
-        bool init = false;
-    };
-    std::vector<DecodeMemo> decode_memo(size_t(1) << pc_bus.width());
-
-    HeldInputEnv env;
-    TimingConfig cfg;
-    cfg.isa = isa;
-    CoreSim golden(cfg, prog, env);
+    LaneGroup::PadCone pad_cone = group.padCone({&pads.pc, &pads.oport});
 
     group.reset();
 
     LockstepGroupResult res;
-    unsigned lanes = group.lanes();
     unsigned words = group.words();
-    for (unsigned lane = 0; lane < lanes; ++lane)
-        res.activeMask[lane / 64] |= 1ull << (lane % 64);
-    size_t input_idx = 0;
-
-    // Per-lane pad snapshots for the 16-bit program bus of the DSE
-    // cores, whose two-byte fetch keeps the explicit gather + uint32
-    // scatter; the narrow cores fetch through driveBusFromTable and
-    // never leave the bit domain.
-    std::array<uint8_t, LaneGroup::kMaxLanes> die_pc{};
-    std::array<uint32_t, LaneGroup::kMaxLanes> die_instr16{};
-
-    auto any_active = [&]() {
-        for (uint64_t m : res.activeMask)
-            if (m)
-                return true;
-        return false;
-    };
+    for (unsigned wd = 0; wd < words; ++wd)
+        res.activeMask[wd] = group.laneMaskWord(wd);
 
     // Drive the input bus once up front and again only when the held
     // value changes: between changes the pads already carry it.
-    uint8_t iport_prev = env.held;
-    group.setBus(iport_bus, env.held);
+    uint8_t held = 0;
+    group.setBus(pads.iport, held);
 
-    while (res.instructions < max_instructions && !golden.halted()) {
-        DecodeMemo &memo =
-            decode_memo[golden.pc() & (decode_memo.size() - 1)];
-        if (!memo.init) {
-            DecodeResult dec = decodeAt(isa, image, golden.pc());
-            memo.bytes = static_cast<uint8_t>(dec.bytes);
-            memo.readsIn = readsInput(dec.inst);
-            memo.init = true;
+    for (size_t k = 0; k < tape.last(); ++k) {
+        const GoldenTape::Point &p = tape.at(k);
+        if (p.held != held) {
+            held = p.held;
+            group.setBus(pads.iport, held);
         }
-        if (memo.readsIn && input_idx < inputs.size())
-            env.held = inputs[input_idx++] &
-                       static_cast<uint8_t>((1u << w) - 1u);
-        if (env.held != iport_prev) {
-            group.setBus(iport_bus, env.held);
-            iport_prev = env.held;
-        }
-
-        unsigned cycles = wide_bus ? 1 : memo.bytes;
-        for (unsigned c = 0; c < cycles; ++c) {
-            if (wide_bus) {
-                group.gatherBusBytes(pc_bus, die_pc.data());
-                for (unsigned lane = 0; lane < lanes; ++lane) {
-                    unsigned base = word_pc ? die_pc[lane] * 2
-                                            : die_pc[lane];
-                    die_instr16[lane] =
-                        fetch(base) |
-                        static_cast<unsigned>(fetch(base + 1)) << 8;
-                }
-                group.setBusLanes(instr_bus, die_instr16.data());
-            } else {
-                group.driveBusFromTable(pc_bus, instr_bus,
-                                        fetch_table.data());
-            }
+        for (unsigned c = 0; c < p.cycles; ++c) {
+            tape.driveFetch(group, pads, p.page);
             group.evaluate();
             group.clockEdge();
             group.exposeState(pad_cone);
-            ++res.cycles;
         }
-
-        golden.step();
-        ++res.instructions;
+        const GoldenTape::Point &next = tape.at(k + 1);
+        res.instructions = k + 1;
+        res.cycles = next.elapsed;
 
         // Compare both pads against the golden core in the bit
         // domain: a handful of XORs per bus bit replaces a per-lane
@@ -252,9 +128,9 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
         // counts and the early-exit mask directly.
         std::array<uint64_t, LaneGroup::kMaxWords> pc_diff;
         std::array<uint64_t, LaneGroup::kMaxWords> op_diff;
-        group.busMismatch(pc_bus, golden.pc(), pc_diff.data());
-        group.busMismatch(oport_bus, golden.outputLatch(),
-                          op_diff.data());
+        group.busMismatch(pads.pc, next.pc, pc_diff.data());
+        group.busMismatch(pads.oport, next.latch, op_diff.data());
+        uint64_t active = 0;
         for (unsigned wd = 0; wd < words; ++wd) {
             uint64_t live = early_exit ? res.activeMask[wd] : ~0ull;
             uint64_t pd = pc_diff[wd] & live;
@@ -269,11 +145,23 @@ runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
                 od &= od - 1;
             }
             res.activeMask[wd] &= ~any;
+            active |= res.activeMask[wd];
         }
-        if (early_exit && !any_active())
+        if (early_exit && !active)
             break;
     }
     return res;
+}
+
+LockstepGroupResult
+runLockstepGroup(LaneGroup &group, const Netlist &golden_netlist,
+                 IsaKind isa, const Program &prog,
+                 const std::vector<uint8_t> &inputs,
+                 uint64_t max_instructions, bool early_exit)
+{
+    return runLockstepGroup(
+        group, golden_netlist,
+        GoldenTape(isa, prog, inputs, max_instructions), early_exit);
 }
 
 } // namespace flexi

@@ -15,6 +15,11 @@
  * PC pins (so a faulty PC fetches the wrong instruction, exactly as
  * on the probe station) and compares the PC and OPORT pads every
  * cycle.
+ *
+ * runLockstepGroup() drives up to 512 dies per pass against a
+ * GoldenTape; the wafer study and ATPG run through it. runLockstep()
+ * steps one die beside its own CoreSim: the oracle the group engine
+ * is tested against.
  */
 
 #ifndef FLEXI_NETLIST_LOCKSTEP_HH
@@ -25,6 +30,7 @@
 #include <vector>
 
 #include "assembler/program.hh"
+#include "netlist/golden_tape.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/netlist.hh"
 
@@ -43,12 +49,13 @@ struct LockstepResult
 };
 
 /**
- * Run @p netlist in lockstep with the architectural model executing
- * @p prog (page 0 only — the probe-station tests are single-page).
+ * Run @p netlist in lockstep with its own CoreSim executing @p prog
+ * (page 0 only — the probe-station tests are single-page): the
+ * scalar oracle of runLockstepGroup().
  *
- * @param netlist an elaborated FlexiCore4/8 netlist (possibly with
- *        injected faults)
- * @param isa which of the two fabricated ISAs the netlist implements
+ * @param netlist an elaborated core netlist (possibly with injected
+ *        faults)
+ * @param isa which ISA the netlist implements
  * @param prog the test program
  * @param inputs values appearing on the input bus; each architectural
  *        read of data address 0 consumes the next one (the last value
@@ -82,15 +89,19 @@ struct LockstepGroupResult
 
 /**
  * Drive all lanes of @p group — up to LaneGroup::kMaxLanes dies per
- * pass through the compiled fused-run plan — in lockstep with one
- * shared golden CoreSim run of @p prog. Each lane fetches from its
- * *own* PC pads (a faulty lane chases its own wrong-path instruction
+ * pass through the compiled fused-run plan — in lockstep with the
+ * golden run recorded on @p tape. Each lane fetches from its *own*
+ * PC pads (a faulty lane chases its own wrong-path instruction
  * stream, as on the probe station) while the input port and the
  * expected pads are shared, so per-lane error counts are
- * bit-identical to running each faulted die through runLockstep.
- * Between clockEdge() and the pad sample the runner re-evaluates
- * only the PC/OPORT pad cones (LaneGroup::exposeState), which is
- * exact for the compared pads.
+ * bit-identical to running each faulted die through runLockstep()
+ * with the tape's program, inputs and instruction budget (for a tape
+ * recorded with no cycle budget or output target). Between
+ * clockEdge() and the pad sample the runner re-evaluates only the
+ * PC/OPORT pad cones (LaneGroup::exposeState), which is exact for
+ * the compared pads. The tape must be of a single-page program, as
+ * runLockstep() runs page 0 only; one tape serves any number of
+ * groups, on any thread.
  *
  * @param golden_netlist the elaborated netlist the group was built
  *        from (or any clone sharing its structure); used only to
@@ -99,6 +110,15 @@ struct LockstepGroupResult
  *        error count stops accumulating but stays >= 1) and stop the
  *        whole group once every lane has diverged. Exact per-lane
  *        error totals are only preserved with early_exit = false.
+ */
+LockstepGroupResult runLockstepGroup(LaneGroup &group,
+                                     const Netlist &golden_netlist,
+                                     const GoldenTape &tape,
+                                     bool early_exit);
+
+/**
+ * runLockstepGroup() against a tape recorded for this call: @p isa
+ * running @p prog on @p inputs for at most @p max_instructions.
  */
 LockstepGroupResult runLockstepGroup(LaneGroup &group,
                                      const Netlist &golden_netlist,

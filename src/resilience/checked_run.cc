@@ -17,16 +17,6 @@
 namespace flexi
 {
 
-uint8_t
-crc8(uint8_t crc, uint8_t byte)
-{
-    crc ^= byte;
-    for (int bit = 0; bit < 8; ++bit)
-        crc = crc & 0x80 ? static_cast<uint8_t>((crc << 1) ^ 0x07)
-                         : static_cast<uint8_t>(crc << 1);
-    return crc;
-}
-
 const char *
 checkedOutcomeName(CheckedOutcome outcome)
 {
@@ -41,37 +31,7 @@ checkedOutcomeName(CheckedOutcome outcome)
 namespace
 {
 
-/** Environment returning a value chosen by the harness per step. */
-class HeldInputEnv : public Environment
-{
-  public:
-    uint8_t readInput() override { return held; }
-    void
-    writeOutput(uint8_t value) override
-    {
-        outputs.push_back(value);
-    }
-
-    uint8_t held = 0;
-    std::vector<uint8_t> outputs;
-};
-
-/** Does this instruction architecturally sample the input bus? */
-bool
-readsInput(const Instruction &inst)
-{
-    return inst.mode == Mode::Mem && inst.op != Op::Store &&
-           inst.operand == kInputPortAddr;
-}
-
 constexpr unsigned kNoPc = ~0u;
-
-/** Do the core's instructions arrive as one 16-bit word? */
-bool
-wideFetch(IsaKind isa)
-{
-    return isa == IsaKind::ExtAcc4 || isa == IsaKind::LoadStore4;
-}
 
 /** Die cycle budget of a run: cfg.maxCycles, or derived from
  *  cfg.maxInstructions. */
@@ -97,21 +57,6 @@ flipsInOrder(const FaultSchedule &schedule)
                   return a.cycle < b.cycle;
               });
     return flips;
-}
-
-/** The pads the lockstep drivers drive and sample. */
-struct Pads
-{
-    BusHandle pc, instr, iport, oport;
-};
-
-Pads
-padsOf(const Netlist &die, IsaKind isa)
-{
-    return {die.outputBus("pc", 7),
-            die.inputBus("instr", wideFetch(isa) ? 16 : 8),
-            die.inputBus("iport", isaDataWidth(isa)),
-            die.outputBus("oport", isaDataWidth(isa))};
 }
 
 class CheckedRunner
@@ -506,159 +451,6 @@ runChecked(Netlist &die, const Program &prog,
 
 namespace
 {
-
-/**
- * The golden side of a population run: the golden model's trajectory,
- * recorded up front as a tape indexed by instruction count k, and
- * what each page feeds a die at each PC. Read-only once built, it
- * serves every prescreen block and lane group of a call, on any
- * thread. Rollback and restart only move a lane back to an earlier
- * k, so a per-lane cursor replaces CheckedRunner's CoreSim copies.
- */
-class GoldenTape
-{
-  public:
-    /** PC pads are 7 bits wide on every core. */
-    static constexpr unsigned kPcSpace = 128;
-    using FetchTable = std::array<uint16_t, kPcSpace>;
-
-    /** The golden model after k instructions, and instruction k. */
-    struct Point
-    {
-        unsigned pc = 0;
-        uint8_t latch = 0;      ///< OPORT latch
-        uint8_t crc = 0;        ///< CRC-8 of the outputs so far
-        bool done = false;
-        uint32_t outputs = 0;   ///< golden outputs so far
-        /** Die cycles a golden-tracking die has driven by now. */
-        uint64_t elapsed = 0;
-        /** @name Instruction k (unset on the last point) */
-        ///@{
-        /** Page a golden-tracking die fetches it from. */
-        unsigned page = 0;
-        uint8_t cycles = 0;     ///< die cycles it takes
-        uint8_t held = 0;       ///< input-bus value while it runs
-        bool ioWrite = false;
-        bool takenBranch = false;
-        ///@}
-    };
-
-    /**
-     * Run the golden model to the end of the run: the first point
-     * that is done, or where the instruction or cycle budget of
-     * @p cfg runs out — no die can get further along the tape.
-     */
-    GoldenTape(const Program &prog, const std::vector<uint8_t> &inputs,
-               const CheckedRunConfig &cfg)
-    {
-        HeldInputEnv env;
-        std::unique_ptr<PagedEnvironment> paged;
-        if (prog.numPages() > 1)
-            paged = std::make_unique<PagedEnvironment>(env);
-        TimingConfig tcfg;
-        tcfg.isa = cfg.isa;
-        CoreSim golden(tcfg, prog,
-                       paged ? static_cast<Environment &>(*paged)
-                             : static_cast<Environment &>(env));
-        bool wide = wideFetch(cfg.isa);
-        uint64_t maxCycles = cycleBudget(cfg);
-        uint8_t inputMask = static_cast<uint8_t>(
-            (1u << isaDataWidth(cfg.isa)) - 1u);
-        size_t inputIdx = 0;
-        // A golden-tracking die's MMU sees golden's exact output
-        // values, so one mirror MMU fed them gives its page.
-        Mmu mmu;
-        unsigned page = 0;
-        uint8_t crc = 0;
-        uint64_t elapsed = 0;
-
-        while (true) {
-            Point p;
-            p.pc = golden.pc();
-            p.latch = golden.outputLatch();
-            p.crc = crc;
-            p.outputs = static_cast<uint32_t>(env.outputs.size());
-            p.elapsed = elapsed;
-            p.done = golden.halted() ||
-                     (cfg.targetOutputs &&
-                      env.outputs.size() >= cfg.targetOutputs);
-            points_.push_back(p);
-            if (p.done || points_.size() > cfg.maxInstructions ||
-                elapsed >= maxCycles)
-                break;
-
-            // CheckedRunner::stepInstruction's golden half.
-            Point &k = points_.back();
-            DecodeResult dec = decodeAt(cfg.isa, prog.page(golden.page()),
-                                        golden.pc());
-            if (readsInput(dec.inst) && inputIdx < inputs.size())
-                env.held = inputs[inputIdx++] & inputMask;
-            uint64_t prevIo = golden.stats().ioWrites;
-            uint64_t prevTb = golden.stats().takenBranches;
-            size_t prevOut = env.outputs.size();
-            golden.step();
-
-            k.page = page;
-            k.cycles = static_cast<uint8_t>(wide ? 1 : dec.bytes);
-            k.held = env.held;
-            k.ioWrite = golden.stats().ioWrites != prevIo;
-            k.takenBranch = golden.stats().takenBranches != prevTb;
-            for (size_t i = prevOut; i < env.outputs.size(); ++i)
-                crc = crc8(crc, env.outputs[i]);
-            elapsed += k.cycles;
-            if (paged) {
-                if (k.ioWrite)
-                    (void)mmu.onOutput(golden.outputLatch());
-                if (k.takenBranch) {
-                    int next = mmu.takePendingPage();
-                    if (next >= 0)
-                        page = static_cast<unsigned>(next);
-                }
-            }
-        }
-        outputs_ = std::move(env.outputs);
-
-        // Past a page's image — and on pages the program never
-        // filled — the instruction bus floats to 0, as in
-        // CheckedRunner. The wide cores take a 16-bit word
-        // (LoadStore4 addresses words at pc*2).
-        fetch_.resize(prog.numPages());
-        for (unsigned pg = 0; pg < prog.numPages(); ++pg) {
-            const std::vector<uint8_t> &image = prog.page(pg);
-            auto byte = [&](unsigned addr) -> unsigned {
-                return addr < image.size() ? image[addr] : 0;
-            };
-            for (unsigned pc = 0; pc < kPcSpace; ++pc) {
-                unsigned base = cfg.isa == IsaKind::LoadStore4 ? pc * 2
-                                                               : pc;
-                fetch_[pg][pc] = static_cast<uint16_t>(
-                    wide ? byte(base) | byte(base + 1) << 8
-                         : byte(base));
-            }
-        }
-    }
-
-    const Point &at(size_t k) const { return points_[k]; }
-    /** Index of the last point: done, or out of budget. */
-    size_t last() const { return points_.size() - 1; }
-    /** The whole golden output stream. */
-    const std::vector<uint8_t> &outputs() const { return outputs_; }
-
-    bool multiPage() const { return fetch_.size() > 1; }
-
-    /** What page @p page feeds a die whose PC pads read pc. */
-    const FetchTable &
-    fetch(unsigned page) const
-    {
-        static const FetchTable kUnmapped{};
-        return page < fetch_.size() ? fetch_[page] : kUnmapped;
-    }
-
-  private:
-    std::vector<Point> points_;
-    std::vector<uint8_t> outputs_;
-    std::vector<FetchTable> fetch_;
-};
 
 /**
  * A LaneGroup of @p golden's structure with one die per lane, each
@@ -1096,7 +888,6 @@ prescreen(const GoldenTape &tape, const Netlist &golden,
                   tape.at(tape.last()).elapsed);
     LaneGroup &batch = dies.group;
     const Pads &pads = dies.pads;
-    bool wide = wideFetch(cfg.isa);
 
     std::array<uint64_t, LaneGroup::kMaxWords> active{};
     for (unsigned w = 0; w < batch.words(); ++w)
@@ -1108,11 +899,6 @@ prescreen(const GoldenTape &tape, const Netlist &golden,
         return false;
     };
     std::array<uint8_t, LaneGroup::kMaxLanes> diePc{};
-    std::array<uint32_t, LaneGroup::kMaxLanes> dieInstr16{};
-    // The narrow cores fetch through the fused indexed drive, from a
-    // byte copy of the current page's table.
-    std::array<uint8_t, GoldenTape::kPcSpace> fetchBytes{};
-    unsigned fetchBytesPage = ~0u;
     std::array<uint32_t, LaneGroup::kMaxLanes> lastPc;
     lastPc.fill(kNoPc);
     std::array<uint64_t, LaneGroup::kMaxLanes> frozen{};
@@ -1128,23 +914,9 @@ prescreen(const GoldenTape &tape, const Netlist &golden,
         if (k == tape.last() || !anyActive())
             break;
 
-        const GoldenTape::FetchTable &table = tape.fetch(p.page);
-        if (!wide && fetchBytesPage != p.page) {
-            std::copy(table.begin(), table.end(), fetchBytes.begin());
-            fetchBytesPage = p.page;
-        }
         for (unsigned c = 0; c < p.cycles; ++c) {
             dies.applyDueFlips();
-            if (wide) {
-                batch.gatherBusBytes(pads.pc, diePc.data());
-                for (unsigned lane = 0; lane < lanes; ++lane)
-                    dieInstr16[lane] =
-                        table[diePc[lane] % GoldenTape::kPcSpace];
-                batch.setBusLanes(pads.instr, dieInstr16.data());
-            } else {
-                batch.driveBusFromTable(pads.pc, pads.instr,
-                                        fetchBytes.data());
-            }
+            tape.driveFetch(batch, pads, p.page);
             batch.setBus(pads.iport, p.held);
             batch.evaluate();
             batch.clockEdge();
@@ -1218,7 +990,8 @@ runCheckedLanes(const Netlist &golden, const Program &prog,
 {
     if (schedules.empty() || schedules.size() > LaneGroup::kWordLanes)
         fatal("runCheckedLanes: bad lane count %zu", schedules.size());
-    GoldenTape tape(prog, inputs, cfg);
+    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
+                    cycleBudget(cfg), cfg.targetOutputs);
     LaneCheckedRunner runner(tape, golden, cfg, schedules,
                              laneFaults ? StuckSpan(*laneFaults)
                                         : StuckSpan());
@@ -1255,7 +1028,8 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
     if (schedules.empty() || schedules.size() > LaneGroup::kMaxLanes)
         fatal("prescreenSchedules: bad lane count %zu",
               schedules.size());
-    GoldenTape tape(prog, inputs, cfg);
+    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
+                    cycleBudget(cfg), cfg.targetOutputs);
     std::vector<uint64_t> endState;
     if (captureEndState)
         endState.resize(schedules.size() * LaneGroup::dffStateWords(golden.numDffs()));
@@ -1287,7 +1061,8 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
     PopulationResult pop;
     if (dies == 0)
         return pop;
-    GoldenTape tape(prog, inputs, cfg);
+    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
+                    cycleBudget(cfg), cfg.targetOutputs);
 
     // The runs to simulate, in die order of first appearance: a die
     // with an in-field event gets its own; event-free dies with the

@@ -27,14 +27,15 @@
  *
  * Populations of dies — fault campaigns, salvage binning, fleet
  * epochs — all take one path, runCheckedPopulation(): the golden
- * trajectory is recorded once as a read-only tape, dies without an
- * in-field event that share a defect list share one run, a
- * word-parallel prescreen over the tape settles the runs no detector
- * could fire on, and the rest run the same runtime 64 to a LaneGroup
- * word against the same tape; end states come back packed, a few
- * words per run. The scalar runChecked() is the oracle every half is
- * tested against, and the fault-free baseline every population
- * draws its fault windows over.
+ * trajectory is recorded once as a read-only GoldenTape (the tape the
+ * wafer study and ATPG lockstep against, in netlist/golden_tape.hh
+ * with crc8()), dies without an in-field event that share a defect
+ * list share one run, a word-parallel prescreen over the tape settles
+ * the runs no detector could fire on, and the rest run the same
+ * runtime 64 to a LaneGroup word against the same tape; end states
+ * come back packed, a few words per run. The scalar runChecked() is
+ * the oracle every half is tested against, and the fault-free
+ * baseline every population draws its fault windows over.
  */
 
 #ifndef FLEXI_RESILIENCE_CHECKED_RUN_HH
@@ -46,6 +47,7 @@
 #include <vector>
 
 #include "assembler/program.hh"
+#include "netlist/golden_tape.hh"
 #include "netlist/lane_group.hh"
 #include "netlist/netlist.hh"
 
@@ -343,9 +345,6 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
                    const std::vector<const std::vector<StuckFault> *>
                        *laneFaults = nullptr,
                    bool captureEndState = false);
-
-/** Incremental CRC-8 (poly 0x07) used by the output detector. */
-uint8_t crc8(uint8_t crc, uint8_t byte);
 
 } // namespace flexi
 

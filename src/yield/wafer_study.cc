@@ -1,7 +1,6 @@
 #include "wafer_study.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "common/logging.hh"
@@ -44,8 +43,8 @@ computeDesignSpec(IsaKind isa)
 
 /**
  * Elaborated golden netlist of a fabricated core, built once per
- * process; per-die faulty instances are clone()d from it. Safe to
- * clone concurrently (the structure is immutable and shared).
+ * process: every wafer's lane groups are built over its structure,
+ * which is immutable and shared, so concurrent groups are safe.
  */
 const Netlist &
 templateNetlist(IsaKind isa)
@@ -60,37 +59,23 @@ templateNetlist(IsaKind isa)
     return *fc8;
 }
 
-/** Probe one die at one voltage. */
+/**
+ * Probe one die at one voltage. A defective die's gate-level errors
+ * are added by the lane-group phase once every die is sampled; that
+ * takes no RNG draw, so the per-die stream does not depend on it.
+ */
 DieProbe
 probeDie(const DieModel &model, const DieSample &die, double vdd,
-         const WaferStudyConfig &cfg, Netlist *faulty_netlist,
-         bool gate_deferred, const Program &test_prog,
-         const std::vector<uint8_t> &test_inputs, Rng &rng)
+         const WaferStudyConfig &cfg, Rng &rng)
 {
     DieProbe probe;
     probe.currentA = model.currentDraw(die, vdd);
 
     uint64_t errors = 0;
-    if (die.hasDefects()) {
-        if (gate_deferred) {
-            // Gate-level errors are added by the batched lane phase
-            // after all dies are sampled. Crucially this branch
-            // consumes no RNG draws — neither does the immediate
-            // gate-level branch below — so the per-die stream stays
-            // aligned with the scalar path.
-        } else if (cfg.gateLevelErrors && faulty_netlist) {
-            LockstepResult res =
-                runLockstep(*faulty_netlist, cfg.isa, test_prog,
-                            test_inputs, cfg.testCycles);
-            errors += res.errors;
-            // A defect that the vectors happen to miss still usually
-            // perturbs analog margins; count the die as suspect with
-            // at least one error only if the fault sim saw any.
-        } else {
-            // Statistical fallback: defects corrupt a sizable share
-            // of cycles.
-            errors += 1 + rng.below(cfg.testCycles / 2);
-        }
+    if (die.hasDefects() && !cfg.gateLevelErrors) {
+        // Statistical fallback: defects corrupt a sizable share of
+        // cycles.
+        errors += 1 + rng.below(cfg.testCycles / 2);
     }
 
     double expected =
@@ -173,13 +158,6 @@ runWaferStudy(const WaferStudyConfig &config)
     result.spec = spec;
     result.dies.resize(wafer.numDies());
 
-    // Lane batching applies to the gate-level fault sim only; 1
-    // forces the scalar clone-per-die path.
-    unsigned lanes = std::min<unsigned>(
-        config.batchLanes ? config.batchLanes : 1,
-        LaneGroup::kMaxLanes);
-    const bool batched = golden && lanes > 1;
-
     const std::vector<DieSite> &sites = wafer.sites();
     parallelFor(sites.size(), config.threads, [&](size_t i) {
         const DieSite &site = sites[i];
@@ -193,68 +171,57 @@ runWaferStudy(const WaferStudyConfig &config)
         die.site = site;
         die.sample = model.sample(site, wafer, rng);
 
-        // Draw the die's defects (if any). The scalar path breaks a
-        // clone of the golden netlist right away; the batched path
-        // only records the fault list and binds it to a lane later —
-        // the RNG draws are identical either way.
-        std::unique_ptr<Netlist> faulty;
+        // Draw the die's defects (if any); the lane-group phase
+        // binds the list to a lane.
         if (die.sample.hasDefects() && golden) {
-            if (!batched)
-                faulty = golden->clone();
             for (unsigned d = 0; d < die.sample.defects; ++d) {
                 NetId net = static_cast<NetId>(
                     rng.below(golden->numNets()));
-                StuckFault fault{net, rng.chance(0.5)};
-                if (faulty)
-                    faulty->injectFault(fault);
-                die.faults.push_back(fault);
+                die.faults.push_back({net, rng.chance(0.5)});
             }
         }
 
         die.at45V = probeDie(model, die.sample, kVddNominal, config,
-                             faulty.get(), batched, test_prog,
-                             test_inputs, rng);
-        if (faulty)
-            faulty->reset();
-        die.at3V = probeDie(model, die.sample, kVddLow, config,
-                            faulty.get(), batched, test_prog,
-                            test_inputs, rng);
+                             rng);
+        die.at3V = probeDie(model, die.sample, kVddLow, config, rng);
     });
 
-    if (batched) {
-        // Phase 2: gate-level fault sim of the defective dies, up to
-        // 512 to a wide lane group. Batch membership is a pure
-        // function of die index order (thread count cannot perturb
-        // it), each lane's lockstep error count is bit-identical to
-        // a scalar runLockstep of the same faulted die, and both
-        // voltage probes receive the same count — exactly what the
-        // scalar path computes by running the identical
-        // deterministic lockstep once per voltage.
-        std::vector<size_t> defective;
-        for (size_t i = 0; i < result.dies.size(); ++i)
-            if (result.dies[i].sample.hasDefects())
-                defective.push_back(i);
-        size_t num_batches = (defective.size() + lanes - 1) / lanes;
-        parallelFor(num_batches, config.threads, [&](size_t b) {
-            size_t begin = b * lanes;
-            unsigned n = static_cast<unsigned>(std::min<size_t>(
-                lanes, defective.size() - begin));
-            LaneGroup group(*golden, n);
-            for (unsigned lane = 0; lane < n; ++lane)
-                for (const StuckFault &f :
-                     result.dies[defective[begin + lane]].faults)
-                    group.injectFault(lane, f);
-            LockstepGroupResult res = runLockstepGroup(
-                group, *golden, config.isa, test_prog, test_inputs,
-                config.testCycles, /*early_exit=*/false);
-            for (unsigned lane = 0; lane < n; ++lane) {
-                DieResult &die =
-                    result.dies[defective[begin + lane]];
-                die.at45V.errors += res.errors[lane];
-                die.at3V.errors += res.errors[lane];
-            }
-        });
-    }
+    std::vector<size_t> defective;
+    for (size_t i = 0; i < result.dies.size(); ++i)
+        if (result.dies[i].sample.hasDefects())
+            defective.push_back(i);
+    if (!golden || defective.empty())
+        return result;
+
+    // Gate-level fault sim of the defective dies, batchLanes (at most
+    // 512) to a lane group, all against one golden tape. Group
+    // membership is a pure function of die index order (thread count
+    // cannot perturb it), each lane's error count is bit-identical to
+    // a scalar runLockstep of the same faulted die, and both voltage
+    // probes receive the same count: the lockstep is deterministic,
+    // so probing twice would repeat it.
+    GoldenTape tape(config.isa, test_prog, test_inputs,
+                    config.testCycles);
+    unsigned lanes = std::clamp(config.batchLanes, 1u,
+                                LaneGroup::kMaxLanes);
+    size_t num_batches = (defective.size() + lanes - 1) / lanes;
+    parallelFor(num_batches, config.threads, [&](size_t b) {
+        size_t begin = b * lanes;
+        unsigned n = static_cast<unsigned>(
+            std::min<size_t>(lanes, defective.size() - begin));
+        LaneGroup group(*golden, n);
+        for (unsigned lane = 0; lane < n; ++lane)
+            for (const StuckFault &f :
+                 result.dies[defective[begin + lane]].faults)
+                group.injectFault(lane, f);
+        LockstepGroupResult res =
+            runLockstepGroup(group, *golden, tape, /*early_exit=*/false);
+        for (unsigned lane = 0; lane < n; ++lane) {
+            DieResult &die = result.dies[defective[begin + lane]];
+            die.at45V.errors += res.errors[lane];
+            die.at3V.errors += res.errors[lane];
+        }
+    });
     return result;
 }
 

@@ -6,9 +6,10 @@
  * For every die site the model samples a manufacturing outcome; the
  * die is then "probed" at 3 V and 4.5 V exactly as on the MPI probe
  * station: defective dies are gate-level fault-simulated against the
- * golden model over the directed+random vector suite, timing-
- * marginal dies produce margin-dependent intermittent errors, and a
- * die counts as fully functional only with zero output errors.
+ * golden model over the directed+random vector suite (in lane
+ * groups, against one golden tape per wafer: runLockstepGroup),
+ * timing-marginal dies produce margin-dependent intermittent errors,
+ * and a die counts as fully functional only with zero output errors.
  */
 
 #ifndef FLEXI_YIELD_WAFER_STUDY_HH
@@ -71,13 +72,13 @@ struct WaferStudyConfig
     unsigned threads = 0;
     /**
      * Bit-parallel lanes for the gate-level fault sim of defective
-     * dies: dies are packed up to batchLanes to a LaneGroup (the
-     * wide-lane compiled backend, up to 512 lanes) and
-     * fault-simulated together; 1 forces the scalar clone-per-die
-     * path. Every die still draws from its own (seed, site.index)
-     * RNG stream and the lockstep error counts are lane-exact, so
-     * yields, per-die error counts, and fault lists are
-     * bit-identical for any value.
+     * dies: dies are packed in index order up to batchLanes to a
+     * LaneGroup (the wide-lane compiled backend; values above 512
+     * clamp to it, 0 and 1 give one-lane groups), and every group
+     * runs against the wafer's one golden tape. Every die still
+     * draws from its own (seed, site.index) RNG stream and the
+     * lockstep error counts are lane-exact, so yields, per-die error
+     * counts, and fault lists are bit-identical for any value.
      */
     unsigned batchLanes = 512;
     DieModelParams params;

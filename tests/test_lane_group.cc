@@ -24,6 +24,7 @@
 #include "tech/cell_library.hh"
 #include "netlist/flexicore_netlist.hh"
 #include "netlist/lane_group.hh"
+#include "netlist/golden_tape.hh"
 #include "netlist/lockstep.hh"
 #include "netlist/netlist.hh"
 #include "yield/test_program.hh"
@@ -37,13 +38,14 @@ struct Design
 {
     const char *name;
     std::unique_ptr<Netlist> (*build)();
+    IsaKind isa;
 };
 
 const Design kDesigns[] = {
-    {"fc4", &buildFlexiCore4Netlist},
-    {"fc8", &buildFlexiCore8Netlist},
-    {"extacc4", &buildExtAcc4Netlist},
-    {"loadstore4", &buildLoadStore4Netlist},
+    {"fc4", &buildFlexiCore4Netlist, IsaKind::FlexiCore4},
+    {"fc8", &buildFlexiCore8Netlist, IsaKind::FlexiCore8},
+    {"extacc4", &buildExtAcc4Netlist, IsaKind::ExtAcc4},
+    {"loadstore4", &buildLoadStore4Netlist, IsaKind::LoadStore4},
 };
 
 /**
@@ -587,66 +589,96 @@ TEST(LaneGroup, ExposeStateMatchesFullEvaluateOnPads)
     }
 }
 
+/**
+ * A single-page lockstep program for @p isa: the wafer-test suite on
+ * the fabricated cores, random instruction words on the DSE cores
+ * (makeTestProgram rejects them; every encoding of theirs is
+ * defined).
+ */
+Program
+lockstepProgram(IsaKind isa, uint64_t seed)
+{
+    if (isa == IsaKind::FlexiCore4 || isa == IsaKind::FlexiCore8)
+        return makeTestProgram(isa, seed);
+    Rng rng(seed * 104729 + 7);
+    std::vector<uint8_t> bytes(isa == IsaKind::LoadStore4 ? 254 : 127);
+    for (uint8_t &b : bytes)
+        b = static_cast<uint8_t>(rng.below(256));
+    Program prog(isa);
+    prog.appendBytes(0, bytes);
+    return prog;
+}
+
 TEST(LaneGroup, LockstepGroupMatchesScalarLockstep)
 {
-    // The wafer-study inner loop at a width crossing the word
-    // boundary: per-lane error totals from one group lockstep pass
-    // (pad-cone exposeState shortcut and all) equal scalar
-    // runLockstep() runs with the same per-die fault sets.
-    auto golden = buildFlexiCore4Netlist();
-    Program prog = makeTestProgram(IsaKind::FlexiCore4, 3);
-    auto inputs = makeTestInputs(IsaKind::FlexiCore4, 128, 3);
+    // The wafer-study inner loop on every core at a width crossing
+    // the word boundary — FC8's two-byte instructions, the DSE
+    // cores' 16-bit fetch and LoadStore4's word PC included: per-lane
+    // error totals from one group lockstep pass (pad-cone
+    // exposeState shortcut and all) equal scalar runLockstep() runs
+    // with the same per-die fault sets. Early exit keeps which lanes
+    // are clean and only cuts the dirty lanes' counts short.
     const uint64_t kBudget = 300;
+    const unsigned kWidth = 96;
+    for (const auto &design : kDesigns) {
+        for (uint64_t seed : {3u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << design.name << " seed " << seed);
+            auto golden = design.build();
+            Program prog = lockstepProgram(design.isa, seed);
+            auto inputs = makeTestInputs(design.isa, 128, seed);
 
-    Rng rng(0xD1E5EEDull);
-    unsigned width = 96;
-    LaneGroup group(*golden, width);
-    std::vector<std::vector<StuckFault>> faults(width);
-    for (unsigned lane = 0; lane < width; ++lane) {
-        // Lane 0 stays fault-free; others get 1-3 stuck-ats.
-        unsigned n = lane ? 1 + static_cast<unsigned>(rng.below(3))
-                          : 0;
-        for (unsigned k = 0; k < n; ++k) {
-            StuckFault f;
-            f.net =
-                static_cast<NetId>(rng.below(golden->numNets()));
-            f.value = rng.chance(0.5);
-            faults[lane].push_back(f);
-            group.injectFault(lane, f);
+            Rng rng(0xD1E5EEDull + seed);
+            std::vector<std::vector<StuckFault>> faults(kWidth);
+            // Lane 0 stays fault-free; others get 1-3 stuck-ats.
+            for (unsigned lane = 1; lane < kWidth; ++lane) {
+                unsigned n = 1 + static_cast<unsigned>(rng.below(3));
+                for (unsigned k = 0; k < n; ++k) {
+                    StuckFault f;
+                    f.net = static_cast<NetId>(
+                        rng.below(golden->numNets()));
+                    f.value = rng.chance(0.5);
+                    faults[lane].push_back(f);
+                }
+            }
+            auto groupWithFaults = [&] {
+                auto group = std::make_unique<LaneGroup>(*golden, kWidth);
+                for (unsigned lane = 0; lane < kWidth; ++lane)
+                    for (const StuckFault &f : faults[lane])
+                        group->injectFault(lane, f);
+                return group;
+            };
+
+            // Both forms: a tape recorded per call, and one shared.
+            LockstepGroupResult full = runLockstepGroup(
+                *groupWithFaults(), *golden, design.isa, prog, inputs,
+                kBudget, /*early_exit=*/false);
+            GoldenTape tape(design.isa, prog, inputs, kBudget);
+            LockstepGroupResult fast = runLockstepGroup(
+                *groupWithFaults(), *golden, tape, /*early_exit=*/true);
+
+            unsigned dirty = 0;
+            for (unsigned lane = 0; lane < kWidth; ++lane) {
+                auto die = golden->clone();
+                for (const StuckFault &f : faults[lane])
+                    die->injectFault(f);
+                LockstepResult scalar = runLockstep(
+                    *die, design.isa, prog, inputs, kBudget);
+                bool clean = scalar.errors == 0;
+                dirty += !clean;
+                EXPECT_EQ(full.errors[lane], scalar.errors) << lane;
+                EXPECT_EQ(full.laneClean(lane), clean) << lane;
+                EXPECT_EQ(fast.laneClean(lane), clean) << lane;
+                EXPECT_LE(fast.errors[lane], scalar.errors) << lane;
+                EXPECT_EQ(fast.errors[lane] == 0, clean) << lane;
+                if (lane == 0) {
+                    EXPECT_TRUE(clean);
+                    EXPECT_EQ(full.instructions, scalar.instructions);
+                    EXPECT_EQ(full.cycles, scalar.cycles);
+                }
+            }
+            EXPECT_GT(dirty, 0u);
         }
-    }
-
-    LockstepGroupResult res = runLockstepGroup(
-        group, *golden, IsaKind::FlexiCore4, prog, inputs, kBudget,
-        /*early_exit=*/false);
-
-    for (unsigned lane = 0; lane < width; ++lane) {
-        auto die = golden->clone();
-        for (const StuckFault &f : faults[lane])
-            die->injectFault(f);
-        LockstepResult scalar = runLockstep(
-            *die, IsaKind::FlexiCore4, prog, inputs, kBudget);
-        EXPECT_EQ(res.errors[lane], scalar.errors) << "lane " << lane;
-        EXPECT_EQ(res.laneClean(lane), scalar.errors == 0)
-            << "lane " << lane;
-    }
-    EXPECT_TRUE(res.laneClean(0))
-        << "fault-free lane 0 must stay clean";
-
-    // Early exit must not change which lanes are clean, only how
-    // much error counting the dirty lanes receive.
-    LaneGroup group2(*golden, width);
-    for (unsigned lane = 0; lane < width; ++lane)
-        for (const StuckFault &f : faults[lane])
-            group2.injectFault(lane, f);
-    LockstepGroupResult fast = runLockstepGroup(
-        group2, *golden, IsaKind::FlexiCore4, prog, inputs, kBudget,
-        /*early_exit=*/true);
-    EXPECT_EQ(fast.activeMask, res.activeMask);
-    for (unsigned lane = 0; lane < width; ++lane) {
-        EXPECT_LE(fast.errors[lane], res.errors[lane]) << lane;
-        if (res.laneClean(lane))
-            EXPECT_EQ(fast.errors[lane], 0u) << lane;
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "kernels/inputs.hh"
 #include "kernels/kernels.hh"
 #include "netlist/flexicore_netlist.hh"
+#include "netlist/lockstep.hh"
 #include "resilience/checked_run.hh"
 #include "resilience/fault_campaign.hh"
 #include "resilience/salvage.hh"
@@ -643,6 +645,30 @@ TEST(Atpg, SampledRunTriagesEveryEscape)
     }
     EXPECT_GE(rep.testableCoverage(), rep.simCoverage());
     EXPECT_LE(rep.simCoverage(), 1.0);
+
+    // The lane-group fault simulation against its scalar oracle: a
+    // fault is an escape exactly when runLockstep() on a faulted
+    // clone sees no error. The sample strides the cell-output
+    // universe (cell i/2, stuck at i&1).
+    auto golden = buildFlexiCore4Netlist();
+    const std::vector<CellInst> &cells = golden->cells();
+    size_t universe = cells.size() * 2;
+    for (size_t i = 0; i < rep.faults; ++i) {
+        size_t idx = i * universe / rep.faults;
+        StuckFault fault{cells[idx / 2].output, (idx & 1) != 0};
+        auto die = golden->clone();
+        die->injectFault(fault);
+        bool detected =
+            runLockstep(*die, cfg.isa, prog, inputs, cfg.simCycles)
+                .errors > 0;
+        bool escaped = std::any_of(
+            rep.escapes.begin(), rep.escapes.end(),
+            [&](const AtpgFault &f) {
+                return f.fault.net == fault.net &&
+                       f.fault.value == fault.value;
+            });
+        EXPECT_EQ(escaped, !detected) << "fault " << i;
+    }
 }
 
 } // namespace

@@ -418,13 +418,12 @@ TEST(WaferStudy, ThreadCountDoesNotChangeResults)
     }
 }
 
-TEST(WaferStudy, BatchedLanesBitIdenticalToScalar)
+TEST(WaferStudy, LaneWidthsAndThreadCountsBitIdentical)
 {
-    // The acceptance bar for the 64-lane bit-parallel probe loop:
-    // packing defective dies into word lanes is a pure execution
-    // strategy — per-die defect draws, error counts and currents are
-    // bit-identical to the scalar clone-per-die path, for any lane
-    // width and thread count.
+    // Packing defective dies into lane groups is a pure execution
+    // strategy: per-die defect draws, error counts and currents are
+    // bit-identical for any lane width — one-lane groups, ragged
+    // groups, one to eight words — and thread count.
     WaferStudyConfig cfg;
     cfg.isa = IsaKind::FlexiCore4;
     cfg.seed = 11;
@@ -432,7 +431,7 @@ TEST(WaferStudy, BatchedLanesBitIdenticalToScalar)
     cfg.gateLevelErrors = true;
     cfg.threads = 1;
     cfg.batchLanes = 1;
-    auto scalar = runWaferStudy(cfg);
+    auto oneLane = runWaferStudy(cfg);
     cfg.batchLanes = 64;
     auto batched = runWaferStudy(cfg);
     cfg.batchLanes = 7;   // ragged batches
@@ -444,12 +443,12 @@ TEST(WaferStudy, BatchedLanesBitIdenticalToScalar)
     cfg.threads = 1;
     auto wide8 = runWaferStudy(cfg);
 
-    ASSERT_EQ(scalar.dies.size(), batched.dies.size());
-    ASSERT_EQ(scalar.dies.size(), ragged.dies.size());
-    ASSERT_EQ(scalar.dies.size(), wide4.dies.size());
-    ASSERT_EQ(scalar.dies.size(), wide8.dies.size());
-    for (size_t i = 0; i < scalar.dies.size(); ++i) {
-        const DieResult &a = scalar.dies[i];
+    ASSERT_EQ(oneLane.dies.size(), batched.dies.size());
+    ASSERT_EQ(oneLane.dies.size(), ragged.dies.size());
+    ASSERT_EQ(oneLane.dies.size(), wide4.dies.size());
+    ASSERT_EQ(oneLane.dies.size(), wide8.dies.size());
+    for (size_t i = 0; i < oneLane.dies.size(); ++i) {
+        const DieResult &a = oneLane.dies[i];
         for (const DieResult *b :
              {&batched.dies[i], &ragged.dies[i], &wide4.dies[i],
               &wide8.dies[i]}) {
@@ -460,6 +459,55 @@ TEST(WaferStudy, BatchedLanesBitIdenticalToScalar)
             EXPECT_EQ(a.at45V.currentA, b->at45V.currentA) << i;
             EXPECT_EQ(a.at3V.currentA, b->at3V.currentA) << i;
         }
+    }
+}
+
+TEST(WaferStudy, GateLevelErrorsMatchScalarLockstep)
+{
+    // The per-die oracle: a defective die's gate-level error count is
+    // what scalar runLockstep() reports for a clone of the golden
+    // netlist carrying the die's faults, on the wafer's test program
+    // and inputs. A timing-marginal die adds intermittent errors on
+    // top, so there the probe only bounds the count from above.
+    for (IsaKind isa : {IsaKind::FlexiCore4, IsaKind::FlexiCore8}) {
+        SCOPED_TRACE(isaName(isa));
+        WaferStudyConfig cfg;
+        cfg.isa = isa;
+        cfg.seed = 11;
+        cfg.testCycles = 400;
+        auto res = runWaferStudy(cfg);
+        DieModel model(res.spec, cfg.params);
+        auto golden = isa == IsaKind::FlexiCore4
+                          ? buildFlexiCore4Netlist()
+                          : buildFlexiCore8Netlist();
+        const Program &prog = cachedTestProgram(isa, cfg.seed);
+        auto inputs = makeTestInputs(isa, 256, cfg.seed);
+
+        unsigned exact = 0;
+        for (const DieResult &die : res.dies) {
+            if (!die.sample.hasDefects())
+                continue;
+            SCOPED_TRACE(die.site.index);
+            ASSERT_EQ(die.faults.size(), die.sample.defects);
+            auto nl = golden->clone();
+            for (const StuckFault &f : die.faults)
+                nl->injectFault(f);
+            uint64_t gate =
+                runLockstep(*nl, isa, prog, inputs, cfg.testCycles)
+                    .errors;
+            for (double vdd : {kVddNominal, kVddLow}) {
+                const DieProbe &probe =
+                    vdd == kVddNominal ? die.at45V : die.at3V;
+                if (model.expectedTimingErrors(die.sample, vdd,
+                                               cfg.testCycles) > 0) {
+                    EXPECT_GT(probe.errors, gate) << vdd;
+                } else {
+                    EXPECT_EQ(probe.errors, gate) << vdd;
+                    ++exact;
+                }
+            }
+        }
+        EXPECT_GT(exact, 0u);
     }
 }
 

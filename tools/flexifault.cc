@@ -20,10 +20,11 @@
  *
  * Exit codes follow the flexilint contract: 0 = success, 1 =
  * runtime error (a failed baseline run), 2 = usage error (unknown
- * command or ISA, malformed or out-of-range option value — a
- * negative seed, --batch-lanes 0, --work 0, a --vdd that is not a
- * finite positive voltage). Every integer option has an explicit
- * range, so no value wraps or runs unbounded.
+ * command or ISA, an ISA other than fc4|fc8 for salvage or atpg,
+ * a malformed or out-of-range option value — a negative seed,
+ * --batch-lanes 0, --work 0, a --vdd that is not a finite positive
+ * voltage). Every integer option has an explicit range, so no value
+ * wraps or runs unbounded.
  */
 
 #include <cerrno>
@@ -76,6 +77,17 @@ parseIsa(const char *name)
     if (!std::strcmp(name, "ls"))
         return IsaKind::LoadStore4;
     usageError("unknown ISA '%s' (expected fc4|fc8|ext|ls)", name);
+}
+
+/** The ISA of a command that probes the fabricated cores. */
+IsaKind
+parseFabricatedIsa(const char *name)
+{
+    IsaKind isa = parseIsa(name);
+    if (isa != IsaKind::FlexiCore4 && isa != IsaKind::FlexiCore8)
+        usageError("ISA '%s' was never fabricated (expected fc4|fc8)",
+                   name);
+    return isa;
 }
 
 struct Args
@@ -190,7 +202,7 @@ cmdSalvage(Args &args)
 {
     SalvageConfig cfg;
     if (const char *isa = args.option("--isa"))
-        cfg.study.isa = parseIsa(isa);
+        cfg.study.isa = parseFabricatedIsa(isa);
     cfg.study.seed = args.number("--seed", 42, 0, UINT64_MAX);
     cfg.study.testCycles = args.number("--cycles", 500, 1, kMaxCycles);
     cfg.study.threads = static_cast<unsigned>(
@@ -238,7 +250,7 @@ cmdAtpg(Args &args)
 {
     AtpgConfig cfg;
     if (const char *isa = args.option("--isa"))
-        cfg.isa = parseIsa(isa);
+        cfg.isa = parseFabricatedIsa(isa);
     uint64_t seed = args.number("--seed", 11, 0, UINT64_MAX);
     cfg.simCycles = args.number("--cycles", 1500, 1, kMaxCycles);
     cfg.maxFaults = args.number("--max-faults", 0, 0, UINT32_MAX);
