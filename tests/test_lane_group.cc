@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "tech/cell_library.hh"
 #include "netlist/flexicore_netlist.hh"
@@ -680,6 +681,19 @@ TEST(LaneGroup, LockstepGroupMatchesScalarLockstep)
             EXPECT_GT(dirty, 0u);
         }
     }
+}
+
+TEST(LaneGroup, LockstepGroupRejectsMultiPageTape)
+{
+    // runLockstep() runs page 0 only, so a tape that follows the MMU
+    // onto other pages has no oracle: the group runner refuses it.
+    auto golden = buildFlexiCore4Netlist();
+    Program prog = makeTestProgram(IsaKind::FlexiCore4, 3);
+    prog.appendBytes(1, {0x00});
+    GoldenTape tape(IsaKind::FlexiCore4, prog, {}, 10);
+    LaneGroup group(*golden, 4);
+    EXPECT_THROW(runLockstepGroup(group, *golden, tape, false),
+                 FatalError);
 }
 
 TEST(LaneGroup, ByteBusPathsMatchGenericPaths)
