@@ -12,23 +12,6 @@
 namespace flexi
 {
 
-namespace
-{
-
-std::unique_ptr<Netlist>
-atpgGolden(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      default:
-        fatal("ATPG targets the fabricated cores, not %s",
-              isaName(isa));
-    }
-}
-
-} // namespace
-
 double
 AtpgReport::simCoverage() const
 {
@@ -46,7 +29,11 @@ AtpgReport
 runAtpg(const AtpgConfig &config, const Program &prog,
         const std::vector<uint8_t> &inputs)
 {
-    std::unique_ptr<Netlist> golden = atpgGolden(config.isa);
+    if (config.isa != IsaKind::FlexiCore4 &&
+        config.isa != IsaKind::FlexiCore8)
+        fatal("ATPG targets the fabricated cores, not %s",
+              isaName(config.isa));
+    std::unique_ptr<Netlist> golden = buildCoreNetlist(config.isa);
     const std::vector<CellInst> &cells = golden->cells();
 
     // The fault universe: every cell output, stuck at 0 and at 1.

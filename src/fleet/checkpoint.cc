@@ -215,12 +215,22 @@ decodeConfig(Reader &r)
     c.detectors.outputCrc = r.flag("outputCrc");
     c.detectors.watchdog = r.flag("watchdog");
     c.detectors.watchdogCycles = r.u64();
+    if (c.detectors.watchdogCycles > kMaxWatchdogCycles)
+        fatal("fleet checkpoint: watchdogCycles must be at most %llu, "
+              "got %llu",
+              static_cast<unsigned long long>(kMaxWatchdogCycles),
+              static_cast<unsigned long long>(c.detectors.watchdogCycles));
     c.recovery.enabled = r.flag("recovery");
     c.recovery.checkpointInstructions = r.u32();
     c.recovery.maxRetries = r.u32();
     c.recovery.allowRestart = r.flag("allowRestart");
     c.maxRepages = r.u32();
     c.maxInstructions = r.u64();
+    if (!c.maxInstructions || c.maxInstructions > kMaxInstructionBudget)
+        fatal("fleet checkpoint: maxInstructions must be in [1, %llu], "
+              "got %llu",
+              static_cast<unsigned long long>(kMaxInstructionBudget),
+              static_cast<unsigned long long>(c.maxInstructions));
     c.threads = r.u32();
     c.batchLanes = r.u32();
     c.vdd = r.f64();

@@ -77,18 +77,6 @@ constexpr auto kFnvBits = [] {
     return t;
 }();
 
-std::unique_ptr<Netlist>
-fleetGolden(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      default:
-        fatal("the fleet engine deploys the fabricated cores, not %s",
-              isaName(isa));
-    }
-}
-
 bool
 configsMatch(const FleetConfig &a, const FleetConfig &b)
 {
@@ -259,17 +247,15 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
     runCfg.maxInstructions = cfg.maxInstructions;
     std::vector<uint8_t> inputs = epochInputs(epoch);
 
-    // Fault-free golden mission: the horizon the per-die fault
-    // arrivals are drawn over.
-    std::unique_ptr<Netlist> ref = golden->clone();
-    CheckedRunConfig baseCfg = runCfg;
-    baseCfg.detectors = DetectorConfig{false, false, false, 192};
-    baseCfg.recovery.enabled = false;
-    CheckedRunResult base = runChecked(*ref, *prog, inputs, baseCfg);
-    if (base.outcome != CheckedOutcome::Completed ||
-        !base.outputsCorrect)
-        panic("fleet: golden mission failed at epoch %u", epoch);
-    uint64_t horizon = 2 * base.cycles + 64;
+    // The epoch's golden mission, recorded once: its length sets the
+    // horizon the per-die fault arrivals are drawn over.
+    GoldenTape tape = checkedTape(*prog, inputs, runCfg);
+    const GoldenTape::Point &mission = tape.at(tape.last());
+    if (!mission.done)
+        fatal("fleet: epoch %u's mission needs more than "
+              "maxInstructions = %llu instructions",
+              epoch, static_cast<unsigned long long>(cfg.maxInstructions));
+    uint64_t horizon = 2 * mission.elapsed + 64;
 
     std::vector<uint32_t> live;
     live.reserve(state.dies.size());
@@ -289,8 +275,11 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
         faults[k] = &report.study.dies[pi].faults;
     });
     PopulationResult pop = runCheckedPopulation(
-        *golden, *prog, inputs, runCfg, sched, &faults, cfg.batchLanes,
+        *golden, tape, runCfg, sched, &faults, cfg.batchLanes,
         cfg.threads, true);
+    if (pop.faultFree.outcome != CheckedOutcome::Completed ||
+        !pop.faultFree.outputsCorrect)
+        panic("fleet: golden mission failed at epoch %u", epoch);
 
     // Merge each die's mission into its own record: digest, packed
     // end state and escalation ladder read and write only that die,
@@ -359,7 +348,21 @@ FleetEngine::FleetEngine(const FleetConfig &config)
     if (!(std::isfinite(config.vdd) && config.vdd > 0))
         fatal("fleet: vdd must be a finite positive voltage, got %g",
               config.vdd);
-    im.golden = fleetGolden(config.isa);
+    if (!config.maxInstructions ||
+        config.maxInstructions > kMaxInstructionBudget)
+        fatal("fleet: maxInstructions must be in [1, %llu], got %llu",
+              static_cast<unsigned long long>(kMaxInstructionBudget),
+              static_cast<unsigned long long>(config.maxInstructions));
+    if (config.detectors.watchdogCycles > kMaxWatchdogCycles)
+        fatal("fleet: watchdogCycles must be at most %llu, got %llu",
+              static_cast<unsigned long long>(kMaxWatchdogCycles),
+              static_cast<unsigned long long>(
+                  config.detectors.watchdogCycles));
+    if (config.isa != IsaKind::FlexiCore4 &&
+        config.isa != IsaKind::FlexiCore8)
+        fatal("the fleet engine deploys the fabricated cores, not %s",
+              isaName(config.isa));
+    im.golden = buildCoreNetlist(config.isa);
 
     size_t kernelIdx;
     if (config.isa == IsaKind::FlexiCore8) {

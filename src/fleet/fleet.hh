@@ -96,6 +96,10 @@ struct FleetConfig
      *  program image) a die may burn on Degraded missions before it
      *  is pulled from the fleet. */
     unsigned maxRepages = 1;
+    /** Instruction budget of a mission, in [1, kMaxInstructionBudget]
+     *  (and detectors.watchdogCycles at most kMaxWatchdogCycles). A
+     *  mission the golden model cannot finish within it fails the
+     *  epoch with FatalError. */
     uint64_t maxInstructions = 60000;
     /** 0 = auto; results are bit-identical for any value. */
     unsigned threads = 0;

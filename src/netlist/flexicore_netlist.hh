@@ -17,6 +17,7 @@
 
 #include <memory>
 
+#include "isa/isa.hh"
 #include "netlist/netlist.hh"
 
 namespace flexi
@@ -41,6 +42,9 @@ std::unique_ptr<Netlist> buildExtAcc4Netlist();
  * DSE machine of Section 6.2.
  */
 std::unique_ptr<Netlist> buildLoadStore4Netlist();
+
+/** Build the netlist of the core that implements @p isa. */
+std::unique_ptr<Netlist> buildCoreNetlist(IsaKind isa);
 
 } // namespace flexi
 

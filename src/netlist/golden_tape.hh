@@ -8,8 +8,10 @@
  * and ATPG's lane groups, the checked runtime's prescreen and lane
  * runner — the golden model runs one program on one input stream, so
  * it is recorded once as a read-only tape that serves every group of
- * a call, on any thread. Only the scalar oracles, runLockstep() and
- * runChecked(), step a CoreSim of their own.
+ * a call, on any thread. Its last point is also the fault-free run
+ * itself: a population's baseline length, in elapsed die cycles, is
+ * read off it, not simulated again. Only the scalar oracles,
+ * runLockstep() and runChecked(), step a CoreSim of their own.
  */
 
 #ifndef FLEXI_NETLIST_GOLDEN_TAPE_HH

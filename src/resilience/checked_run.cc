@@ -34,11 +34,24 @@ namespace
 constexpr unsigned kNoPc = ~0u;
 
 /** Die cycle budget of a run: cfg.maxCycles, or derived from
- *  cfg.maxInstructions. */
+ *  cfg.maxInstructions. FatalError where the budget or the
+ *  watchdog's trip point would wrap. */
 uint64_t
 cycleBudget(const CheckedRunConfig &cfg)
 {
-    return cfg.maxCycles ? cfg.maxCycles : cfg.maxInstructions * 8 + 1024;
+    if (cfg.detectors.watchdogCycles > kMaxWatchdogCycles)
+        fatal("checked run: watchdogCycles must be at most %llu, got %llu",
+              static_cast<unsigned long long>(kMaxWatchdogCycles),
+              static_cast<unsigned long long>(
+                  cfg.detectors.watchdogCycles));
+    if (cfg.maxCycles)
+        return cfg.maxCycles;
+    if (cfg.maxInstructions > kMaxInstructionBudget)
+        fatal("checked run: maxInstructions must be at most %llu, got "
+              "%llu",
+              static_cast<unsigned long long>(kMaxInstructionBudget),
+              static_cast<unsigned long long>(cfg.maxInstructions));
+    return cfg.maxInstructions * 8 + 1024;
 }
 
 /** The lane inputs of a group: one schedule per lane and, when not
@@ -449,6 +462,14 @@ runChecked(Netlist &die, const Program &prog,
     return runner.run();
 }
 
+GoldenTape
+checkedTape(const Program &prog, const std::vector<uint8_t> &inputs,
+            const CheckedRunConfig &cfg)
+{
+    return GoldenTape(cfg.isa, prog, inputs, cfg.maxInstructions,
+                      cycleBudget(cfg), cfg.targetOutputs);
+}
+
 namespace
 {
 
@@ -531,7 +552,7 @@ class LaneCheckedRunner
     LaneCheckedRunner(const GoldenTape &tape, const Netlist &golden,
                       const CheckedRunConfig &cfg, ScheduleSpan schedules,
                       StuckSpan stuck)
-        : cfg_(cfg), tape_(tape),
+        : cfg_(cfg), maxCycles_(cycleBudget(cfg)), tape_(tape),
           dies_(golden, cfg.isa, schedules, stuck, ~0ull),
           lanes_(schedules.size()),
           stateWords_(dies_.group.dffStateWords()),
@@ -760,8 +781,11 @@ class LaneCheckedRunner
             finish(l, CheckedOutcome::Completed);
             return;
         }
-        if (ln.res.instructions >= cfg_.maxInstructions ||
-            ln.res.cycles >= cycleBudget(cfg_)) {
+        // A tape that is not done ends where the golden run ran out of
+        // budget; a lane that gets there has too.
+        if (ln.k == tape_.last() ||
+            ln.res.instructions >= cfg_.maxInstructions ||
+            ln.res.cycles >= maxCycles_) {
             finish(l, CheckedOutcome::BudgetExhausted);
             return;
         }
@@ -855,6 +879,7 @@ class LaneCheckedRunner
 
 
     const CheckedRunConfig &cfg_;
+    uint64_t maxCycles_;
     const GoldenTape &tape_;
     DieLanes dies_;
     std::vector<Lane> lanes_;
@@ -990,8 +1015,7 @@ runCheckedLanes(const Netlist &golden, const Program &prog,
 {
     if (schedules.empty() || schedules.size() > LaneGroup::kWordLanes)
         fatal("runCheckedLanes: bad lane count %zu", schedules.size());
-    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
-                    cycleBudget(cfg), cfg.targetOutputs);
+    GoldenTape tape = checkedTape(prog, inputs, cfg);
     LaneCheckedRunner runner(tape, golden, cfg, schedules,
                              laneFaults ? StuckSpan(*laneFaults)
                                         : StuckSpan());
@@ -1028,8 +1052,7 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
     if (schedules.empty() || schedules.size() > LaneGroup::kMaxLanes)
         fatal("prescreenSchedules: bad lane count %zu",
               schedules.size());
-    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
-                    cycleBudget(cfg), cfg.targetOutputs);
+    GoldenTape tape = checkedTape(prog, inputs, cfg);
     std::vector<uint64_t> endState;
     if (captureEndState)
         endState.resize(schedules.size() * LaneGroup::dffStateWords(golden.numDffs()));
@@ -1045,8 +1068,7 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
 }
 
 PopulationResult
-runCheckedPopulation(const Netlist &golden, const Program &prog,
-                     const std::vector<uint8_t> &inputs,
+runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
                      const CheckedRunConfig &cfg,
                      const std::vector<FaultSchedule> &schedules,
                      const std::vector<const std::vector<StuckFault> *>
@@ -1058,11 +1080,8 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
     if (stuck && stuck->size() != dies)
         fatal("runCheckedPopulation: %zu fault lists for %zu dies",
               stuck->size(), dies);
+    cycleBudget(cfg);   // checks the prescreen's watchdog bound too
     PopulationResult pop;
-    if (dies == 0)
-        return pop;
-    GoldenTape tape(cfg.isa, prog, inputs, cfg.maxInstructions,
-                    cycleBudget(cfg), cfg.targetOutputs);
 
     // The runs to simulate, in die order of first appearance: a die
     // with an in-field event gets its own; event-free dies with the
@@ -1087,6 +1106,15 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
         }
         scheds.push_back(&sched);
         faults.push_back(f);
+    }
+    // The fault-free run: the event-free unfaulted dies', or one
+    // more, simulated last and kept out of runs.
+    const FaultSchedule noEvents;
+    auto [guard, extra] = shared.try_emplace(
+        nullptr, static_cast<uint32_t>(scheds.size()));
+    if (extra) {
+        scheds.push_back(&noEvents);
+        faults.push_back(nullptr);
     }
     size_t runs = scheds.size();
     pop.runs.resize(runs);
@@ -1144,6 +1172,9 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
                         pop.endState.data() + r * sw);
         }
     });
+    pop.faultFree = pop.runs[guard->second];
+    pop.runs.resize(runs - extra);
+    pop.endState.resize(pop.runs.size() * sw);
     return pop;
 }
 

@@ -26,16 +26,15 @@
  * escalate to Degraded, exactly the triage the salvage binning needs.
  *
  * Populations of dies — fault campaigns, salvage binning, fleet
- * epochs — all take one path, runCheckedPopulation(): the golden
- * trajectory is recorded once as a read-only GoldenTape (the tape the
- * wafer study and ATPG lockstep against, in netlist/golden_tape.hh
- * with crc8()), dies without an in-field event that share a defect
- * list share one run, a word-parallel prescreen over the tape settles
- * the runs no detector could fire on, and the rest run the same
- * runtime 64 to a LaneGroup word against the same tape; end states
- * come back packed, a few words per run. The scalar runChecked() is
- * the oracle every half is tested against, and the fault-free
- * baseline every population draws its fault windows over.
+ * epochs — all take one path: the golden trajectory is recorded once
+ * as a read-only GoldenTape (checkedTape(); netlist/golden_tape.hh,
+ * with crc8()), whose length is the fault-free run the fault windows
+ * are drawn over, and runCheckedPopulation() runs the dies against
+ * it: dies without an in-field event that share a defect list share
+ * one run, a word-parallel prescreen settles the runs no detector
+ * could fire on, and the rest run the same runtime 64 to a LaneGroup
+ * word; end states come back packed, a few words per run. The scalar
+ * runChecked() is the oracle every half is tested against.
  */
 
 #ifndef FLEXI_RESILIENCE_CHECKED_RUN_HH
@@ -160,9 +159,27 @@ struct CheckedRunConfig
     /** Outputs to produce; 0 = run until the golden model halts. */
     size_t targetOutputs = 0;
     uint64_t maxInstructions = 100000;
-    /** Die cycle budget; 0 = derived from maxInstructions. */
+    /** Die cycle budget; 0 = maxInstructions * 8 + 1024. */
     uint64_t maxCycles = 0;
 };
+
+/** Largest maxInstructions a derived cycle budget takes (far below
+ *  where maxInstructions * 8 + 1024 wraps). */
+constexpr uint64_t kMaxInstructionBudget = 1ull << 60;
+/** Largest watchdogCycles (far below where watchdogCycles + 1, the
+ *  trip point, wraps). */
+constexpr uint64_t kMaxWatchdogCycles = 1ull << 60;
+
+/**
+ * The golden tape a checked run of @p prog on @p inputs under @p cfg
+ * reads, within cfg's budgets. Its last point is the fault-free run:
+ * done, after elapsed die cycles and last() instructions, or out of
+ * budget. FatalError naming the field when cfg's budget or watchdog
+ * is past its bound above.
+ */
+GoldenTape checkedTape(const Program &prog,
+                       const std::vector<uint8_t> &inputs,
+                       const CheckedRunConfig &cfg);
 
 /**
  * Run @p prog on the gate-level die @p die under the checked runtime.
@@ -184,7 +201,7 @@ CheckedRunResult runChecked(Netlist &die, const Program &prog,
 
 /**
  * What runCheckedPopulation() returns: one result per simulated run,
- * and for every die the run it took.
+ * for every die the run it took, and the fault-free run.
  */
 struct PopulationResult
 {
@@ -192,6 +209,10 @@ struct PopulationResult
     std::vector<uint32_t> runOf;
     /** One summary per simulated run. */
     std::vector<CheckedRunSummary> runs;
+    /** The run of a die with no defect and no event: those dies'
+     *  shared run, or one extra lane's kept out of runs. Completed and
+     *  correct unless the netlist is broken or the budget too small. */
+    CheckedRunSummary faultFree;
     /**
      * Words per run of endState: LaneGroup::dffStateWords() of the
      * golden netlist when end state was captured, else 0.
@@ -216,35 +237,32 @@ struct PopulationResult
 };
 
 /**
- * The checked runtime over a population of dies. Die i runs @p prog
+ * The checked runtime over a population of dies. Die i runs the
+ * program @p tape was recorded from, checkedTape(prog, inputs, cfg),
  * under schedules[i], with (*stuck)[i]'s stuck-at faults installed
  * when given (null entries allowed), and result i is what
  * runChecked() returns for a clone of @p golden — fault-free and
  * with its die clock at 0, as built — carrying those faults, cut
  * down to a CheckedRunSummary (PopulationResult::die) plus, with
- * @p captureEndState, its endDff packed
- * (PopulationResult::endDff).
+ * @p captureEndState, its endDff packed (PopulationResult::endDff).
  *
- * One golden run serves the whole call: the golden model's
- * trajectory is recorded once, up front, as a read-only tape. Dies
- * whose schedules hold no transient and no flip, and whose stuck-at
- * lists are the same object (or both null or empty), would run
- * identical missions, so they share one simulated run — in a fleet
- * most dies see no in-field event and most parts share a defect
- * list, so an epoch costs in proportion to its events; nothing
- * survives the call. The runs are prescreened in blocks of
- * @p prescreenLanes (clamped to 1..LaneGroup::kMaxLanes; 1 skips the
- * prescreen) against the tape; the runs a block cannot prove clean
- * then run the lane-parallel checked runtime against the same tape,
- * in die order, in one-word groups of checkedLanesPerGroup() lanes.
- * Blocks and groups spread over @p threads workers (0 = the thread
- * pool's default). A die's result depends on neither its block, its
- * group, its sharing nor the thread count. An empty population
- * returns an empty result.
+ * The one tape serves the whole call. Dies whose schedules hold no
+ * transient and no flip, and whose stuck-at lists are the same object
+ * (or both null or empty), would run identical missions, so they
+ * share one simulated run — in a fleet most dies see no in-field
+ * event and most parts share a defect list, so an epoch costs in
+ * proportion to its events; nothing survives the call. The runs are
+ * prescreened in blocks of @p prescreenLanes (clamped to
+ * 1..LaneGroup::kMaxLanes; 1 skips the prescreen) against the tape;
+ * the runs a block cannot prove clean then run the lane-parallel
+ * checked runtime against the same tape, in die order, in one-word
+ * groups of checkedLanesPerGroup() lanes. Blocks and groups spread
+ * over @p threads workers (0 = the thread pool's default). A die's
+ * result depends on neither its block, its group, its sharing nor
+ * the thread count. An empty population has no runs but a faultFree.
  */
 PopulationResult
-runCheckedPopulation(const Netlist &golden, const Program &prog,
-                     const std::vector<uint8_t> &inputs,
+runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
                      const CheckedRunConfig &cfg,
                      const std::vector<FaultSchedule> &schedules,
                      const std::vector<const std::vector<StuckFault> *>

@@ -20,18 +20,6 @@ namespace
 /** Stream-id salt for injection schedules (see deriveSeed()). */
 constexpr uint64_t kCampaignSalt = 0xF0157A11C0DEull;
 
-std::unique_ptr<Netlist>
-buildCore(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      case IsaKind::ExtAcc4: return buildExtAcc4Netlist();
-      case IsaKind::LoadStore4: return buildLoadStore4Netlist();
-    }
-    fatal("bad ISA");
-}
-
 /** The program, input stream and output target a campaign runs. */
 struct Workload
 {
@@ -171,7 +159,7 @@ runFaultCampaign(const CampaignConfig &config)
     if (config.workUnits < 1 || config.workUnits > kMaxWorkUnits)
         fatal("campaign: workUnits must be in [1, %zu], got %zu",
               kMaxWorkUnits, config.workUnits);
-    std::unique_ptr<Netlist> golden = buildCore(config.isa);
+    std::unique_ptr<Netlist> golden = buildCoreNetlist(config.isa);
     Workload work = makeWorkload(config);
 
     CheckedRunConfig runCfg;
@@ -184,24 +172,10 @@ runFaultCampaign(const CampaignConfig &config)
     CampaignResult result;
     result.config = config;
 
-    // Fault-free baseline, with protection disarmed so the reference
-    // trajectory (and thus every schedule horizon) is independent of
-    // the campaign's detector/recovery settings.
-    {
-        CheckedRunConfig baseCfg = runCfg;
-        baseCfg.detectors = DetectorConfig{false, false, false,
-                                           baseCfg.detectors
-                                               .watchdogCycles};
-        baseCfg.recovery.enabled = false;
-        std::unique_ptr<Netlist> die = golden->clone();
-        CheckedRunResult base =
-            runChecked(*die, work.prog, work.inputs, baseCfg);
-        result.baselineCycles = base.cycles;
-        result.baselineInstructions = base.instructions;
-        result.baselineCorrect =
-            base.outcome == CheckedOutcome::Completed &&
-            base.outputsCorrect;
-    }
+    // The golden run, recorded once: its length is the baseline every
+    // schedule is drawn over, whatever the detectors and recovery.
+    GoldenTape tape = checkedTape(work.prog, work.inputs, runCfg);
+    result.baselineCycles = tape.at(tape.last()).elapsed;
 
     // Every schedule is a pure function of (seed, index, netlist,
     // baseline), so they are drawn up front, in parallel, and a lane's
@@ -215,8 +189,11 @@ runFaultCampaign(const CampaignConfig &config)
                               static_cast<unsigned>(i));
     });
     PopulationResult runs = runCheckedPopulation(
-        *golden, work.prog, work.inputs, runCfg, sched, nullptr,
-        config.batchLanes, config.threads, false);
+        *golden, tape, runCfg, sched, nullptr, config.batchLanes,
+        config.threads, false);
+    result.baselineCorrect =
+        runs.faultFree.outcome == CheckedOutcome::Completed &&
+        runs.faultFree.outputsCorrect;
 
     result.injections.reserve(config.injections);
     for (size_t i = 0; i < runs.size(); ++i) {

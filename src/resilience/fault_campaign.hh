@@ -162,9 +162,9 @@ struct CampaignCounts
 struct CampaignResult
 {
     CampaignConfig config;
-    /** Fault-free reference run. */
+    /** Fault-free run: its die cycles (the golden tape's length, the
+     *  schedules' horizon) and whether it completed correctly. */
     uint64_t baselineCycles = 0;
-    uint64_t baselineInstructions = 0;
     bool baselineCorrect = false;
 
     std::vector<InjectionResult> injections;

@@ -23,18 +23,6 @@ constexpr uint64_t kSalvageSalt = 0x5A17A6EDull;
 /** Per-kernel sub-stream stride within one die's salvage stream. */
 constexpr uint64_t kKernelStride = 16;
 
-std::unique_ptr<Netlist>
-salvageGolden(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      default:
-        fatal("salvage binning models the fabricated cores, not %s",
-              isaName(isa));
-    }
-}
-
 } // namespace
 
 const char *
@@ -80,7 +68,7 @@ SalvageReport::binCount(DieBin bin, bool inclusion_only) const
 }
 
 std::vector<SalvageKernel>
-salvageSuite(const SalvageConfig &config, const Netlist &golden)
+salvageSuite(const SalvageConfig &config)
 {
     IsaKind isa = config.study.isa;
     uint64_t inputSeed = config.study.seed ^ kSalvageSalt;
@@ -88,7 +76,7 @@ salvageSuite(const SalvageConfig &config, const Netlist &golden)
     auto add = [&](Program prog, std::vector<uint8_t> inputs,
                    size_t targetOutputs) {
         SalvageKernel &k = suite.emplace_back(
-            SalvageKernel{std::move(prog), std::move(inputs), {}, 0});
+            SalvageKernel{std::move(prog), std::move(inputs), {}});
         k.runCfg.isa = isa;
         k.runCfg.detectors = config.detectors;
         k.runCfg.recovery = config.recovery;
@@ -107,21 +95,6 @@ salvageSuite(const SalvageConfig &config, const Netlist &golden)
             add(assemble(isa, kernelSource(id, isa)),
                 kernelInputs(id, config.workUnits, inputSeed),
                 config.workUnits * kernelOutputsPerWork(id));
-    }
-
-    // Fault-free baseline cycle counts: the horizons the per-die
-    // glitch schedules are drawn over.
-    for (SalvageKernel &k : suite) {
-        CheckedRunConfig baseCfg = k.runCfg;
-        baseCfg.detectors = DetectorConfig{false, false, false, 192};
-        baseCfg.recovery.enabled = false;
-        std::unique_ptr<Netlist> die = golden.clone();
-        CheckedRunResult base =
-            runChecked(*die, k.prog, k.inputs, baseCfg);
-        if (base.outcome != CheckedOutcome::Completed ||
-            !base.outputsCorrect)
-            panic("salvage baseline failed on a pristine die");
-        k.baselineCycles = base.cycles;
     }
     return suite;
 }
@@ -160,8 +133,12 @@ runSalvageStudy(const SalvageConfig &config)
     report.vdd = config.vdd;
     report.study = runWaferStudy(config.study);
 
-    std::unique_ptr<Netlist> golden = salvageGolden(config.study.isa);
-    std::vector<SalvageKernel> suite = salvageSuite(config, *golden);
+    IsaKind isa = config.study.isa;
+    if (isa != IsaKind::FlexiCore4 && isa != IsaKind::FlexiCore8)
+        fatal("salvage binning models the fabricated cores, not %s",
+              isaName(isa));
+    std::unique_ptr<Netlist> golden = buildCoreNetlist(isa);
+    std::vector<SalvageKernel> suite = salvageSuite(config);
     DieModel model(report.study.spec, config.study.params);
 
     // Every die that failed the probe at the binning supply is
@@ -183,17 +160,28 @@ runSalvageStudy(const SalvageConfig &config)
 
     for (size_t k = 0; k < suite.size(); ++k) {
         const SalvageKernel &w = suite[k];
+        // The kernel's golden run, recorded once: its length is the
+        // horizon the per-die glitch schedules are drawn over.
+        GoldenTape tape = checkedTape(w.prog, w.inputs, w.runCfg);
+        const GoldenTape::Point &baseline = tape.at(tape.last());
+        if (!baseline.done)
+            fatal("salvage: suite kernel %zu needs more than "
+                  "maxInstructions = %llu instructions", k,
+                  static_cast<unsigned long long>(config.maxInstructions));
         std::vector<FaultSchedule> sched(failed.size());
         parallelFor(failed.size(), config.study.threads, [&](size_t j) {
             const DieResult &die = report.study.dies[failed[j]];
             sched[j] = salvageGlitchSchedule(
                 config, *golden, die,
                 model.glitchRate(die.sample, config.vdd), k,
-                w.baselineCycles);
+                baseline.elapsed);
         });
         PopulationResult runs = runCheckedPopulation(
-            *golden, w.prog, w.inputs, w.runCfg, sched, &stuck,
+            *golden, tape, w.runCfg, sched, &stuck,
             LaneGroup::kMaxLanes, config.study.threads, false);
+        if (runs.faultFree.outcome != CheckedOutcome::Completed ||
+            !runs.faultFree.outputsCorrect)
+            panic("salvage baseline failed on a pristine die");
         for (size_t j = 0; j < failed.size(); ++j) {
             const CheckedRunSummary &run = runs.die(j);
             DieSalvage &verdict = report.dies[failed[j]];

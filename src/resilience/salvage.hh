@@ -102,11 +102,12 @@ struct SalvageReport
 
 /**
  * Run the wafer study of @p config.study and re-bin every failed die
- * with the recovery runtime: per suite kernel, one
- * runCheckedPopulation() over the probe-failed dies. Both phases run
- * on config.study.threads workers; verdicts never depend on it.
- * Requires gateLevelErrors (salvage needs the recorded fault lists)
- * and a finite, positive vdd (FatalError otherwise).
+ * with the recovery runtime: per suite kernel, one golden tape and
+ * one runCheckedPopulation() over the probe-failed dies. Both phases
+ * run on config.study.threads workers; verdicts never depend on it.
+ * Requires gateLevelErrors (salvage needs the recorded fault lists),
+ * a finite, positive vdd and a maxInstructions every kernel finishes
+ * within (FatalError otherwise).
  */
 SalvageReport runSalvageStudy(const SalvageConfig &config);
 
@@ -117,19 +118,17 @@ struct SalvageKernel
     std::vector<uint8_t> inputs;
     /** The checked run every probe-failed die gets on it. */
     CheckedRunConfig runCfg;
-    /** Fault-free run length: the glitch schedules' horizon. */
-    uint64_t baselineCycles = 0;
 };
 
 /** The suite runSalvageStudy() qualifies dies on. */
-std::vector<SalvageKernel> salvageSuite(const SalvageConfig &config,
-                                        const Netlist &golden);
+std::vector<SalvageKernel> salvageSuite(const SalvageConfig &config);
 
 /**
  * The glitch schedule @p die runs suite kernel @p kernel under: a
  * single-cycle upset of a random net with probability @p glitchRate
  * per cycle over twice the fault-free run plus 64 cycles, from a
- * stream keyed by the study seed, the die's site and the kernel.
+ * stream keyed by the study seed, the die's site and the kernel;
+ * @p baselineCycles is the length of the kernel's checkedTape().
  */
 FaultSchedule salvageGlitchSchedule(const SalvageConfig &config,
                                     const Netlist &golden,

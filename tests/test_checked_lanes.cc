@@ -32,18 +32,6 @@ namespace flexi
 namespace
 {
 
-std::unique_ptr<Netlist>
-buildCore(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      case IsaKind::ExtAcc4: return buildExtAcc4Netlist();
-      case IsaKind::LoadStore4: return buildLoadStore4Netlist();
-    }
-    return nullptr;
-}
-
 /**
  * A two-page FlexiCore8 program: page 0 reads a value and pages to
  * page 1 through the MMU escape triple, which emits value + 1 and
@@ -91,7 +79,7 @@ Rig
 kernelRig(IsaKind isa, KernelId kernel, size_t units)
 {
     Rig rig{strfmt("%s/%s", isaName(isa), kernelName(kernel)),
-            buildCore(isa), assemble(isa, kernelSource(kernel, isa)),
+            buildCoreNetlist(isa), assemble(isa, kernelSource(kernel, isa)),
             kernelInputs(kernel, units, 3), {}, 1, {}};
     rig.cfg.isa = isa;
     rig.cfg.targetOutputs = units * kernelOutputsPerWork(kernel);
@@ -102,7 +90,7 @@ Rig
 fc8Rig(bool twoPage)
 {
     IsaKind isa = IsaKind::FlexiCore8;
-    Rig rig{twoPage ? "fc8/two-page" : "fc8/program0", buildCore(isa),
+    Rig rig{twoPage ? "fc8/two-page" : "fc8/program0", buildCoreNetlist(isa),
             assemble(isa, twoPage ? std::string(kFc8TwoPage)
                                   : fc8ProgramSource(Fc8Program(0))),
             fc8ProgramInputs(Fc8Program(0), 4, 3), {}, 1, {}};
@@ -462,6 +450,25 @@ TEST(CheckedLanes, GroupSizeFillsTheWorkers)
     EXPECT_EQ(checkedLanesPerGroup(1000, 2), 64u);
 }
 
+/**
+ * runCheckedPopulation() over the tape its callers record for @p prog
+ * on @p inputs under @p cfg.
+ */
+PopulationResult
+runCheckedPopulation(const Netlist &golden, const Program &prog,
+                     const std::vector<uint8_t> &inputs,
+                     const CheckedRunConfig &cfg,
+                     const std::vector<FaultSchedule> &schedules,
+                     const std::vector<const std::vector<StuckFault> *>
+                         *stuck,
+                     unsigned prescreenLanes, unsigned threads,
+                     bool captureEndState)
+{
+    return flexi::runCheckedPopulation(
+        golden, checkedTape(prog, inputs, cfg), cfg, schedules, stuck,
+        prescreenLanes, threads, captureEndState);
+}
+
 /** Scalar endDff bytes, packed as runCheckedPopulation() packs them. */
 std::vector<uint64_t>
 packedState(const std::vector<uint8_t> &bytes)
@@ -692,6 +699,126 @@ TEST(CheckedPopulation, EmptyAndMismatchedPopulations)
                                       rig.cfg, two, &one, 512, 1,
                                       false),
                  FatalError);
+}
+
+/** @p run is a fault-free die's clean run of @p want's length. */
+::testing::AssertionResult
+cleanRun(const CheckedRunSummary &run, const CheckedRunResult &want)
+{
+    if (run.outcome == CheckedOutcome::Completed && run.outputsCorrect &&
+        run.detections == 0 && run.cycles == want.cycles)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << checkedOutcomeName(run.outcome) << ", outputs "
+           << (run.outputsCorrect ? "correct" : "wrong") << ", "
+           << run.detections << " detections, " << run.cycles
+           << " cycles (want " << want.cycles << ")";
+}
+
+TEST(CheckedPopulation, TapeBaselineMatchesScalarOracle)
+{
+    // Every population reads its fault-free run off the golden tape:
+    // the last point's elapsed cycles and index must be the scalar
+    // runtime's cycles and instructions with protection off, on every
+    // core, kernel and fc8 program (the two-page one included). The
+    // population's own fault-free run must come back clean whether it
+    // is shared with event-free dies or runs as an extra lane, through
+    // the prescreen (width 512) or the lane runner (width 1).
+    std::vector<Rig> rigs;
+    for (IsaKind isa : {IsaKind::FlexiCore4, IsaKind::ExtAcc4,
+                        IsaKind::LoadStore4})
+        for (KernelId kernel : allKernels())
+            rigs.push_back(kernelRig(isa, kernel, 2));
+    for (size_t p = 0; p < kNumFc8Programs; ++p) {
+        auto id = static_cast<Fc8Program>(p);
+        IsaKind isa = IsaKind::FlexiCore8;
+        Rig rig{strfmt("fc8/%s", fc8ProgramName(id)),
+                buildCoreNetlist(isa),
+                assemble(isa, fc8ProgramSource(id)),
+                fc8ProgramInputs(id, 4, 3), {}, 1, {}};
+        rig.cfg.isa = isa;
+        rig.cfg.targetOutputs = 4;
+        rigs.push_back(std::move(rig));
+    }
+    rigs.push_back(fc8Rig(true));
+
+    for (const Rig &rig : rigs) {
+        CheckedRunConfig bare = rig.cfg;
+        bare.detectors = DetectorConfig{false, false, false, 192};
+        bare.recovery.enabled = false;
+        auto pristine = rig.golden->clone();
+        CheckedRunResult want =
+            runChecked(*pristine, rig.prog, rig.inputs, bare);
+        ASSERT_EQ(want.outcome, CheckedOutcome::Completed) << rig.name;
+        ASSERT_TRUE(want.outputsCorrect) << rig.name;
+
+        GoldenTape tape = checkedTape(rig.prog, rig.inputs, rig.cfg);
+        const GoldenTape::Point &end = tape.at(tape.last());
+        EXPECT_TRUE(end.done) << rig.name;
+        EXPECT_EQ(end.elapsed, want.cycles) << rig.name;
+        EXPECT_EQ(tape.last(), want.instructions) << rig.name;
+
+        // No dies, one die whose PC pad is held high all run (it
+        // cannot come back clean), and an event-free die beside it.
+        FaultSchedule pcHeld;
+        for (const auto &[name, net] : rig.golden->primaryOutputs())
+            if (name == "pc0")
+                pcHeld.transients.push_back({net, true, 0, ~0ull});
+        ASSERT_EQ(pcHeld.transients.size(), 1u) << rig.name;
+        for (unsigned width : {1u, 512u}) {
+            std::string at = strfmt("%s, width %u", rig.name.c_str(),
+                                    width);
+            PopulationResult none = flexi::runCheckedPopulation(
+                *rig.golden, tape, rig.cfg, {}, nullptr, width, 1, true);
+            EXPECT_TRUE(none.runs.empty()) << at;
+            EXPECT_TRUE(none.endState.empty()) << at;
+            EXPECT_TRUE(cleanRun(none.faultFree, want)) << at;
+
+            PopulationResult alone = flexi::runCheckedPopulation(
+                *rig.golden, tape, rig.cfg, {pcHeld}, nullptr, width, 1,
+                true);
+            EXPECT_EQ(alone.runs.size(), 1u) << at;
+            EXPECT_EQ(alone.endState.size(), alone.stateWords) << at;
+            EXPECT_FALSE(cleanRun(alone.die(0), want)) << at;
+            EXPECT_TRUE(cleanRun(alone.faultFree, want)) << at;
+
+            PopulationResult beside = flexi::runCheckedPopulation(
+                *rig.golden, tape, rig.cfg, {pcHeld, {}}, nullptr, width,
+                1, false);
+            ASSERT_EQ(beside.runs.size(), 2u) << at;
+            EXPECT_TRUE(cleanRun(beside.faultFree, want)) << at;
+            EXPECT_TRUE(cleanRun(beside.die(1), want)) << at;
+        }
+    }
+}
+
+TEST(CheckedPopulation, ShortTapeEndsEveryLaneOutOfBudget)
+{
+    // A tape recorded under a smaller budget than the runs' ends
+    // where the golden run did: every lane stops there, out of
+    // budget, instead of reading past the tape.
+    Rig rig = kernelRig(IsaKind::FlexiCore4, KernelId::Thresholding, 2);
+    CheckedRunConfig small = rig.cfg;
+    small.maxInstructions = 12;
+    GoldenTape tape = checkedTape(rig.prog, rig.inputs, small);
+    ASSERT_FALSE(tape.at(tape.last()).done);
+    ASSERT_EQ(tape.last(), 12u);
+
+    std::vector<FaultSchedule> scheds(3);
+    scheds[1].flips.push_back({5, 0});
+    scheds[2].transients.push_back({0, true, 3, 6});
+    for (unsigned width : {1u, 512u}) {
+        PopulationResult pop = flexi::runCheckedPopulation(
+            *rig.golden, tape, rig.cfg, scheds, nullptr, width, 1, false);
+        for (size_t i = 0; i < pop.size(); ++i) {
+            EXPECT_EQ(pop.die(i).outcome,
+                      CheckedOutcome::BudgetExhausted)
+                << "die " << i << ", width " << width;
+            EXPECT_FALSE(pop.die(i).outputsCorrect) << "die " << i;
+        }
+        EXPECT_EQ(pop.faultFree.outcome, CheckedOutcome::BudgetExhausted);
+        EXPECT_EQ(pop.faultFree.cycles, tape.at(tape.last()).elapsed);
+    }
 }
 
 } // namespace

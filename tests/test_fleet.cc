@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
@@ -36,6 +37,8 @@ constexpr size_t kWorkUnitsCfgOffset = 30;
 constexpr size_t kTransientsCfgOffset = 38;
 constexpr size_t kFlipsCfgOffset = 46;
 constexpr size_t kLockstepOffset = 54;
+constexpr size_t kWatchdogCyclesCfgOffset = 57;
+constexpr size_t kMaxInstructionsCfgOffset = 79;
 constexpr size_t kVddCfgOffset = 95;
 constexpr size_t kNumDiesOffset = 119;
 /** Die 0's record: poolIndex (4), bin (1), alive (1), ... */
@@ -99,6 +102,22 @@ crc32Bitwise(uint32_t crc, const uint8_t *p, size_t n)
             crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
     }
     return ~crc;
+}
+
+/** FatalError from @p f, naming @p field. */
+template <class F>
+::testing::AssertionResult
+fatalNaming(F &&f, const char *field)
+{
+    try {
+        f();
+    } catch (const FatalError &e) {
+        if (std::strstr(e.what(), field))
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "error does not name " << field << ": " << e.what();
+    }
+    return ::testing::AssertionFailure() << "accepted";
 }
 
 /** Small, fast campaign shared by most tests. */
@@ -478,6 +497,38 @@ TEST(Fleet, CheckpointFailsClosed)
         EXPECT_THROW(decodeFleetState(t), FatalError);
     }
 
+    // Budgets behind a valid CRC: one whose cycle budget
+    // (maxInstructions * 8 + 1024) or watchdog trip point
+    // (watchdogCycles + 1) would wrap, or a zero budget, fails to
+    // decode; one too small for the mission decodes, and resuming it
+    // fails naming the budget, never a panic.
+    EXPECT_EQ(get32(bytes, kMaxInstructionsCfgOffset), cfg.maxInstructions);
+    EXPECT_EQ(get32(bytes, kWatchdogCyclesCfgOffset),
+              cfg.detectors.watchdogCycles);
+    for (auto [at, value, field] :
+         {std::tuple{kMaxInstructionsCfgOffset, uint64_t(0),
+                     "maxInstructions"},
+          std::tuple{kMaxInstructionsCfgOffset, uint64_t(1) << 61,
+                     "maxInstructions"},
+          std::tuple{kWatchdogCyclesCfgOffset, ~uint64_t(0),
+                     "watchdogCycles"}}) {
+        std::vector<uint8_t> t = bytes;
+        put64(t, at, value);
+        reseal(t);
+        EXPECT_TRUE(fatalNaming([&] { decodeFleetState(t); }, field))
+            << field << " = " << value;
+    }
+    {
+        std::vector<uint8_t> t = bytes;
+        put64(t, kMaxInstructionsCfgOffset, 4);
+        reseal(t);
+        FleetState resumed = decodeFleetState(t);
+        EXPECT_EQ(resumed.config.maxInstructions, 4u);
+        EXPECT_TRUE(fatalNaming(
+            [&] { FleetEngine(resumed.config).run(resumed); },
+            "maxInstructions"));
+    }
+
     // An unreadable path fails loudly, never a fresh state.
     EXPECT_THROW(loadFleetCheckpoint("/nonexistent/fleet.ckpt"),
                  FatalError);
@@ -593,15 +644,7 @@ oneEpochImage()
 ::testing::AssertionResult
 engineRejects(const FleetConfig &cfg, const char *field)
 {
-    try {
-        FleetEngine engine(cfg);
-    } catch (const FatalError &e) {
-        if (std::strstr(e.what(), field))
-            return ::testing::AssertionSuccess();
-        return ::testing::AssertionFailure()
-               << "error does not name " << field << ": " << e.what();
-    }
-    return ::testing::AssertionFailure() << "accepted";
+    return fatalNaming([&] { FleetEngine engine(cfg); }, field);
 }
 
 TEST(Fleet, RejectsOutOfRangeWorkUnits)
@@ -624,6 +667,34 @@ TEST(Fleet, RejectsOutOfRangeWorkUnits)
     FleetState resumed = decodeFleetState(bytes);
     EXPECT_EQ(resumed.config.workUnits, 100000000000ull);
     EXPECT_TRUE(engineRejects(resumed.config, "workUnits"));
+}
+
+TEST(Fleet, RejectsOutOfRangeBudgets)
+{
+    // A zero budget, one whose cycle budget would wrap, and a
+    // watchdog whose trip point would wrap are refused up front; the
+    // bounds themselves are accepted and run.
+    for (uint64_t bad : {uint64_t(0), kMaxInstructionBudget + 1,
+                         uint64_t(1) << 61, ~uint64_t(0)}) {
+        FleetConfig cfg = smallConfig();
+        cfg.maxInstructions = bad;
+        EXPECT_TRUE(engineRejects(cfg, "maxInstructions")) << bad;
+    }
+    for (uint64_t bad : {kMaxWatchdogCycles + 1, ~uint64_t(0)}) {
+        FleetConfig cfg = smallConfig();
+        cfg.detectors.watchdogCycles = bad;
+        EXPECT_TRUE(engineRejects(cfg, "watchdogCycles")) << bad;
+    }
+
+    FleetConfig cfg = smallConfig();
+    cfg.numDies = 4;
+    cfg.epochs = 1;
+    cfg.maxInstructions = kMaxInstructionBudget;
+    cfg.detectors.watchdogCycles = kMaxWatchdogCycles;
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st);
+    EXPECT_EQ(st.epochsDone, 1u);
 }
 
 TEST(Fleet, RejectsNonFiniteVdd)

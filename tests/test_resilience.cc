@@ -32,18 +32,6 @@ namespace flexi
 namespace
 {
 
-std::unique_ptr<Netlist>
-buildCore(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      case IsaKind::ExtAcc4: return buildExtAcc4Netlist();
-      case IsaKind::LoadStore4: return buildLoadStore4Netlist();
-    }
-    return nullptr;
-}
-
 unsigned
 popcount32(uint32_t v)
 {
@@ -183,7 +171,7 @@ TEST(ChecksumTest, Crc8MatchesCheckValue)
 struct CheckedRig
 {
     explicit CheckedRig(IsaKind isa)
-        : golden(buildCore(isa)),
+        : golden(buildCoreNetlist(isa)),
           prog(isa == IsaKind::FlexiCore8
                    ? assemble(isa, fc8ProgramSource(Fc8Program(0)))
                    : assemble(isa, kernelSource(
@@ -319,6 +307,50 @@ TEST(FaultCampaign, RecoveryConvertsSilentFailuresOnEveryCore)
     }
 }
 
+TEST(FaultCampaign, BudgetTooSmallFailsTheBaseline)
+{
+    // The golden tape runs out of budget before the kernel ends: the
+    // fault-free run is out of budget too, so the baseline fails, and
+    // its length is the scalar oracle's.
+    CampaignConfig cfg;
+    cfg.injections = 8;
+    cfg.maxInstructions = 4;
+    CampaignResult r = runFaultCampaign(cfg);
+    EXPECT_FALSE(r.baselineCorrect);
+    EXPECT_EQ(r.injections.size(), cfg.injections);
+
+    CheckedRunConfig bare;
+    bare.isa = cfg.isa;
+    bare.detectors = DetectorConfig{false, false, false, 192};
+    bare.recovery.enabled = false;
+    bare.targetOutputs =
+        cfg.workUnits * kernelOutputsPerWork(cfg.kernel);
+    bare.maxInstructions = cfg.maxInstructions;
+    auto die = buildCoreNetlist(cfg.isa);
+    CheckedRunResult base = runChecked(
+        *die, assemble(cfg.isa, kernelSource(cfg.kernel, cfg.isa)),
+        kernelInputs(cfg.kernel, cfg.workUnits, cfg.seed), bare);
+    EXPECT_EQ(base.outcome, CheckedOutcome::BudgetExhausted);
+    EXPECT_EQ(r.baselineCycles, base.cycles);
+
+    // Budgets that would wrap are refused, naming the field.
+    auto refuses = [](const CampaignConfig &bad, const char *field) {
+        try {
+            runFaultCampaign(bad);
+            ADD_FAILURE() << field << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos) << e.what();
+        }
+    };
+    CampaignConfig bad = cfg;
+    bad.maxInstructions = kMaxInstructionBudget + 1;
+    refuses(bad, "maxInstructions");
+    bad = cfg;
+    bad.detectors.watchdogCycles = ~uint64_t(0);
+    refuses(bad, "watchdogCycles");
+}
+
 TEST(FaultCampaign, ThreadCountDoesNotChangeResults)
 {
     // Same contract as WaferStudy.ThreadCountDoesNotChangeResults:
@@ -373,7 +405,7 @@ TEST(FaultCampaign, BatchLanesBitIdenticalToScalar)
         runs.push_back(runFaultCampaign(cfg));
     }
 
-    std::unique_ptr<Netlist> golden = buildCore(cfg.isa);
+    std::unique_ptr<Netlist> golden = buildCoreNetlist(cfg.isa);
     Program prog = assemble(cfg.isa, kernelSource(cfg.kernel, cfg.isa));
     std::vector<uint8_t> inputs =
         kernelInputs(cfg.kernel, cfg.workUnits, cfg.seed);
@@ -551,9 +583,20 @@ TEST(Salvage, VerdictsMatchScalarOraclePerDie)
             cfg.study.testCycles = 500;
             cfg.vdd = vdd;
             SalvageReport rep = runSalvageStudy(cfg);
-            std::unique_ptr<Netlist> golden = buildCore(isa);
-            std::vector<SalvageKernel> suite = salvageSuite(cfg, *golden);
+            std::unique_ptr<Netlist> golden = buildCoreNetlist(isa);
+            std::vector<SalvageKernel> suite = salvageSuite(cfg);
             DieModel model(rep.study.spec, cfg.study.params);
+            // Each kernel's glitch horizon: the scalar fault-free run
+            // with protection off.
+            std::vector<uint64_t> baseline;
+            for (const SalvageKernel &w : suite) {
+                CheckedRunConfig bare = w.runCfg;
+                bare.detectors = DetectorConfig{false, false, false, 192};
+                bare.recovery.enabled = false;
+                auto pristine = golden->clone();
+                baseline.push_back(
+                    runChecked(*pristine, w.prog, w.inputs, bare).cycles);
+            }
 
             ASSERT_EQ(rep.dies.size(), rep.study.dies.size());
             unsigned failed = 0;
@@ -577,7 +620,7 @@ TEST(Salvage, VerdictsMatchScalarOraclePerDie)
                         *faulty, suite[k].prog, suite[k].inputs,
                         suite[k].runCfg,
                         salvageGlitchSchedule(cfg, *golden, die, rate, k,
-                                              suite[k].baselineCycles));
+                                              baseline[k]));
                     want.detections += run.detections;
                     want.retries += run.retries;
                     want.restarts += run.restarts;
@@ -615,6 +658,23 @@ TEST(Salvage, RejectsNonFiniteVdd)
             EXPECT_NE(std::string(e.what()).find("vdd"),
                       std::string::npos) << e.what();
         }
+    }
+}
+
+TEST(Salvage, BudgetTooSmallIsFatal)
+{
+    // A suite kernel the golden model cannot finish within the budget
+    // is a configuration error, not a broken netlist.
+    SalvageConfig cfg;
+    cfg.study.seed = 42;
+    cfg.study.testCycles = 400;
+    cfg.maxInstructions = 4;
+    try {
+        runSalvageStudy(cfg);
+        ADD_FAILURE() << "a 4-instruction budget was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("maxInstructions"),
+                  std::string::npos) << e.what();
     }
 }
 

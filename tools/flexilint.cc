@@ -119,18 +119,6 @@ parseIsa(const char *name, IsaKind &out)
     return false;
 }
 
-std::unique_ptr<Netlist>
-buildNetlist(IsaKind isa)
-{
-    switch (isa) {
-      case IsaKind::FlexiCore4: return buildFlexiCore4Netlist();
-      case IsaKind::FlexiCore8: return buildFlexiCore8Netlist();
-      case IsaKind::ExtAcc4: return buildExtAcc4Netlist();
-      case IsaKind::LoadStore4: return buildLoadStore4Netlist();
-    }
-    fatal("bad IsaKind");
-}
-
 /**
  * Upper bounds of the numeric options. Each BMC frame is a full copy
  * of the core's CNF, and induction unrolls afresh for every k.
@@ -369,7 +357,7 @@ main(int argc, char **argv)
 
     try {
         for (IsaKind isa : netlists) {
-            auto nl = buildNetlist(isa);
+            auto nl = buildCoreNetlist(isa);
             LintReport report = lintNetlist(*nl);
             if (equiv)
                 report.append(equivLint(*nl, isa));
