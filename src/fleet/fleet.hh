@@ -87,7 +87,8 @@ struct FleetConfig
     /** Mean one-shot DFF flips per mission per die. */
     double flipsPerEpoch = 0.05;
     /** Detector choice for the checked runtime (CRC / watchdog /
-     *  lockstep), shared by salvage qualification and the field. */
+     *  lockstep), shared by salvage qualification and the field;
+     *  watchdogCycles at most kMaxWatchdogCycles. */
     DetectorConfig detectors;
     /** In-mission recovery: bounded checkpoint-rollback retries and
      *  the in-mission restart escalation. */
@@ -96,9 +97,8 @@ struct FleetConfig
      *  program image) a die may burn on Degraded missions before it
      *  is pulled from the fleet. */
     unsigned maxRepages = 1;
-    /** Instruction budget of a mission, in [1, kMaxInstructionBudget]
-     *  (and detectors.watchdogCycles at most kMaxWatchdogCycles). A
-     *  mission the golden model cannot finish within it fails the
+    /** Instruction budget of a mission, in [1, kMaxInstructionBudget].
+     *  A mission the golden model cannot finish within it fails the
      *  epoch with FatalError. */
     uint64_t maxInstructions = 60000;
     /** 0 = auto; results are bit-identical for any value. */

@@ -1080,7 +1080,7 @@ runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
     if (stuck && stuck->size() != dies)
         fatal("runCheckedPopulation: %zu fault lists for %zu dies",
               stuck->size(), dies);
-    cycleBudget(cfg);   // checks the prescreen's watchdog bound too
+    cycleBudget(cfg);   // FatalError on an out-of-bound cfg, up front
     PopulationResult pop;
 
     // The runs to simulate, in die order of first appearance: a die
