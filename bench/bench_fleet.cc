@@ -18,6 +18,13 @@
  *    timing row guards the prescreen/checked-runtime split from
  *    regressing under fault pressure.
  *
+ *  - BM_FleetCheckpointEncode/<threads> and BM_FleetEpochCheckpointed:
+ *    the per-epoch checkpoint of perfbench's fleet_field unit. The
+ *    first encodes an 8,192-die FC4 image on 1 or 4 threads; the
+ *    second runs one 8,192-die FC4 epoch per iteration through
+ *    FleetEngine::run with a checkpoint path, so each epoch's queued
+ *    write overlaps the next, as in fleet_field.
+ *
  * CI re-emits BENCH_fleet.json every run and diffs the timing
  * metrics against the committed snapshot with bench_compare.py
  * (loose threshold — see docs/PERF.md for the snapshot contract).
@@ -25,11 +32,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
 #include <benchmark/benchmark.h>
 
+#include "fleet/checkpoint.hh"
 #include "fleet/fleet.hh"
 
 namespace flexi
@@ -191,6 +200,76 @@ BM_FleetMillionDieLifetimes(benchmark::State &state)
 }
 BENCHMARK(BM_FleetMillionDieLifetimes)
     ->Unit(benchmark::kMillisecond);
+
+/** perfbench's fleet_field campaign shape, on FlexiCore4. */
+FleetConfig
+fieldConfig()
+{
+    FleetConfig cfg;
+    cfg.isa = IsaKind::FlexiCore4;
+    cfg.seed = 1;
+    cfg.numDies = 8192;
+    cfg.epochs = 13;
+    cfg.workUnits = 1;
+    cfg.transientsPerEpoch = 0.15;
+    cfg.flipsPerEpoch = 0.05;
+    cfg.maxInstructions = 8000;
+    return cfg;
+}
+
+/** One checkpoint image of the field fleet after one epoch, encoded
+ *  on range(0) threads; bytes/s is the encode rate. */
+void
+BM_FleetCheckpointEncode(benchmark::State &state)
+{
+    FleetConfig cfg = fieldConfig();
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st, 1);
+    auto threads = static_cast<unsigned>(state.range(0));
+    size_t bytes = 0;
+    for (auto _ : state) {
+        std::vector<uint8_t> image = encodeFleetState(st, threads);
+        bytes = image.size();
+        benchmark::DoNotOptimize(image.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_FleetCheckpointEncode)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One field-fleet epoch per iteration through FleetEngine::run with
+ * a checkpoint path (perfbench's fleet_field unit); a finished
+ * campaign restarts untimed. One item = one die-mission.
+ */
+void
+BM_FleetEpochCheckpointed(benchmark::State &state)
+{
+    FleetConfig cfg = fieldConfig();
+    FleetEngine engine(cfg);
+    std::string path =
+        (std::filesystem::temp_directory_path() / "bench_fleet.ckpt")
+            .string();
+    FleetState st = engine.init();
+    for (auto _ : state) {
+        if (st.epochsDone == cfg.epochs) {
+            state.PauseTiming();
+            st = engine.init();
+            state.ResumeTiming();
+        }
+        engine.run(st, st.epochsDone + 1, path);
+    }
+    flushFleetCheckpoints();
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * cfg.numDies));
+}
+BENCHMARK(BM_FleetEpochCheckpointed)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace flexi

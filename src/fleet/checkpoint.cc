@@ -1,10 +1,17 @@
 #include "checkpoint.hh"
 
+#include <algorithm>
 #include <array>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace flexi
 {
@@ -255,10 +262,10 @@ encodeDie(Sink &w, const FleetDie &d)
     w.blob(d.dffBits);
 }
 
-/** Every byte of the image but the trailing CRC, in format order. */
+/** The image's bytes before the first die record, in format order. */
 template <class Sink>
 void
-encodeBody(Sink &w, const FleetState &state)
+encodeHead(Sink &w, const FleetState &state)
 {
     w.bytes(kMagic, 4);
     w.u32(kFleetCheckpointVersion);
@@ -268,9 +275,13 @@ encodeBody(Sink &w, const FleetState &state)
     w.u64(state.deaths);
 
     w.u32(static_cast<uint32_t>(state.dies.size()));
-    for (const FleetDie &d : state.dies)
-        encodeDie(w, d);
+}
 
+/** The image's bytes after the last die record, up to the CRC. */
+template <class Sink>
+void
+encodeTail(Sink &w, const FleetState &state)
+{
     w.u32(static_cast<uint32_t>(state.epochOutcomes.size()));
     for (const auto &row : state.epochOutcomes)
         for (uint64_t n : row)
@@ -314,6 +325,42 @@ makeCrcTables()
 
 constexpr auto kCrcTable = makeCrcTables();
 
+/**
+ * a * b mod the CRC-32 polynomial over GF(2), both operands in the
+ * register's reflected order (bit 31 is the x^0 coefficient).
+ */
+constexpr uint32_t
+gf2MulMod(uint32_t a, uint32_t b)
+{
+    uint32_t p = 0;
+    for (uint32_t m = 1u << 31; m; m >>= 1) {
+        if (a & m)
+            p ^= b;
+        b = (b >> 1) ^ (0xEDB88320u & (0u - (b & 1u)));
+    }
+    return p;
+}
+
+/** kX2n[k] = x^(2^k) mod the polynomial; x^(2^32) = x, so k wraps. */
+constexpr std::array<uint32_t, 32>
+makeX2nTable()
+{
+    std::array<uint32_t, 32> t{};
+    t[0] = 1u << 30;
+    for (size_t k = 1; k < 32; ++k)
+        t[k] = gf2MulMod(t[k - 1], t[k - 1]);
+    return t;
+}
+
+constexpr auto kX2n = makeX2nTable();
+
+/**
+ * Die-record slices of an image, each encoded and CRC'd on its own
+ * (fewer when there are fewer dies). Fixed, so the slicing, like the
+ * bytes, does not depend on the thread count.
+ */
+constexpr size_t kEncodeSlices = 64;
+
 } // namespace
 
 uint32_t
@@ -336,18 +383,233 @@ crc32(uint32_t crc, const uint8_t *bytes, size_t n)
     return ~crc;
 }
 
-std::vector<uint8_t>
-encodeFleetState(const FleetState &state)
+uint32_t
+crc32Combine(uint32_t crcA, uint32_t crcB, size_t lenB)
 {
-    Counter size;
-    encodeBody(size, state);
-    std::vector<uint8_t> image(size.size + 4);
+    // Appending lenB bytes multiplies A's register by x^(8 lenB);
+    // build that power from the squares x^(2^k), k = 3 for x^8.
+    uint32_t shift = 1u << 31;
+    for (unsigned k = 3; lenB; lenB >>= 1, ++k)
+        if (lenB & 1)
+            shift = gf2MulMod(kX2n[k & 31], shift);
+    return gf2MulMod(shift, crcA) ^ crcB;
+}
+
+namespace
+{
+
+/**
+ * Encode @p state into @p image, resized to fit (a buffer reused
+ * across saves keeps its allocation). Record offsets are a prefix
+ * sum, since a die record is a fixed size plus its DFF blob, so the
+ * record slices are encoded and CRC'd on the pool, and the slice
+ * CRCs combine into the image's.
+ */
+void
+encodeImage(const FleetState &state, unsigned threads,
+            std::vector<uint8_t> &image)
+{
+    // Slice s holds dies [first[s], first[s + 1]) at bytes
+    // [at[s], at[s + 1]).
+    const std::vector<FleetDie> &dies = state.dies;
+    const size_t slices = std::min(dies.size(), kEncodeSlices);
+    const size_t recordBytes = dieRecordMinBytes();
+    std::vector<size_t> first(slices + 1), at(slices + 1);
+    Counter head;
+    encodeHead(head, state);
+    at[0] = head.size;
+    for (size_t s = 0; s < slices; ++s) {
+        first[s + 1] = dies.size() * (s + 1) / slices;
+        at[s + 1] = at[s];
+        for (size_t d = first[s]; d < first[s + 1]; ++d)
+            at[s + 1] += recordBytes + dies[d].dffBits.size();
+    }
+    Counter tail;
+    encodeTail(tail, state);
+    image.resize(at[slices] + tail.size + 4);
+
+    // CRC(head, slice 0, ..., slice n) = CRC(head) x^(8 |slices|)
+    // + the sum of CRC(slice s) x^(8 |slices after s|), since
+    // crc32Combine(a, b, len) = a x^(8 len) + b. So each slice
+    // shifts its own CRC into place, and the terms add up by XOR.
+    std::vector<uint32_t> term(slices);
+    parallelFor(slices, threads, [&](size_t s) {
+        Writer w{image.data() + at[s]};
+        for (size_t d = first[s]; d < first[s + 1]; ++d)
+            encodeDie(w, dies[d]);
+        if (w.p != image.data() + at[s + 1])
+            panic("fleet checkpoint: slice %zu ends at byte %td, not "
+                  "%zu", s, w.p - image.data(), at[s + 1]);
+        term[s] = crc32Combine(
+            crc32(0, image.data() + at[s], at[s + 1] - at[s]), 0,
+            at[slices] - at[s + 1]);
+    });
+
     Writer w{image.data()};
-    encodeBody(w, state);
-    w.u32(crc32(0, image.data(), size.size));
+    encodeHead(w, state);
+    uint32_t crc = crc32Combine(crc32(0, image.data(), head.size), 0,
+                                at[slices] - at[0]);
+    for (uint32_t t : term)
+        crc ^= t;
+    w.p = image.data() + at[slices];
+    encodeTail(w, state);
+    crc = crc32(crc, image.data() + at[slices], tail.size);
+    w.u32(crc);
     if (w.p != image.data() + image.size())
         panic("fleet checkpoint: encoder wrote %td of %zu bytes",
               w.p - image.data(), image.size());
+}
+
+/**
+ * The write of one checkpoint image, tmp file then rename, as one
+ * whole: the file at @p path is always a complete image.
+ */
+void
+writeImage(const std::vector<uint8_t> &bytes, const std::string &path)
+{
+    std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        fatal("fleet checkpoint: cannot write '%s'", tmp.c_str());
+    size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+    bool flushed = std::fflush(f) == 0;
+    // Some file systems report a failed write only at close.
+    bool closed = std::fclose(f) == 0;
+    if (written != bytes.size() || !flushed || !closed) {
+        std::remove(tmp.c_str());
+        fatal("fleet checkpoint: short write to '%s'", tmp.c_str());
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        fatal("fleet checkpoint: cannot rename '%s' into place",
+              tmp.c_str());
+    }
+}
+
+/**
+ * The process's one checkpoint writer thread, holding at most one
+ * image in flight in one buffer that every save reuses.
+ * Process-wide because engines that share a path must not write it
+ * from two threads at once, and because loadFleetCheckpoint() must
+ * see the last image queued for it.
+ */
+class CheckpointWriter
+{
+  public:
+    CheckpointWriter() = default;
+    CheckpointWriter(const CheckpointWriter &) = delete;
+    CheckpointWriter &operator=(const CheckpointWriter &) = delete;
+
+    ~CheckpointWriter()
+    {
+        // The thread writes what is queued before it sees stop_.
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            stop_ = true;
+        }
+        changed_.notify_all();
+        if (thread_.joinable())
+            thread_.join();
+        if (error_) {
+            try {
+                std::rethrow_exception(error_);
+            } catch (const std::exception &e) {
+                std::fprintf(stderr, "%s (never reported)\n", e.what());
+            }
+        }
+    }
+
+    /** Wait for the image in flight and rethrow its error, then
+     *  encode @p state into the idle buffer and queue it for
+     *  @p path. */
+    void
+    submit(const FleetState &state, const std::string &path)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        drain(lock);
+        encodeImage(state, state.config.threads, image_);
+        path_ = path;
+        if (!thread_.joinable())
+            thread_ = std::thread([this] { loop(); });
+        queued_ = true;
+        changed_.notify_all();
+    }
+
+    /** Wait for the image in flight and rethrow its error. */
+    void
+    flush()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        drain(lock);
+    }
+
+  private:
+    /** Wait until nothing is in flight; rethrow (and so clear) the
+     *  last write's error. */
+    void
+    drain(std::unique_lock<std::mutex> &lock)
+    {
+        changed_.wait(lock, [&] { return !queued_; });
+        if (error_)
+            std::rethrow_exception(std::exchange(error_, nullptr));
+    }
+
+    void
+    loop()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        for (;;) {
+            changed_.wait(lock, [&] { return queued_ || stop_; });
+            if (!queued_)
+                return;
+            // image_ and path_ stay put while queued_ is set.
+            lock.unlock();
+            std::exception_ptr error;
+            try {
+                writeImage(image_, path_);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            lock.lock();
+            error_ = error;
+            queued_ = false;
+            changed_.notify_all();
+        }
+    }
+
+    std::mutex mu_;
+    std::condition_variable changed_;
+    /** The image in flight, or the idle buffer. */
+    std::vector<uint8_t> image_;
+    std::string path_;
+    /** An image waits for or is in its write. */
+    bool queued_ = false;
+    bool stop_ = false;
+    /** The last write's failure, until a submit or flush reports it. */
+    std::exception_ptr error_;
+    std::thread thread_;
+};
+
+CheckpointWriter &
+checkpointWriter()
+{
+    static CheckpointWriter writer;
+    return writer;
+}
+
+} // namespace
+
+std::vector<uint8_t>
+encodeFleetState(const FleetState &state)
+{
+    return encodeFleetState(state, state.config.threads);
+}
+
+std::vector<uint8_t>
+encodeFleetState(const FleetState &state, unsigned threads)
+{
+    std::vector<uint8_t> image;
+    encodeImage(state, threads, image);
     return image;
 }
 
@@ -433,28 +695,19 @@ decodeFleetState(const std::vector<uint8_t> &bytes)
 void
 saveFleetCheckpoint(const FleetState &state, const std::string &path)
 {
-    std::vector<uint8_t> bytes = encodeFleetState(state);
-    std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        fatal("fleet checkpoint: cannot write '%s'", tmp.c_str());
-    size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (written != bytes.size() || !flushed) {
-        std::remove(tmp.c_str());
-        fatal("fleet checkpoint: short write to '%s'", tmp.c_str());
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fatal("fleet checkpoint: cannot rename '%s' into place",
-              tmp.c_str());
-    }
+    checkpointWriter().submit(state, path);
+}
+
+void
+flushFleetCheckpoints()
+{
+    checkpointWriter().flush();
 }
 
 FleetState
 loadFleetCheckpoint(const std::string &path)
 {
+    flushFleetCheckpoints();
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         fatal("fleet checkpoint: cannot open '%s'", path.c_str());

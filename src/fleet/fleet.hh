@@ -205,13 +205,17 @@ class FleetEngine
     /**
      * Advance @p state to epoch min(config.epochs, stopAfter) (0 =
      * run to the end), checkpointing to @p checkpointPath after
-     * every epoch when non-empty (atomic tmp+rename writes). The
-     * state must come from init() or a checkpoint of the same
-     * config: FatalError if its configuration or shape differs, or
-     * if a die's poolIndex is not a deployable part of this
-     * campaign's salvage study or its bin disagrees with the study.
-     * Killing the process between epochs and resuming from the
-     * checkpoint is bit-identical to never stopping.
+     * every epoch when non-empty. Each save queues its image for the
+     * process-wide writer thread (atomic tmp+rename writes; see
+     * saveFleetCheckpoint()), so run() returns once its last image
+     * is queued, and a write error surfaces at the next save, load
+     * or flushFleetCheckpoints(). The state must come from init()
+     * or a checkpoint of the same config: FatalError if its
+     * configuration or shape differs, or if a die's poolIndex is not
+     * a deployable part of this campaign's salvage study or its bin
+     * disagrees with the study. Killing the process between epochs
+     * and resuming from the checkpoint is bit-identical to never
+     * stopping.
      */
     void run(FleetState &state, uint32_t stopAfter = 0,
              const std::string &checkpointPath = {}) const;

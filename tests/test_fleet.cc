@@ -2,10 +2,11 @@
  * @file
  * Unit tests for the field-fleet lifecycle engine and its
  * checkpoint format: thread/batch-lane determinism, kill/resume
- * bit-identity, the CRC-32 against a bitwise reference, pinned
- * image bytes, fail-closed decoding and resume, and the fleet
- * invariants (histogram row sums, escalation-ladder accounting,
- * salvaged-part deployment).
+ * bit-identity, the CRC-32 and its combine against a bitwise
+ * reference, pinned image bytes, the sliced encoder at every thread
+ * count, the queued writer (shared paths, write errors), fail-closed
+ * decoding and resume, and the fleet invariants (histogram row sums,
+ * escalation-ladder accounting, salvaged-part deployment).
  */
 
 #include <gtest/gtest.h>
@@ -754,6 +755,167 @@ TEST(Fleet, Fc8FleetRunsAndIsDeterministic)
     FleetState b = e2.init();
     e2.run(b);
     expectStateEq(a, b);
+}
+
+TEST(Crc32, CombineMatchesConcatenation)
+{
+    Rng rng(0xC0B1u);
+    std::vector<uint8_t> data(4096);
+    for (uint8_t &b : data)
+        b = static_cast<uint8_t>(rng.below(256));
+    const uint8_t *p = data.data();
+
+    // Random ranges split at a random point, and at both ends so
+    // either part may be empty.
+    for (int trial = 0; trial < 2000; ++trial) {
+        size_t off = rng.below(data.size() + 1);
+        size_t len = rng.below(data.size() - off + 1);
+        size_t split = trial % 3 == 0   ? 0
+                       : trial % 3 == 1 ? len
+                                        : rng.below(len + 1);
+        uint32_t a = crc32(0, p + off, split);
+        uint32_t b = crc32(0, p + off + split, len - split);
+        ASSERT_EQ(crc32Combine(a, b, len - split),
+                  crc32Bitwise(0, p + off, len))
+            << "offset " << off << ", length " << len << ", split "
+            << split;
+    }
+
+    // Three parts fold left to right.
+    uint32_t abc = crc32Combine(
+        crc32Combine(crc32(0, p, 1000), crc32(0, p + 1000, 7), 7),
+        crc32(0, p + 1007, 3089), 3089);
+    EXPECT_EQ(abc, crc32(0, p, 4096));
+
+    // A long second part reaches the high powers of x.
+    std::vector<uint8_t> zeros((1u << 20) + 3);
+    uint32_t head = crc32(0, p, 64);
+    EXPECT_EQ(crc32Combine(head, crc32(0, zeros.data(), zeros.size()),
+                           zeros.size()),
+              crc32(head, zeros.data(), zeros.size()));
+}
+
+/** A CRC-valid state of @p numDies dies with random records and
+ *  DFF states of random length, empty ones included. */
+FleetState
+syntheticState(uint32_t numDies)
+{
+    Rng rng(0x5EEDu + numDies);
+    FleetState st;
+    st.config = smallConfig();
+    st.config.numDies = numDies;
+    st.epochsDone = 2;
+    st.deaths = rng.below(numDies + 1);
+    st.dies.resize(numDies);
+    for (FleetDie &d : st.dies) {
+        d.poolIndex = static_cast<uint32_t>(rng.below(1u << 20));
+        d.bin = rng.chance(0.5) ? DieBin::Functional : DieBin::Salvaged;
+        d.alive = rng.chance(0.9);
+        d.repages = static_cast<uint32_t>(rng.below(3));
+        d.epochsRun = static_cast<uint32_t>(rng.below(3));
+        for (uint32_t &n : d.outcomes)
+            n = static_cast<uint32_t>(rng.below(3));
+        d.lifeCycles = rng.next();
+        d.digest = rng.next();
+        d.dffCount = static_cast<uint32_t>(rng.below(200));
+        d.dffBits.resize((d.dffCount + 7) / 8);
+        for (uint8_t &b : d.dffBits)
+            b = static_cast<uint8_t>(rng.below(256));
+    }
+    st.epochOutcomes.resize(st.config.epochs);
+    for (auto &row : st.epochOutcomes)
+        for (uint64_t &n : row)
+            n = rng.below(numDies + 1);
+    for (auto &row : st.binOutcomes)
+        for (uint64_t &n : row)
+            n = rng.below(numDies + 1);
+    return st;
+}
+
+TEST(Fleet, SlicedEncodeIsThreadCountInvariant)
+{
+    // Slice edges fall inside a die count below, at and above the
+    // slice count, and on the perfbench-sized fleet.
+    for (uint32_t numDies : {0u, 1u, 63u, 64u, 65u, 8192u}) {
+        FleetState st = syntheticState(numDies);
+        std::vector<uint8_t> one = encodeFleetState(st, 1);
+        // The slice CRCs combine to the CRC of the whole body.
+        ASSERT_GE(one.size(), 4u);
+        EXPECT_EQ(get32(one, one.size() - 4),
+                  crc32Bitwise(0, one.data(), one.size() - 4))
+            << numDies << " dies";
+        for (unsigned threads : {2u, 3u, 4u, 8u})
+            EXPECT_EQ(encodeFleetState(st, threads), one)
+                << numDies << " dies, " << threads << " threads";
+        st.config.threads = 3;
+        FleetState back = decodeFleetState(encodeFleetState(st));
+        expectStateEq(st, back);
+    }
+
+    // And on an engine's state, against the thread count it stores.
+    FleetConfig cfg = smallConfig();
+    cfg.threads = 4;
+    FleetEngine engine(cfg);
+    FleetState st = engine.init();
+    engine.run(st, 1);
+    EXPECT_EQ(encodeFleetState(st, 1), encodeFleetState(st));
+}
+
+TEST(Fleet, SharedPathLoadSeesTheLastSave)
+{
+    // Two campaigns checkpoint to one path in turn, as perfbench's
+    // primary and resume engines do: every load must see the save
+    // queued last, never an older image or a torn one.
+    FleetConfig ca = smallConfig();
+    ca.numDies = 8;
+    FleetConfig cb = ca;
+    cb.seed = 8;
+    FleetEngine a(ca), b(cb);
+    FleetState sa = a.init(), sb = b.init();
+    std::string path = testing::TempDir() + "fleet_shared.ckpt";
+    for (uint32_t e = 1; e <= ca.epochs; ++e) {
+        a.run(sa, e, path);
+        expectStateEq(loadFleetCheckpoint(path), sa);
+        a.run(sa, e, path);
+        b.run(sb, e, path);
+        expectStateEq(loadFleetCheckpoint(path), sb);
+    }
+    // Back to back, with no load between: the second image wins.
+    saveFleetCheckpoint(sb, path);
+    saveFleetCheckpoint(sa, path);
+    flushFleetCheckpoints();
+    expectStateEq(loadFleetCheckpoint(path), sa);
+    std::remove(path.c_str());
+}
+
+TEST(Fleet, UnwritableCheckpointFailsClosed)
+{
+    // The write happens after run() returns, so its error surfaces
+    // at the next flush, load or save, naming the tmp file; each
+    // error is reported once.
+    const std::string path = "/nonexistent-dir/fleet.ckpt";
+    const std::string tmp = path + ".tmp";
+    FleetConfig cfg = smallConfig();
+    cfg.numDies = 8;
+    cfg.epochs = 2;
+    FleetEngine engine(cfg);
+
+    FleetState st = engine.init();
+    engine.run(st, 1, path);
+    EXPECT_TRUE(fatalNaming([] { flushFleetCheckpoints(); },
+                            tmp.c_str()));
+    EXPECT_NO_THROW(flushFleetCheckpoints());
+
+    st = engine.init();
+    engine.run(st, 1, path);
+    EXPECT_TRUE(fatalNaming([&] { loadFleetCheckpoint(path); },
+                            tmp.c_str()));
+
+    st = engine.init();
+    EXPECT_TRUE(fatalNaming([&] { engine.run(st, 2, path); },
+                            tmp.c_str()));
+    EXPECT_EQ(st.epochsDone, 2u) << "the second save throws";
+    EXPECT_NO_THROW(flushFleetCheckpoints());
 }
 
 } // namespace

@@ -306,6 +306,8 @@ cmdRun(const Args &args)
     engine.run(state, stopAfter,
                checkpoint ? std::string(checkpoint)
                           : std::string());
+    // The last checkpoint is only queued: a write error must exit 1.
+    flushFleetCheckpoints();
     printSummary(state);
     if (const char *json = args.option("--json"))
         writeJson(state, json);
@@ -333,6 +335,7 @@ cmdResume(const Args &args, bool runEpochs)
             args.number("--stop-after", 0, 0, UINT32_MAX));
         FleetEngine engine(state.config);
         engine.run(state, stopAfter, checkpoint);
+        flushFleetCheckpoints();
     }
     printSummary(state);
     if (const char *json = args.option("--json"))
