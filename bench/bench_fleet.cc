@@ -245,7 +245,7 @@ BENCHMARK(BM_FleetCheckpointEncode)
 /**
  * One field-fleet epoch per iteration through FleetEngine::run with
  * a checkpoint path (perfbench's fleet_field unit); a finished
- * campaign restarts untimed. One item = one die-mission.
+ * campaign restarts untimed. One item = one deployed die's epoch.
  */
 void
 BM_FleetEpochCheckpointed(benchmark::State &state)

@@ -461,8 +461,8 @@ encodeImage(const FleetState &state, unsigned threads,
 }
 
 /**
- * The write of one checkpoint image, tmp file then rename, as one
- * whole: the file at @p path is always a complete image.
+ * Write @p bytes to @p path through a tmp file and a rename, so the
+ * file at @p path is always a complete image.
  */
 void
 writeImage(const std::vector<uint8_t> &bytes, const std::string &path)
