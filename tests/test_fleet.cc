@@ -876,7 +876,6 @@ TEST(Fleet, SharedPathLoadSeesTheLastSave)
     for (uint32_t e = 1; e <= ca.epochs; ++e) {
         a.run(sa, e, path);
         expectStateEq(loadFleetCheckpoint(path), sa);
-        a.run(sa, e, path);
         b.run(sb, e, path);
         expectStateEq(loadFleetCheckpoint(path), sb);
     }
