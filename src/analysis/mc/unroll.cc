@@ -30,13 +30,12 @@ Unrolling::Unrolling(CnfBuilder &cnf, const Netlist &nl,
         panic("Unrolling: netlist '%s' not elaborated",
               nl.name().c_str());
     if (model_.program) {
-        IsaKind isa = model_.program->isa();
-        wide_bus_ = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
-        word_pc_ = isa == IsaKind::LoadStore4;
         pc_nets_ = resolvePadBus(nl, "pc", kPcBits, false);
-        instr_nets_ =
-            resolvePadBus(nl, "instr", wide_bus_ ? 16 : 8, true);
+        instr_nets_ = resolvePadBus(
+            nl, "instr", wideFetch(model_.program->isa()) ? 16 : 8,
+            true);
+        rom_ = fetchTable(model_.program->isa(),
+                          model_.program->page(0));
         if (pc_nets_.empty() || instr_nets_.empty())
             panic("Unrolling: netlist '%s' lacks the pc/instr pad "
                   "buses required by the ROM-closed model",
@@ -103,34 +102,20 @@ Unrolling::busLits(unsigned t, const std::vector<NetId> &nets) const
 /**
  * Constrain frame @p t's instruction bus to the program image word
  * at the frame's own PC pads — the lockstep harness's fetch,
- * rendered as a mux tree over the 7-bit PC. Out-of-image addresses
- * read the idle bus's zeros, exactly like the scalar and wide-lane
- * drivers' fetch lambdas.
+ * rendered as a mux tree over the 7-bit PC. The table is
+ * fetchTable()'s, the one the lockstep drivers' golden tape reads,
+ * so out-of-image addresses read the idle bus's zeros here too.
  */
 void
 Unrolling::closeRom(unsigned t)
 {
-    const std::vector<uint8_t> &image = model_.program->page(0);
-    auto fetch = [&](unsigned addr) -> unsigned {
-        return addr < image.size() ? image[addr] : 0;
-    };
-
     unsigned bits = instr_nets_.size();
-    std::vector<uint64_t> table(kPageSize, 0);
-    for (unsigned pc = 0; pc < kPageSize; ++pc) {
-        if (wide_bus_) {
-            unsigned base = word_pc_ ? pc * 2 : pc;
-            table[pc] = fetch(base) | (fetch(base + 1) << 8);
-        } else {
-            table[pc] = fetch(pc);
-        }
-    }
 
     CnfBuilder::Word pc = busLits(t, pc_nets_);
     std::vector<CnfBuilder::Word> words;
     words.reserve(kPageSize);
     for (unsigned v = 0; v < kPageSize; ++v)
-        words.push_back(cnf_.constWord(table[v], bits));
+        words.push_back(cnf_.constWord(rom_[v], bits));
     // Balanced mux tree, LSB select first; constant folding in
     // mkMux collapses the (large) identical-subtree regions of a
     // mostly-zero image.

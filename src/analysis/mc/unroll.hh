@@ -30,6 +30,7 @@
 #include "analysis/dataflow/dataflow.hh"
 #include "assembler/program.hh"
 #include "isa/isa.hh"
+#include "netlist/golden_tape.hh"
 #include "netlist/netlist.hh"
 
 namespace flexi
@@ -110,8 +111,8 @@ class Unrolling
     std::vector<NetlistEncoding> frames_;
     std::vector<NetId> pc_nets_;
     std::vector<NetId> instr_nets_;
-    bool wide_bus_ = false;
-    bool word_pc_ = false;
+    /** The ROM-closed model's fetch table (page 0). */
+    FetchTable rom_{};
     /** Frames already pairwise-covered by assertSimplePath(). */
     unsigned simplePathDone_ = 0;
 };

@@ -23,6 +23,22 @@ wideFetch(IsaKind isa)
     return isa == IsaKind::ExtAcc4 || isa == IsaKind::LoadStore4;
 }
 
+FetchTable
+fetchTable(IsaKind isa, const std::vector<uint8_t> &image)
+{
+    auto byte = [&](unsigned addr) -> unsigned {
+        return addr < image.size() ? image[addr] : 0;
+    };
+    bool wide = wideFetch(isa);
+    FetchTable table{};
+    for (unsigned pc = 0; pc < kPageSize; ++pc) {
+        unsigned base = isa == IsaKind::LoadStore4 ? pc * 2 : pc;
+        table[pc] = static_cast<uint16_t>(
+            wide ? byte(base) | byte(base + 1) << 8 : byte(base));
+    }
+    return table;
+}
+
 Pads
 padsOf(const Netlist &die, IsaKind isa)
 {
@@ -124,21 +140,12 @@ GoldenTape::GoldenTape(IsaKind isa, const Program &prog,
     }
     outputs_ = std::move(env.outputs);
 
-    // The wide cores take a 16-bit word (LoadStore4 addresses words
-    // at pc*2).
     fetch_.resize(prog.numPages());
     fetchBytes_.resize(prog.numPages());
     for (unsigned pg = 0; pg < prog.numPages(); ++pg) {
-        const std::vector<uint8_t> &image = prog.page(pg);
-        auto byte = [&](unsigned addr) -> unsigned {
-            return addr < image.size() ? image[addr] : 0;
-        };
-        for (unsigned pc = 0; pc < kPcSpace; ++pc) {
-            unsigned base = isa == IsaKind::LoadStore4 ? pc * 2 : pc;
-            fetch_[pg][pc] = static_cast<uint16_t>(
-                wide ? byte(base) | byte(base + 1) << 8 : byte(base));
+        fetch_[pg] = fetchTable(isa, prog.page(pg));
+        for (unsigned pc = 0; pc < kPcSpace; ++pc)
             fetchBytes_[pg][pc] = static_cast<uint8_t>(fetch_[pg][pc]);
-        }
     }
 }
 

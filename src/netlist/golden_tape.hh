@@ -52,6 +52,18 @@ bool readsInput(const Instruction &inst);
  *  cycle? (The DSE cores'; LoadStore4's PC counts words.) */
 bool wideFetch(IsaKind isa);
 
+/** What the instr bus reads at each PC of one page. */
+using FetchTable = std::array<uint16_t, kPageSize>;
+
+/**
+ * The instr bus of @p isa at every PC of one page @p image: one byte
+ * at pc on the narrow cores, a 16-bit word on the wide ones
+ * (LoadStore4 addresses words at pc*2), zeros past the image. The
+ * golden tape, the model checker's ROM closure and its witness
+ * simulation all fetch through this one table.
+ */
+FetchTable fetchTable(IsaKind isa, const std::vector<uint8_t> &image);
+
 /** The pads the lockstep drivers drive and sample. */
 struct Pads
 {
@@ -74,8 +86,7 @@ class GoldenTape
 {
   public:
     /** PC pads are 7 bits wide on every core. */
-    static constexpr unsigned kPcSpace = 128;
-    using FetchTable = std::array<uint16_t, kPcSpace>;
+    static constexpr unsigned kPcSpace = kPageSize;
 
     /** The golden model after k instructions, and instruction k. */
     struct Point
