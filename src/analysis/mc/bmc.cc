@@ -1,6 +1,11 @@
 #include "bmc.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -37,15 +42,113 @@ extractTrace(const SatSolver &solver, const Netlist &nl,
     return trace;
 }
 
-/**
- * Models sampled before xfree's per-bit solves. On the shipped cores
- * 0-1 of 39-47 state bits are covered, and four models leave at most
- * 8 bits to the per-bit loop (every core and single-page kernel, at
- * depths 1, 2 and 4).
- */
-constexpr unsigned kXFreeSamples = 4;
+/** xfree's witness pairs: copy a of pair p runs in lane p of one
+ *  512-lane group, copy b in lane p + kXFreePairs. */
+constexpr unsigned kXFreePairs = LaneGroup::kMaxLanes / 2;
+constexpr unsigned kXFreePairWords = kXFreePairs / LaneGroup::kWordLanes;
 /** Fixed, so solve counts repeat run to run. */
 constexpr uint64_t kXFreeSampleSeed = 0x5EEDF1A7ull;
+
+/**
+ * xfree's witnesses: kXFreePairs concrete two-copy runs of the
+ * compiled engine. Every lane starts from a random state. Each cycle
+ * both copies of a pair read the same random non-instruction inputs,
+ * tied pads held; under the ROM closure each copy fetches at its own
+ * PC. Such a run is a model of the two-copy unrolling unless a fetch
+ * breaks a tie on an instr pad or moves its own PC; either drops the
+ * pair. Returns, per DFF, whether some pair ends with its two copies
+ * apart after @p depth cycles: a bit no solve can cover.
+ */
+std::vector<uint8_t>
+simulatedSeparations(const Netlist &nl, const ResolvedModel &model,
+                     unsigned depth)
+{
+    size_t ndff = nl.dffs().size();
+    std::vector<uint8_t> separated(ndff, 0);
+    std::vector<int8_t> tie(nl.numNets(), -1);
+    for (const auto &[net, value] : model.ties) {
+        if (tie[net] >= 0 && tie[net] != value)
+            return separated;   // contradictory ties: no model at all
+        tie[net] = value;
+    }
+    std::vector<uint8_t> own(nl.numNets(), 0);
+    unsigned instrTieMask = 0, instrTieValue = 0;
+    for (size_t b = 0; b < model.instr.size(); ++b) {
+        own[model.instr[b]] = 1;
+        if (tie[model.instr[b]] >= 0) {
+            instrTieMask |= 1u << b;
+            instrTieValue |= unsigned(tie[model.instr[b]]) << b;
+        }
+    }
+
+    LaneGroup g(nl);
+    Rng rng(kXFreeSampleSeed);
+    std::vector<uint8_t> state(ndff);
+    for (unsigned lane = 0; lane < g.lanes(); ++lane) {
+        uint64_t bits = 0;
+        for (size_t i = 0; i < ndff; ++i) {
+            if (i % 64 == 0)
+                bits = rng.next();
+            state[i] = bits >> (i % 64) & 1;
+        }
+        g.restoreDffState(lane, state);
+    }
+
+    BusHandle pcBus, instrBus;
+    if (model.romClosed()) {
+        pcBus = nl.outputBus("pc", kPcBits);
+        instrBus = nl.inputBus("instr", model.instr.size());
+    }
+    std::array<uint8_t, LaneGroup::kMaxLanes> live, pc, pcAfter;
+    std::array<uint32_t, LaneGroup::kMaxLanes> instr;
+    live.fill(1);
+    std::array<uint64_t, LaneGroup::kMaxWords> words;
+    for (unsigned t = 0; t <= depth; ++t) {
+        for (const auto &[name, net] : nl.primaryInputs()) {
+            if (own[net])
+                continue;
+            for (unsigned w = 0; w < kXFreePairWords; ++w) {
+                uint64_t v = tie[net] < 0 ? rng.next()
+                                          : tie[net] ? ~0ull : 0;
+                words[w] = words[w + kXFreePairWords] = v;
+            }
+            g.setInputLanes(name, words.data());
+        }
+        if (model.romClosed()) {
+            g.evaluate();
+            g.gatherBusBytes(pcBus, pc.data());
+            for (unsigned lane = 0; lane < g.lanes(); ++lane) {
+                instr[lane] = model.rom[pc[lane] % kPageSize];
+                if ((instr[lane] ^ instrTieValue) & instrTieMask)
+                    live[lane] = 0;
+            }
+            g.setBusLanes(instrBus, instr.data());
+        }
+        g.evaluate();
+        if (model.romClosed()) {
+            g.gatherBusBytes(pcBus, pcAfter.data());
+            for (unsigned lane = 0; lane < g.lanes(); ++lane)
+                live[lane] &= pc[lane] == pcAfter[lane];
+        }
+        // The last frame only has to be consistent: stateLit(depth)
+        // is the state after `depth` edges.
+        if (t < depth)
+            g.clockEdge();
+    }
+
+    size_t sw = g.dffStateWords();
+    std::vector<uint64_t> packed(g.lanes() * sw);
+    g.packDffState(packed.data());
+    std::vector<uint64_t> apart(sw, 0);
+    for (unsigned p = 0; p < kXFreePairs; ++p)
+        if (live[p] && live[p + kXFreePairs])
+            for (size_t j = 0; j < sw; ++j)
+                apart[j] |= packed[p * sw + j] ^
+                            packed[(p + kXFreePairs) * sw + j];
+    for (size_t i = 0; i < ndff; ++i)
+        separated[i] = apart[i / 64] >> (i % 64) & 1;
+    return separated;
+}
 
 McResult
 invalidProperty(const McProperty &p)
@@ -165,80 +268,65 @@ seqResetCoverage(const Netlist &nl, const McModel &model,
         return r;
     }
 
-    SatSolver solver;
-    CnfBuilder cnf(solver);
-    Unrolling a(cnf, nl, model);
-    Unrolling b(cnf, nl, model);
-    a.ensureFrames(depth + 1);
-    b.ensureFrames(depth + 1);
-
-    // Both copies read the same input sequence; under the ROM-closed
-    // model the instr bus is each copy's own fetch (it follows that
-    // copy's PC), so it is exactly the non-instr pads that are
-    // shared.
-    std::vector<uint8_t> own(nl.numNets(), 0);
-    if (model.program) {
-        IsaKind isa = model.program->isa();
-        bool wide = isa == IsaKind::ExtAcc4 ||
-                    isa == IsaKind::LoadStore4;
-        for (NetId n :
-             resolvePadBus(nl, "instr", wide ? 16 : 8, true))
-            own[n] = 1;
-    }
-    // The free primaries: the shared inputs of every frame and both
-    // copies' power-on state.
-    std::vector<SatLit> primaries;
-    for (unsigned t = 0; t <= depth; ++t)
-        for (const auto &in : nl.primaryInputs())
-            if (!own[in.second]) {
-                cnf.bindEqual(a.netLit(t, in.second),
-                              b.netLit(t, in.second));
-                primaries.push_back(a.netLit(t, in.second));
-            }
-    auto dffs = nl.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        primaries.push_back(a.stateLit(0, i));
-        primaries.push_back(b.stateLit(0, i));
-    }
-
-    // Witnesses first: nearly every bit is separable, and any model
-    // whose two copies differ on a bit proves it uncovered without a
-    // search of its own. Only the unseparated bits get a solve.
-    ModelSamples ms = sampleModels(solver, primaries, kXFreeSamples,
-                                   kXFreeSampleSeed, r.solves);
-    std::vector<uint8_t> separated(dffs.size(), 0);
-    for (size_t i = 0; i < dffs.size(); ++i)
-        separated[i] = ms.of(a.stateLit(depth, i)) !=
-                       ms.of(b.stateLit(depth, i));
-
-    r.covered.assign(dffs.size(), 0);
+    // Witnesses first: nearly every bit is separable, and a
+    // simulated pair whose copies differ on a bit proves it uncovered
+    // without a search of its own. Only the unseparated bits get a
+    // solve, over a two-copy unrolling built for them alone.
+    ResolvedModel env = resolveModel(nl, model);
+    std::vector<uint8_t> separated =
+        simulatedSeparations(nl, env, depth);
+    size_t ndff = separated.size();
+    r.covered.assign(ndff, 0);
     size_t num_covered = 0;
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        if (separated[i])
-            continue;
-        SatLit ne = cnf.mkXor(a.stateLit(depth, i),
-                              b.stateLit(depth, i));
-        ++r.solves;
-        if (solver.solve({ne}) == SatSolver::Result::Unsat) {
-            r.covered[i] = 1;
-            ++num_covered;
-            // Harden the proven convergence: later bits usually
-            // depend on earlier ones.
-            cnf.assertLit(~ne);
-            continue;
-        }
-        // The model is a witness for every later bit it separates.
-        for (size_t j = i + 1; j < dffs.size(); ++j)
-            separated[j] |=
-                solver.modelValue(a.stateLit(depth, j)) !=
-                solver.modelValue(b.stateLit(depth, j));
-    }
-    r.conflicts = solver.stats().conflicts;
+    if (std::find(separated.begin(), separated.end(), 0) !=
+        separated.end()) {
+        SatSolver solver;
+        CnfBuilder cnf(solver);
+        Unrolling a(cnf, nl, model);
+        Unrolling b(cnf, nl, model);
+        a.ensureFrames(depth + 1);
+        b.ensureFrames(depth + 1);
+        // Both copies read the same input sequence; under the ROM-
+        // closed model the instr bus is each copy's own fetch (it
+        // follows that copy's PC), so it is exactly the non-instr
+        // pads that are shared.
+        std::vector<uint8_t> own(nl.numNets(), 0);
+        for (NetId n : env.instr)
+            own[n] = 1;
+        for (unsigned t = 0; t <= depth; ++t)
+            for (const auto &in : nl.primaryInputs())
+                if (!own[in.second])
+                    cnf.bindEqual(a.netLit(t, in.second),
+                                  b.netLit(t, in.second));
 
-    r.ok = num_covered == dffs.size();
+        for (size_t i = 0; i < ndff; ++i) {
+            if (separated[i])
+                continue;
+            SatLit ne = cnf.mkXor(a.stateLit(depth, i),
+                                  b.stateLit(depth, i));
+            ++r.solves;
+            if (solver.solve({ne}) == SatSolver::Result::Unsat) {
+                r.covered[i] = 1;
+                ++num_covered;
+                // Harden the proven convergence: later bits usually
+                // depend on earlier ones.
+                cnf.assertLit(~ne);
+                continue;
+            }
+            // The model is a witness for every later bit it
+            // separates.
+            for (size_t j = i + 1; j < ndff; ++j)
+                separated[j] |=
+                    solver.modelValue(a.stateLit(depth, j)) !=
+                    solver.modelValue(b.stateLit(depth, j));
+        }
+        r.conflicts = solver.stats().conflicts;
+    }
+
+    r.ok = num_covered == ndff;
     r.detail = strfmt("%zu/%zu state bits self-initialize within "
                       "%u cycle%s",
-                      num_covered, dffs.size(), depth,
+                      num_covered, ndff, depth,
                       depth == 1 ? "" : "s");
     return r;
 }

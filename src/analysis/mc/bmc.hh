@@ -115,7 +115,8 @@ struct SeqResetCoverageResult
     /** Per DFF (commit order): value after `depth` cycles is fully
      *  determined by the inputs, regardless of the power-on state. */
     std::vector<uint8_t> covered;
-    /** Solver effort, the sampled witnesses included. */
+    /** Solver effort: one solve per bit no simulated pair
+     *  separated (the witnesses themselves cost none). */
     uint64_t solves = 0;
     uint64_t conflicts = 0;
 };
@@ -129,12 +130,15 @@ struct SeqResetCoverageResult
  * any state bit whose re-initialization needs correlated values the
  * ternary domain cannot express.
  *
- * Witnesses first: four sampled models of the two-copy unrolling
- * mark every bit whose copies they separate, and each Sat answer of
- * the per-bit loop marks every later bit its model separates; only
- * unmarked bits are solved. A witness is a real model and hardening
- * a covered bit adds only implied clauses, so `covered` is exactly
- * what a solve per bit would give.
+ * Witnesses first, from simulation: 256 two-copy pairs run on one
+ * 512-lane LaneGroup from random power-on states under shared
+ * random inputs (each copy fetching at its own PC under the ROM
+ * closure). Every pair is a concrete model of the two-copy
+ * unrolling, so a bit whose copies it ends apart is not covered.
+ * Only the bits no pair separates get the unrolling built and a
+ * solve each, and each Sat answer marks every later bit its model
+ * separates. Hardening a covered bit adds only implied clauses, so
+ * `covered` is exactly what a solve per bit would give.
  */
 SeqResetCoverageResult seqResetCoverage(const Netlist &nl,
                                         const McModel &model,

@@ -22,27 +22,38 @@ resolvePadBus(const Netlist &nl, const std::string &prefix,
     return nets;
 }
 
-Unrolling::Unrolling(CnfBuilder &cnf, const Netlist &nl,
-                     const McModel &model)
-    : cnf_(cnf), nl_(nl), model_(model)
+ResolvedModel
+resolveModel(const Netlist &nl, const McModel &model)
 {
     if (!nl.elaborated())
         panic("Unrolling: netlist '%s' not elaborated",
               nl.name().c_str());
-    if (model_.program) {
-        pc_nets_ = resolvePadBus(nl, "pc", kPcBits, false);
-        instr_nets_ = resolvePadBus(
-            nl, "instr", wideFetch(model_.program->isa()) ? 16 : 8,
-            true);
-        rom_ = fetchTable(model_.program->isa(),
-                          model_.program->page(0));
-        if (pc_nets_.empty() || instr_nets_.empty())
+    ResolvedModel r;
+    if (model.program) {
+        IsaKind isa = model.program->isa();
+        r.pc = resolvePadBus(nl, "pc", kPcBits, false);
+        r.instr = resolvePadBus(nl, "instr", wideFetch(isa) ? 16 : 8,
+                                true);
+        if (r.pc.empty() || r.instr.empty())
             panic("Unrolling: netlist '%s' lacks the pc/instr pad "
                   "buses required by the ROM-closed model",
                   nl.name().c_str());
-    } else {
-        pc_nets_ = resolvePadBus(nl, "pc", kPcBits, false);
+        r.rom = fetchTable(isa, model.program->page(0));
     }
+    for (const PadTie &tie : model.ties) {
+        auto it = nl.primaryInputs().find(tie.input);
+        if (it == nl.primaryInputs().end())
+            panic("Unrolling: tie names unknown input '%s'",
+                  tie.input.c_str());
+        r.ties.emplace_back(it->second, tie.value);
+    }
+    return r;
+}
+
+Unrolling::Unrolling(CnfBuilder &cnf, const Netlist &nl,
+                     const McModel &model)
+    : cnf_(cnf), nl_(nl), model_(resolveModel(nl, model))
+{
 }
 
 unsigned
@@ -56,16 +67,12 @@ Unrolling::addFrame()
     unsigned t = frames_.size() - 1;
 
     // The tie environment holds on every timestep.
-    for (const PadTie &tie : model_.ties) {
-        auto it = nl_.primaryInputs().find(tie.input);
-        if (it == nl_.primaryInputs().end())
-            panic("Unrolling: tie names unknown input '%s'",
-                  tie.input.c_str());
-        SatLit l = frames_[t].lit(it->second);
-        cnf_.assertLit(tie.value ? l : ~l);
+    for (const auto &[net, value] : model_.ties) {
+        SatLit l = frames_[t].lit(net);
+        cnf_.assertLit(value ? l : ~l);
     }
 
-    if (model_.program)
+    if (model_.romClosed())
         closeRom(t);
     return t;
 }
@@ -109,13 +116,13 @@ Unrolling::busLits(unsigned t, const std::vector<NetId> &nets) const
 void
 Unrolling::closeRom(unsigned t)
 {
-    unsigned bits = instr_nets_.size();
+    unsigned bits = model_.instr.size();
 
-    CnfBuilder::Word pc = busLits(t, pc_nets_);
+    CnfBuilder::Word pc = busLits(t, model_.pc);
     std::vector<CnfBuilder::Word> words;
     words.reserve(kPageSize);
     for (unsigned v = 0; v < kPageSize; ++v)
-        words.push_back(cnf_.constWord(rom_[v], bits));
+        words.push_back(cnf_.constWord(model_.rom[v], bits));
     // Balanced mux tree, LSB select first; constant folding in
     // mkMux collapses the (large) identical-subtree regions of a
     // mostly-zero image.
@@ -128,7 +135,7 @@ Unrolling::closeRom(unsigned t)
         words = std::move(next);
     }
 
-    CnfBuilder::Word instr = busLits(t, instr_nets_);
+    CnfBuilder::Word instr = busLits(t, model_.instr);
     for (unsigned b = 0; b < bits; ++b)
         cnf_.bindEqual(instr[b], words[0][b]);
 }

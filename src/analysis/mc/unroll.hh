@@ -24,6 +24,7 @@
 #define FLEXI_ANALYSIS_MC_UNROLL_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/cnf_encoder.hh"
@@ -48,6 +49,29 @@ struct McModel
      */
     const Program *program = nullptr;
 };
+
+/**
+ * An McModel resolved against one netlist: the tied pads' nets and,
+ * under the ROM closure, the pc/instr pads and the page-0 fetch
+ * table. The unrolling and xfree's witness simulation both start
+ * from it, so they refuse the same models the same way.
+ */
+struct ResolvedModel
+{
+    std::vector<std::pair<NetId, bool>> ties;
+    /** ROM closure only: PC pads (7 bits) and the instr pads. */
+    std::vector<NetId> pc, instr;
+    FetchTable rom{};
+
+    bool romClosed() const { return !instr.empty(); }
+};
+
+/**
+ * Resolve @p model against @p nl. Panics on an unelaborated
+ * netlist, a tie naming an unknown input, or a ROM-closed model on
+ * a netlist without pc/instr pads.
+ */
+ResolvedModel resolveModel(const Netlist &nl, const McModel &model);
 
 class Unrolling
 {
@@ -91,9 +115,6 @@ class Unrolling
     CnfBuilder::Word busLits(unsigned t,
                              const std::vector<NetId> &nets) const;
 
-    /** PC pad nets (always 7 bits on the FlexiCore family). */
-    const std::vector<NetId> &pcNets() const { return pc_nets_; }
-
     /**
      * Simple-path strengthening: for every pair of frames now
      * present, at least one state bit differs. Incremental — frames
@@ -107,12 +128,8 @@ class Unrolling
 
     CnfBuilder &cnf_;
     const Netlist &nl_;
-    McModel model_;
+    ResolvedModel model_;
     std::vector<NetlistEncoding> frames_;
-    std::vector<NetId> pc_nets_;
-    std::vector<NetId> instr_nets_;
-    /** The ROM-closed model's fetch table (page 0). */
-    FetchTable rom_{};
     /** Frames already pairwise-covered by assertSimplePath(). */
     unsigned simplePathDone_ = 0;
 };
