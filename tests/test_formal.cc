@@ -1102,9 +1102,9 @@ TEST(SearchPin, McLintEffort)
         uint64_t solves, conflicts;
     };
     static const Case cases[] = {
-        {0, "mc_fc4.s", 11, 45},  {1, "mc_fc8.s", 15, 36},
-        {2, "mc_ext.s", 11, 40},  {3, "mc_ls.s", 11, 96},
-        {0, "mc_escape.s", 12, 10},
+        {0, "mc_fc4.s", 6, 12},  {1, "mc_fc8.s", 9, 21},
+        {2, "mc_ext.s", 6, 40},  {3, "mc_ls.s", 4, 35},
+        {0, "mc_escape.s", 8, 10},
     };
     for (const Case &c : cases) {
         auto nl = buildCore(c.core);
