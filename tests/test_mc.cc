@@ -486,16 +486,35 @@ TEST(McLint, ReportsRepeatableSolverEffort)
     EXPECT_EQ(first.solves, second.solves);
     EXPECT_EQ(first.conflicts, second.conflicts);
 
-    SeqResetCoverageResult a = seqResetCoverage(*nl, opts.model, 4);
-    SeqResetCoverageResult b = seqResetCoverage(*nl, opts.model, 4);
+    // Simulated pairs separate all 47 of LoadStore4's state bits, so
+    // its xfree pass builds no CNF and solves nothing.
+    SeqResetCoverageResult ls = seqResetCoverage(*nl, opts.model, 4);
+    EXPECT_EQ(ls.solves, 0u);
+    EXPECT_EQ(ls.conflicts, 0u);
+    EXPECT_EQ(ls.covered, std::vector<uint8_t>(47, 0));
+
+    // FlexiCore8's Parity program has one covered bit, and covering
+    // it takes a solve and a search: that effort must repeat too.
+    auto fc8 = buildFlexiCore8Netlist();
+    Program parity = assemble(
+        IsaKind::FlexiCore8, fc8ProgramSource(Fc8Program::Parity));
+    McLintOptions fopts;
+    fopts.inductDepth = 4;
+    fopts.model.program = &parity;
+    SeqResetCoverageResult a = seqResetCoverage(*fc8, fopts.model, 4);
+    SeqResetCoverageResult b = seqResetCoverage(*fc8, fopts.model, 4);
     EXPECT_GT(a.solves, 0u);
     EXPECT_GT(a.conflicts, 0u);
     EXPECT_EQ(a.solves, b.solves);
     EXPECT_EQ(a.conflicts, b.conflicts);
     EXPECT_EQ(a.covered, b.covered);
     // The outcome's totals include the xfree pass.
-    EXPECT_GE(first.solves, a.solves);
-    EXPECT_GE(first.conflicts, a.conflicts);
+    McLintOutcome f1 = mcLint(*fc8, fopts);
+    McLintOutcome f2 = mcLint(*fc8, fopts);
+    EXPECT_EQ(f1.solves, f2.solves);
+    EXPECT_EQ(f1.conflicts, f2.conflicts);
+    EXPECT_GE(f1.solves, a.solves);
+    EXPECT_GE(f1.conflicts, a.conflicts);
 }
 
 TEST(McLint, InvalidSpecIsReportedNotFatal)
