@@ -27,7 +27,9 @@ extractTrace(const SatSolver &solver, const Netlist &nl,
     trace.property = p.spec;
     trace.violationStep = violation;
     auto dffs = nl.dffs();
-    for (unsigned t = 0; t < u.frames(); ++t) {
+    // The frames the violating instance spans; any later ones were
+    // not switched on.
+    for (unsigned t = 0; t < violation + p.window(); ++t) {
         McFrame fr;
         for (const auto &in : nl.primaryInputs())
             fr.inputs.emplace_back(
@@ -163,80 +165,109 @@ invalidProperty(const McProperty &p)
 
 } // namespace
 
+McSession::Side::Side(const Netlist &nl, const McModel &model)
+    : cnf(solver), u(cnf, nl, model, true)
+{
+}
+
+McSession::McSession(const Netlist &nl, const McModel &model,
+                     bool simplePath)
+    : nl_(nl), simplePath_(simplePath), step_(nl, model),
+      init_(nl, model)
+{
+}
+
+SatSolver::Result
+McSession::solve(Side &side, const std::vector<SatLit> &assume,
+                 McResult &r)
+{
+    uint64_t before = side.solver.stats().conflicts;
+    ++r.solves;
+    SatSolver::Result res = side.solver.solve(assume);
+    r.conflicts += side.solver.stats().conflicts - before;
+    return res;
+}
+
 McResult
-checkBmc(const Netlist &nl, const McModel &model, const McProperty &p,
-         unsigned depth)
+McSession::bmc(const McProperty &p, unsigned depth)
 {
     if (p.kind == McProperty::Kind::XFree)
         return invalidProperty(p);
+    Unrolling &u = init_.u;
+    if (u.frames() == 0) {
+        u.addFrame();
+        u.assertInit();
+    }
 
     McResult r;
-    SatSolver solver;
-    CnfBuilder cnf(solver);
-    Unrolling u(cnf, nl, model);
-    u.addFrame();
-    u.assertInit();
-
     unsigned w = p.window();
     for (unsigned t = 0; t <= depth; ++t) {
         u.ensureFrames(t + w);
-        SatLit pt = propertyLit(cnf, u, p, t);
-        ++r.solves;
-        if (solver.solve({~pt}) == SatSolver::Result::Sat) {
+        SatLit pt = propertyLit(init_.cnf, u, p, t);
+        std::vector<SatLit> assume;
+        u.assumeWindow(t + w, assume);
+        assume.push_back(~pt);
+        if (solve(init_, assume, r) == SatSolver::Result::Sat) {
             r.status = McStatus::Falsified;
             r.depth = t;
-            r.trace = extractTrace(solver, nl, u, p, t);
+            r.trace = extractTrace(init_.solver, nl_, u, p, t);
             r.detail = strfmt("'%s' violated %u cycle%s after "
                               "power-on",
                               p.spec.c_str(), t, t == 1 ? "" : "s");
-            r.conflicts = solver.stats().conflicts;
             return r;
         }
-        // This step is clean for good: harden it so deeper steps
-        // solve against the accumulated invariant prefix.
-        cnf.assertLit(pt);
+        // This step is clean for good wherever its frames are on:
+        // harden that, so deeper steps (and later questions) solve
+        // against the accumulated invariant prefix.
+        init_.cnf.addClause({~u.activation(t + w), pt});
     }
 
     r.status = McStatus::Clean;
     r.depth = depth;
     r.detail = strfmt("'%s' holds for %u cycles after power-on",
                       p.spec.c_str(), depth);
-    r.conflicts = solver.stats().conflicts;
     return r;
 }
 
 McResult
-checkInduction(const Netlist &nl, const McModel &model,
-               const McProperty &p, unsigned maxK, bool simplePath)
+McSession::induction(const McProperty &p, unsigned maxK)
 {
     if (p.kind == McProperty::Kind::XFree)
         return invalidProperty(p);
 
     McResult r;
     unsigned w = p.window();
+    // The premises P(0..k-1) hold under this question's own literal,
+    // retired at the end so later questions never see them.
+    Unrolling &u = step_.u;
+    CnfBuilder &cnf = step_.cnf;
+    SatLit premises = cnf.fresh();
+    std::vector<SatLit> lits;   // P(t) on the step unrolling
     for (unsigned k = 1; k <= maxK; ++k) {
-        // Step case on a fresh solver: from any loop-free run of k
-        // clean steps (arbitrary start state), step k is clean too.
-        SatSolver solver;
-        CnfBuilder cnf(solver);
-        Unrolling u(cnf, nl, model);
+        // Step case: from any loop-free run of k clean steps
+        // (arbitrary start state), step k is clean too. Frames
+        // 0..k+w-1 are switched on, the ones a fresh unrolling of
+        // this step would hold, with their simple-path pairs.
         u.ensureFrames(k + w);
-        for (unsigned t = 0; t < k; ++t)
-            cnf.assertLit(propertyLit(cnf, u, p, t));
-        if (simplePath)
+        if (simplePath_)
             u.assertSimplePath();
-        SatLit pk = propertyLit(cnf, u, p, k);
-        ++r.solves;
-        bool step =
-            solver.solve({~pk}) == SatSolver::Result::Unsat;
-        r.conflicts += solver.stats().conflicts;
-        if (!step)
+        while (lits.size() <= k) {
+            if (!lits.empty())
+                cnf.addClause({~premises, lits.back()});
+            lits.push_back(propertyLit(cnf, u, p, lits.size()));
+        }
+        std::vector<SatLit> assume;
+        u.assumeWindow(k + w, assume);
+        assume.push_back(premises);
+        assume.push_back(~lits[k]);
+        if (solve(step_, assume, r) == SatSolver::Result::Sat)
             continue;
 
         // Base case: no violation reachable in the first k steps.
-        McResult base = checkBmc(nl, model, p, k - 1);
+        McResult base = bmc(p, k - 1);
         r.solves += base.solves;
         r.conflicts += base.conflicts;
+        cnf.assertLit(~premises);
         if (base.status == McStatus::Falsified) {
             base.solves = r.solves;
             base.conflicts = r.conflicts;
@@ -246,15 +277,30 @@ checkInduction(const Netlist &nl, const McModel &model,
         r.depth = k;
         r.detail = strfmt("'%s' proved by %u-induction%s",
                           p.spec.c_str(), k,
-                          simplePath ? " (simple-path)" : "");
+                          simplePath_ ? " (simple-path)" : "");
         return r;
     }
 
+    cnf.assertLit(~premises);
     r.status = McStatus::Unknown;
     r.depth = maxK;
     r.detail = strfmt("'%s': induction did not close within k=%u",
                       p.spec.c_str(), maxK);
     return r;
+}
+
+McResult
+checkBmc(const Netlist &nl, const McModel &model, const McProperty &p,
+         unsigned depth)
+{
+    return McSession(nl, model).bmc(p, depth);
+}
+
+McResult
+checkInduction(const Netlist &nl, const McModel &model,
+               const McProperty &p, unsigned maxK, bool simplePath)
+{
+    return McSession(nl, model, simplePath).induction(p, maxK);
 }
 
 SeqResetCoverageResult

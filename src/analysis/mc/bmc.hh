@@ -2,19 +2,19 @@
  * @file
  * BMC falsification and k-induction proofs over Unrolling.
  *
- * checkBmc() pins timestep 0 to the power-on state and searches for
- * a property violation within a bounded number of steps; a hit
- * comes back as a replayable multi-cycle McTrace (every input and
- * state bit of every frame, by name). Each clean step is hardened
- * into the CNF so later steps reuse the proof work.
- *
- * checkInduction() proves the property invariant by temporal
+ * McSession answers both kinds of question for one (netlist, model)
+ * pair on one incremental solver. bmc() pins timestep 0 to the
+ * power-on state and searches for a property violation within a
+ * bounded number of steps; a hit comes back as a replayable
+ * multi-cycle McTrace (every input and state bit of every frame, by
+ * name). induction() proves the property invariant by temporal
  * k-induction: if P held for the last k steps of *any* loop-free
  * path then it holds one step later (UNSAT of the negation), and
- * BMC discharges the base case. Simple-path strengthening (pairwise
- * distinct states across the unrolled window) is what makes the
- * method complete in k for the properties the catalog cares about;
- * docs/FORMAL.md carries the soundness argument.
+ * bmc() discharges the base case. Simple-path strengthening
+ * (pairwise distinct states across the unrolled window) is what
+ * makes the method complete in k for the properties the catalog
+ * cares about; docs/FORMAL.md carries the soundness argument.
+ * checkBmc() and checkInduction() are one-question sessions.
  *
  * replayMcTrace() closes the loop with simulation: the trace is
  * driven cycle by cycle through the netlist's reference interpreter,
@@ -31,6 +31,7 @@
 
 #include "analysis/mc/property.hh"
 #include "analysis/mc/unroll.hh"
+#include "analysis/sat.hh"
 
 namespace flexi
 {
@@ -78,18 +79,68 @@ struct McResult
 };
 
 /**
- * Search for a violation of @p p within @p depth steps of the
- * power-on state (steps 0..depth inclusive). @p p must be validated
- * against (@p nl, @p model) first.
+ * One incremental SAT session for the frame-property questions about
+ * one (netlist, model) pair, after Een & Sorensson, "Temporal
+ * Induction by Incremental SAT Solving" (BMC 2003). It keeps a
+ * free-initial-state step unrolling and a power-on unrolling, each
+ * guarded (see Unrolling) on an incremental solver of its own and
+ * grown on demand.
+ *
+ * A question switches on exactly the frames a fresh unrolling of its
+ * own would encode, and passes the property instances it would
+ * assert as assumptions. Everything else in the solver is a pure
+ * definition or a learned clause the formula implies, so each
+ * (property, k) answer, and with it the closing k, is the answer a
+ * fresh build gives. Only the effort, and the model a Sat answer
+ * returns, can differ.
  */
+class McSession
+{
+  public:
+    /** @p nl must outlive the session. @p simplePath adds the
+     *  loop-freedom strengthening to every induction step. */
+    McSession(const Netlist &nl, const McModel &model,
+              bool simplePath = true);
+
+    /**
+     * Search for a violation of @p p within @p depth steps of the
+     * power-on state (steps 0..depth inclusive). @p p must be
+     * validated against the netlist and model first.
+     */
+    McResult bmc(const McProperty &p, unsigned depth);
+
+    /**
+     * Prove G(p) by k-induction, trying k = 1..maxK. The base case
+     * is bmc() to k - 1; a base-case hit returns Falsified with its
+     * trace.
+     */
+    McResult induction(const McProperty &p, unsigned maxK);
+
+  private:
+    /** One guarded unrolling on a solver of its own. */
+    struct Side
+    {
+        Side(const Netlist &nl, const McModel &model);
+        SatSolver solver;
+        CnfBuilder cnf;
+        Unrolling u;
+    };
+
+    SatSolver::Result solve(Side &side,
+                            const std::vector<SatLit> &assume,
+                            McResult &r);
+
+    const Netlist &nl_;
+    bool simplePath_;
+    Side step_;
+    Side init_;
+};
+
+/** McSession(nl, model).bmc(p, depth). */
 McResult checkBmc(const Netlist &nl, const McModel &model,
                   const McProperty &p, unsigned depth);
 
-/**
- * Prove G(p) by k-induction, trying k = 1..maxK. The base case is
- * discharged by BMC; a base-case hit returns Falsified with its
- * trace. @p simplePath adds the loop-freedom strengthening.
- */
+/** McSession(nl, model, simplePath).induction(p, maxK). */
 McResult checkInduction(const Netlist &nl, const McModel &model,
                         const McProperty &p, unsigned maxK,
                         bool simplePath = true);

@@ -1,5 +1,7 @@
 #include "mc_lint.hh"
 
+#include <optional>
+
 #include "common/logging.hh"
 
 namespace flexi
@@ -23,17 +25,17 @@ mcDiag(Severity sev, const std::string &rule,
 /** Check one frame property and append its diagnostics. */
 void
 checkProperty(const Netlist &nl, const McLintOptions &opts,
-              const McProperty &p, McLintOutcome &out)
+              McSession &session, const McProperty &p,
+              McLintOutcome &out)
 {
     McResult res;
     if (opts.inductDepth > 0) {
-        res = checkInduction(nl, opts.model, p, opts.inductDepth);
+        res = session.induction(p, opts.inductDepth);
         if (res.status == McStatus::Unknown && opts.bmcDepth > 0) {
             // Induction could not close the proof; fall back to a
             // bounded falsification attempt so the report still
             // says something concrete about reachable cycles.
-            McResult bmc = checkBmc(nl, opts.model, p,
-                                    opts.bmcDepth);
+            McResult bmc = session.bmc(p, opts.bmcDepth);
             out.report.add(mcDiag(Severity::Warning, "prop-unknown",
                                   res.detail));
             out.solves += res.solves;
@@ -41,7 +43,7 @@ checkProperty(const Netlist &nl, const McLintOptions &opts,
             res = bmc;
         }
     } else {
-        res = checkBmc(nl, opts.model, p, opts.bmcDepth);
+        res = session.bmc(p, opts.bmcDepth);
     }
     out.solves += res.solves;
     out.conflicts += res.conflicts;
@@ -138,6 +140,9 @@ mcLint(const Netlist &nl, const McLintOptions &opts)
         }
     }
 
+    // Every frame property is a question to one session, built on
+    // the first one.
+    std::optional<McSession> session;
     for (McProperty &p : props) {
         std::string err = validateProperty(nl, opts.model, p);
         if (!err.empty()) {
@@ -146,10 +151,13 @@ mcLint(const Netlist &nl, const McLintOptions &opts)
                 strfmt("'%s': %s", p.spec.c_str(), err.c_str())));
             continue;
         }
-        if (p.kind == McProperty::Kind::XFree)
+        if (p.kind == McProperty::Kind::XFree) {
             checkXFree(nl, opts, p, out);
-        else
-            checkProperty(nl, opts, p, out);
+            continue;
+        }
+        if (!session)
+            session.emplace(nl, opts.model);
+        checkProperty(nl, opts, *session, p, out);
     }
 
     out.report.resolveNetNames(nl);

@@ -51,8 +51,9 @@ resolveModel(const Netlist &nl, const McModel &model)
 }
 
 Unrolling::Unrolling(CnfBuilder &cnf, const Netlist &nl,
-                     const McModel &model)
-    : cnf_(cnf), nl_(nl), model_(resolveModel(nl, model))
+                     const McModel &model, bool guarded)
+    : cnf_(cnf), nl_(nl), model_(resolveModel(nl, model)),
+      guarded_(guarded)
 {
 }
 
@@ -65,11 +66,16 @@ Unrolling::addFrame()
         opts.bindQ = &frames_.back().dffD;
     frames_.push_back(encodeNetlist(cnf_, nl_, opts));
     unsigned t = frames_.size() - 1;
+    if (guarded_) {
+        act_.push_back(cnf_.fresh());
+        if (t > 0)
+            cnf_.addClause({~act_[t], act_[t - 1]});
+    }
 
     // The tie environment holds on every timestep.
     for (const auto &[net, value] : model_.ties) {
         SatLit l = frames_[t].lit(net);
-        cnf_.assertLit(value ? l : ~l);
+        envClause(t, {value ? l : ~l});
     }
 
     if (model_.romClosed())
@@ -136,8 +142,18 @@ Unrolling::closeRom(unsigned t)
     }
 
     CnfBuilder::Word instr = busLits(t, model_.instr);
-    for (unsigned b = 0; b < bits; ++b)
-        cnf_.bindEqual(instr[b], words[0][b]);
+    for (unsigned b = 0; b < bits; ++b) {
+        envClause(t, {~instr[b], words[0][b]});
+        envClause(t, {instr[b], ~words[0][b]});
+    }
+}
+
+void
+Unrolling::envClause(unsigned t, std::vector<SatLit> clause)
+{
+    if (guarded_)
+        clause.push_back(~act_[t]);
+    cnf_.addClause(clause);
 }
 
 void
@@ -147,11 +163,11 @@ Unrolling::assertSimplePath()
     for (unsigned j = simplePathDone_; j < frames_.size(); ++j) {
         for (unsigned i = 0; i < j; ++i) {
             std::vector<SatLit> differs;
-            differs.reserve(ndff);
+            differs.reserve(ndff + 1);
             for (size_t d = 0; d < ndff; ++d)
                 differs.push_back(cnf_.mkXor(frames_[i].dffQ[d],
                                              frames_[j].dffQ[d]));
-            cnf_.addClause(differs);
+            envClause(j, std::move(differs));
         }
     }
     simplePathDone_ = frames_.size();

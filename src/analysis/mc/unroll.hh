@@ -79,9 +79,17 @@ class Unrolling
     /**
      * Start an unrolling of @p nl (must stay alive) with no frames.
      * Call addFrame() / ensureFrames() to grow it.
+     *
+     * @p guarded puts each frame's environment (ties, ROM closure)
+     * and its simple-path pairs with the earlier frames behind a
+     * fresh activation literal, which implies the previous frame's.
+     * A frame that is not switched on is a pure definition of its
+     * nets that constrains nothing, so one unrolling grown to the
+     * longest question answers shorter ones exactly as an unrolling
+     * of their own length would.
      */
     Unrolling(CnfBuilder &cnf, const Netlist &nl,
-              const McModel &model);
+              const McModel &model, bool guarded = false);
 
     const Netlist &netlist() const { return nl_; }
     unsigned frames() const { return frames_.size(); }
@@ -119,17 +127,40 @@ class Unrolling
      * Simple-path strengthening: for every pair of frames now
      * present, at least one state bit differs. Incremental — frames
      * added later are constrained against all earlier ones on the
-     * next call.
+     * next call. Guarded, a pair belongs to its later frame.
      */
     void assertSimplePath();
 
+    /** Guarded only: the literal that switches on frames 0..@p n-1
+     *  (which must exist; n >= 1). */
+    SatLit activation(unsigned n) const { return act_.at(n - 1); }
+    /**
+     * Guarded only: append to @p assume the assumptions that switch
+     * on frames 0..@p n-1 and every later frame off (n = 0: all
+     * off), so the solver never searches the frames a question does
+     * not hold.
+     */
+    void assumeWindow(unsigned n, std::vector<SatLit> &assume) const
+    {
+        if (n > 0)
+            assume.push_back(activation(n));
+        if (n < act_.size())
+            assume.push_back(~act_[n]);
+    }
+
   private:
     void closeRom(unsigned t);
+    /** Add a clause of frame @p t's environment. */
+    void envClause(unsigned t, std::vector<SatLit> clause);
 
     CnfBuilder &cnf_;
     const Netlist &nl_;
     ResolvedModel model_;
     std::vector<NetlistEncoding> frames_;
+    bool guarded_;
+    /** Guarded: one activation literal per frame, each implying
+     *  the one before. */
+    std::vector<SatLit> act_;
     /** Frames already pairwise-covered by assertSimplePath(). */
     unsigned simplePathDone_ = 0;
 };
