@@ -1,11 +1,9 @@
 #include "bmc.hh"
 
 #include <algorithm>
-#include <array>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -44,113 +42,8 @@ extractTrace(const SatSolver &solver, const Netlist &nl,
     return trace;
 }
 
-/** xfree's witness pairs: copy a of pair p runs in lane p of one
- *  512-lane group, copy b in lane p + kXFreePairs. */
-constexpr unsigned kXFreePairs = LaneGroup::kMaxLanes / 2;
-constexpr unsigned kXFreePairWords = kXFreePairs / LaneGroup::kWordLanes;
 /** Fixed, so solve counts repeat run to run. */
 constexpr uint64_t kXFreeSampleSeed = 0x5EEDF1A7ull;
-
-/**
- * xfree's witnesses: kXFreePairs concrete two-copy runs of the
- * compiled engine. Every lane starts from a random state. Each cycle
- * both copies of a pair read the same random non-instruction inputs,
- * tied pads held; under the ROM closure each copy fetches at its own
- * PC. Such a run is a model of the two-copy unrolling unless a fetch
- * breaks a tie on an instr pad or moves its own PC; either drops the
- * pair. Returns, per DFF, whether some pair ends with its two copies
- * apart after @p depth cycles: a bit no solve can cover.
- */
-std::vector<uint8_t>
-simulatedSeparations(const Netlist &nl, const ResolvedModel &model,
-                     unsigned depth)
-{
-    size_t ndff = nl.dffs().size();
-    std::vector<uint8_t> separated(ndff, 0);
-    std::vector<int8_t> tie(nl.numNets(), -1);
-    for (const auto &[net, value] : model.ties) {
-        if (tie[net] >= 0 && tie[net] != value)
-            return separated;   // contradictory ties: no model at all
-        tie[net] = value;
-    }
-    std::vector<uint8_t> own(nl.numNets(), 0);
-    unsigned instrTieMask = 0, instrTieValue = 0;
-    for (size_t b = 0; b < model.instr.size(); ++b) {
-        own[model.instr[b]] = 1;
-        if (tie[model.instr[b]] >= 0) {
-            instrTieMask |= 1u << b;
-            instrTieValue |= unsigned(tie[model.instr[b]]) << b;
-        }
-    }
-
-    LaneGroup g(nl);
-    Rng rng(kXFreeSampleSeed);
-    std::vector<uint8_t> state(ndff);
-    for (unsigned lane = 0; lane < g.lanes(); ++lane) {
-        uint64_t bits = 0;
-        for (size_t i = 0; i < ndff; ++i) {
-            if (i % 64 == 0)
-                bits = rng.next();
-            state[i] = bits >> (i % 64) & 1;
-        }
-        g.restoreDffState(lane, state);
-    }
-
-    BusHandle pcBus, instrBus;
-    if (model.romClosed()) {
-        pcBus = nl.outputBus("pc", kPcBits);
-        instrBus = nl.inputBus("instr", model.instr.size());
-    }
-    std::array<uint8_t, LaneGroup::kMaxLanes> live, pc, pcAfter;
-    std::array<uint32_t, LaneGroup::kMaxLanes> instr;
-    live.fill(1);
-    std::array<uint64_t, LaneGroup::kMaxWords> words;
-    for (unsigned t = 0; t <= depth; ++t) {
-        for (const auto &[name, net] : nl.primaryInputs()) {
-            if (own[net])
-                continue;
-            for (unsigned w = 0; w < kXFreePairWords; ++w) {
-                uint64_t v = tie[net] < 0 ? rng.next()
-                                          : tie[net] ? ~0ull : 0;
-                words[w] = words[w + kXFreePairWords] = v;
-            }
-            g.setInputLanes(name, words.data());
-        }
-        if (model.romClosed()) {
-            g.evaluate();
-            g.gatherBusBytes(pcBus, pc.data());
-            for (unsigned lane = 0; lane < g.lanes(); ++lane) {
-                instr[lane] = model.rom[pc[lane] % kPageSize];
-                if ((instr[lane] ^ instrTieValue) & instrTieMask)
-                    live[lane] = 0;
-            }
-            g.setBusLanes(instrBus, instr.data());
-        }
-        g.evaluate();
-        if (model.romClosed()) {
-            g.gatherBusBytes(pcBus, pcAfter.data());
-            for (unsigned lane = 0; lane < g.lanes(); ++lane)
-                live[lane] &= pc[lane] == pcAfter[lane];
-        }
-        // The last frame only has to be consistent: stateLit(depth)
-        // is the state after `depth` edges.
-        if (t < depth)
-            g.clockEdge();
-    }
-
-    size_t sw = g.dffStateWords();
-    std::vector<uint64_t> packed(g.lanes() * sw);
-    g.packDffState(packed.data());
-    std::vector<uint64_t> apart(sw, 0);
-    for (unsigned p = 0; p < kXFreePairs; ++p)
-        if (live[p] && live[p + kXFreePairs])
-            for (size_t j = 0; j < sw; ++j)
-                apart[j] |= packed[p * sw + j] ^
-                            packed[(p + kXFreePairs) * sw + j];
-    for (size_t i = 0; i < ndff; ++i)
-        separated[i] = apart[i / 64] >> (i % 64) & 1;
-    return separated;
-}
 
 McResult
 invalidProperty(const McProperty &p)
@@ -303,6 +196,112 @@ checkInduction(const Netlist &nl, const McModel &model,
     return McSession(nl, model, simplePath).induction(p, maxK);
 }
 
+std::vector<uint8_t>
+XFreeWitnessRuns::separated(size_t dffs) const
+{
+    std::vector<uint64_t> apart(stateWords, 0);
+    for (unsigned p = 0; p < kPairs; ++p)
+        if (live[p])
+            for (size_t j = 0; j < stateWords; ++j)
+                apart[j] |= final[p * stateWords + j] ^
+                            final[(p + kPairs) * stateWords + j];
+    std::vector<uint8_t> out(dffs, 0);
+    for (size_t i = 0; i < dffs && !apart.empty(); ++i)
+        out[i] = apart[i / 64] >> (i % 64) & 1;
+    return out;
+}
+
+XFreeWitnessRuns
+simulateXFreeWitnesses(const Netlist &nl, const McModel &model,
+                       unsigned depth)
+{
+    constexpr unsigned kPairWords =
+        XFreeWitnessRuns::kPairs / LaneGroup::kWordLanes;
+    ResolvedModel env = resolveModel(nl, model);
+    XFreeWitnessRuns runs;
+    std::vector<int8_t> tie(nl.numNets(), -1);
+    for (const auto &[net, value] : env.ties) {
+        if (tie[net] >= 0 && tie[net] != value)
+            return runs;   // contradictory ties: no model at all
+        tie[net] = value;
+    }
+    std::vector<uint8_t> own(nl.numNets(), 0);
+    unsigned instrTieMask = 0, instrTieValue = 0;
+    for (size_t b = 0; b < env.instr.size(); ++b) {
+        own[env.instr[b]] = 1;
+        if (tie[env.instr[b]] >= 0) {
+            instrTieMask |= 1u << b;
+            instrTieValue |= unsigned(tie[env.instr[b]]) << b;
+        }
+    }
+
+    LaneGroup g(nl);
+    Rng rng(kXFreeSampleSeed);
+    size_t ndff = g.numDffs();
+    std::vector<uint8_t> state(ndff);
+    for (unsigned lane = 0; lane < g.lanes(); ++lane) {
+        uint64_t bits = 0;
+        for (size_t i = 0; i < ndff; ++i) {
+            if (i % 64 == 0)
+                bits = rng.next();
+            state[i] = bits >> (i % 64) & 1;
+        }
+        g.restoreDffState(lane, state);
+    }
+    runs.stateWords = g.dffStateWords();
+    runs.init.resize(g.lanes() * runs.stateWords);
+    g.packDffState(runs.init.data());
+
+    BusHandle pcBus, instrBus;
+    if (env.romClosed()) {
+        pcBus = nl.outputBus("pc", kPcBits);
+        instrBus = nl.inputBus("instr", env.instr.size());
+    }
+    std::array<uint8_t, LaneGroup::kMaxLanes> live, pc, pcAfter;
+    std::array<uint32_t, LaneGroup::kMaxLanes> instr;
+    live.fill(1);
+    runs.inputs.resize(depth + 1);
+    for (unsigned t = 0; t <= depth; ++t) {
+        for (const auto &[name, net] : nl.primaryInputs()) {
+            if (own[net])
+                continue;
+            XFreeWitnessRuns::LaneWords words{};
+            for (unsigned w = 0; w < kPairWords; ++w) {
+                uint64_t v = tie[net] < 0 ? rng.next()
+                                          : tie[net] ? ~0ull : 0;
+                words[w] = words[w + kPairWords] = v;
+            }
+            g.setInputLanes(name, words.data());
+            runs.inputs[t].emplace_back(net, words);
+        }
+        if (env.romClosed()) {
+            g.evaluate();
+            g.gatherBusBytes(pcBus, pc.data());
+            for (unsigned lane = 0; lane < g.lanes(); ++lane) {
+                instr[lane] = env.rom[pc[lane] % kPageSize];
+                if ((instr[lane] ^ instrTieValue) & instrTieMask)
+                    live[lane] = 0;
+            }
+            g.setBusLanes(instrBus, instr.data());
+        }
+        g.evaluate();
+        if (env.romClosed()) {
+            g.gatherBusBytes(pcBus, pcAfter.data());
+            for (unsigned lane = 0; lane < g.lanes(); ++lane)
+                live[lane] &= pc[lane] == pcAfter[lane];
+        }
+        // The last frame only has to be consistent: the state it
+        // shows is the one after `depth` edges.
+        if (t < depth)
+            g.clockEdge();
+    }
+    runs.final.resize(g.lanes() * runs.stateWords);
+    g.packDffState(runs.final.data());
+    for (unsigned p = 0; p < XFreeWitnessRuns::kPairs; ++p)
+        runs.live[p] = live[p] && live[p + XFreeWitnessRuns::kPairs];
+    return runs;
+}
+
 SeqResetCoverageResult
 seqResetCoverage(const Netlist &nl, const McModel &model,
                  unsigned depth)
@@ -318,10 +317,9 @@ seqResetCoverage(const Netlist &nl, const McModel &model,
     // simulated pair whose copies differ on a bit proves it uncovered
     // without a search of its own. Only the unseparated bits get a
     // solve, over a two-copy unrolling built for them alone.
-    ResolvedModel env = resolveModel(nl, model);
+    size_t ndff = nl.dffs().size();
     std::vector<uint8_t> separated =
-        simulatedSeparations(nl, env, depth);
-    size_t ndff = separated.size();
+        simulateXFreeWitnesses(nl, model, depth).separated(ndff);
     r.covered.assign(ndff, 0);
     size_t num_covered = 0;
     if (std::find(separated.begin(), separated.end(), 0) !=
@@ -337,7 +335,7 @@ seqResetCoverage(const Netlist &nl, const McModel &model,
         // follows that copy's PC), so it is exactly the non-instr
         // pads that are shared.
         std::vector<uint8_t> own(nl.numNets(), 0);
-        for (NetId n : env.instr)
+        for (NetId n : resolveModel(nl, model).instr)
             own[n] = 1;
         for (unsigned t = 0; t <= depth; ++t)
             for (const auto &in : nl.primaryInputs())

@@ -25,6 +25,7 @@
 #ifndef FLEXI_ANALYSIS_MC_BMC_HH
 #define FLEXI_ANALYSIS_MC_BMC_HH
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "analysis/mc/property.hh"
 #include "analysis/mc/unroll.hh"
 #include "analysis/sat.hh"
+#include "netlist/lane_group.hh"
 
 namespace flexi
 {
@@ -173,6 +175,39 @@ struct SeqResetCoverageResult
 };
 
 /**
+ * xfree's witnesses: kPairs concrete two-copy runs of the compiled
+ * engine on one 512-lane LaneGroup, copy a of pair p in lane p and
+ * copy b in lane p + kPairs. Every lane starts from a random state.
+ * Each cycle both copies of a pair read the same random
+ * non-instruction inputs, tied pads held; under the ROM closure each
+ * copy fetches at its own PC. A live pair is a model of the two-copy
+ * unrolling; a fetch that breaks a tie on an instr pad, or that moves
+ * its own PC, kills the pair.
+ */
+struct XFreeWitnessRuns
+{
+    static constexpr unsigned kPairs = LaneGroup::kMaxLanes / 2;
+    using LaneWords = std::array<uint64_t, LaneGroup::kMaxWords>;
+
+    /** Every lane's DFF state at frame 0 and after the last edge,
+     *  in LaneGroup::packDffState() layout. */
+    size_t stateWords = 0;
+    std::vector<uint64_t> init, final;
+    /** Per frame 0..depth, the lanes of every shared input. */
+    std::vector<std::vector<std::pair<NetId, LaneWords>>> inputs;
+    std::array<uint8_t, kPairs> live{};
+
+    /** Per DFF: some live pair ends with its two copies apart. */
+    std::vector<uint8_t> separated(size_t dffs) const;
+};
+
+/** Run xfree's witnesses over @p depth cycles (the seed is fixed).
+ *  Panics on the models Unrolling refuses. */
+XFreeWitnessRuns simulateXFreeWitnesses(const Netlist &nl,
+                                        const McModel &model,
+                                        unsigned depth);
+
+/**
  * X-free-after-reset, sequentially: two copies of the unrolled
  * machine share every per-frame input but start from two arbitrary
  * (unconstrained) states; a DFF whose two copies are provably equal
@@ -181,15 +216,13 @@ struct SeqResetCoverageResult
  * any state bit whose re-initialization needs correlated values the
  * ternary domain cannot express.
  *
- * Witnesses first, from simulation: 256 two-copy pairs run on one
- * 512-lane LaneGroup from random power-on states under shared
- * random inputs (each copy fetching at its own PC under the ROM
- * closure). Every pair is a concrete model of the two-copy
- * unrolling, so a bit whose copies it ends apart is not covered.
- * Only the bits no pair separates get the unrolling built and a
- * solve each, and each Sat answer marks every later bit its model
- * separates. Hardening a covered bit adds only implied clauses, so
- * `covered` is exactly what a solve per bit would give.
+ * Witnesses first, from simulateXFreeWitnesses(): every live pair
+ * is a concrete model of the two-copy unrolling, so a bit whose
+ * copies it ends apart is not covered. Only the bits no pair
+ * separates get the unrolling built and a solve each, and each Sat
+ * answer marks every later bit its model separates. Hardening a
+ * covered bit adds only implied clauses, so `covered` is exactly
+ * what a solve per bit would give.
  */
 SeqResetCoverageResult seqResetCoverage(const Netlist &nl,
                                         const McModel &model,

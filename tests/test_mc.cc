@@ -9,7 +9,9 @@
  * tamper check.
  */
 
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -20,6 +22,7 @@
 #include "analysis/mc/property.hh"
 #include "analysis/mc/seq_prune.hh"
 #include "assembler/assembler.hh"
+#include "common/logging.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/kernels.hh"
 #include "netlist/builder.hh"
@@ -434,6 +437,346 @@ TEST_P(XFreeWitness, CoverageEqualsPerBitLoop)
 
 INSTANTIATE_TEST_SUITE_P(AllCores, XFreeWitness,
                          ::testing::Values(0, 1, 2, 3));
+
+/** xfree's two-copy unrolling: each copy fetches its own instr bus,
+ *  every other input is shared frame by frame. */
+struct TwoCopy
+{
+    SatSolver solver;
+    CnfBuilder cnf{solver};
+    Unrolling a, b;
+
+    TwoCopy(const Netlist &nl, const McModel &model, unsigned depth)
+        : a(cnf, nl, model), b(cnf, nl, model)
+    {
+        a.ensureFrames(depth + 1);
+        b.ensureFrames(depth + 1);
+        std::vector<uint8_t> own(nl.numNets(), 0);
+        for (NetId n : resolveModel(nl, model).instr)
+            own[n] = 1;
+        for (unsigned t = 0; t <= depth; ++t)
+            for (const auto &in : nl.primaryInputs())
+                if (!own[in.second])
+                    cnf.bindEqual(a.netLit(t, in.second),
+                                  b.netLit(t, in.second));
+    }
+};
+
+std::string
+panicMessage(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SeqResetCoverage, SimulatedWitnessIsACnfModel)
+{
+    // A live witness pair is a concrete run of the compiled engine:
+    // its frame-0 states and shared inputs, assumed in the two-copy
+    // unrolling, must be satisfiable, and both copies must reach the
+    // simulated depth-d states.
+    constexpr unsigned kDepth = 4;
+    constexpr unsigned kPairsChecked = 6;
+    constexpr unsigned kB = XFreeWitnessRuns::kPairs;
+    for (int c = 0; c < 4; ++c) {
+        auto nl = buildCoreByIndex(c);
+        std::vector<Program> kernels = singlePageKernels(kCoreKinds[c]);
+        ASSERT_FALSE(kernels.empty());
+        McModel program;
+        program.program = &kernels.front();
+        McModel tied;
+        tied.ties = {{"iport0", true}, {"instr0", false}};
+        // Under the ROM closure a tie on an instr pad holds only for
+        // the pairs whose fetches agree with it; the rest must die.
+        McModel programTied = program;
+        programTied.ties = {{"instr0", false}};
+        const std::pair<const char *, McModel> models[] = {
+            {"program", program},
+            {"no program", McModel{}},
+            {"tied", tied},
+            {"program, instr0 tied", programTied},
+        };
+        for (const auto &[what, model] : models) {
+            SCOPED_TRACE(nl->name() + " " + what);
+            XFreeWitnessRuns runs =
+                simulateXFreeWitnesses(*nl, model, kDepth);
+            size_t live = 0;
+            for (uint8_t l : runs.live)
+                live += l;
+            ASSERT_GT(live, 0u);
+            if (model.program && !model.ties.empty()) {
+                EXPECT_LT(live, kB);
+                // The dead pairs stay out of the coverage verdict.
+                EXPECT_EQ(seqResetCoverage(*nl, model, kDepth).covered,
+                          perBitCoverage(*nl, model, kDepth));
+            } else {
+                EXPECT_EQ(live, kB);
+            }
+
+            TwoCopy two(*nl, model, kDepth);
+            auto stateBit = [&](const std::vector<uint64_t> &packed,
+                                unsigned lane, size_t i) {
+                return (packed[lane * runs.stateWords + i / 64] >>
+                        (i % 64)) & 1;
+            };
+            size_t ndff = nl->dffs().size();
+            unsigned checked = 0;
+            for (unsigned p = 0; p < kB && checked < kPairsChecked;
+                 ++p) {
+                if (!runs.live[p])
+                    continue;
+                ++checked;
+                std::vector<SatLit> assume;
+                for (size_t i = 0; i < ndff; ++i) {
+                    SatLit qa = two.a.stateLit(0, i);
+                    SatLit qb = two.b.stateLit(0, i);
+                    assume.push_back(stateBit(runs.init, p, i) ? qa : ~qa);
+                    assume.push_back(stateBit(runs.init, p + kB, i) ? qb
+                                                                 : ~qb);
+                }
+                ASSERT_EQ(runs.inputs.size(), kDepth + 1);
+                for (unsigned t = 0; t <= kDepth; ++t)
+                    for (const auto &[net, words] : runs.inputs[t]) {
+                        // Both copies of a pair read the same value.
+                        bool va = (words[p / 64] >> (p % 64)) & 1;
+                        bool vb =
+                            (words[(p + kB) / 64] >> ((p + kB) % 64)) & 1;
+                        EXPECT_EQ(va, vb);
+                        SatLit l = two.a.netLit(t, net);
+                        assume.push_back(va ? l : ~l);
+                    }
+                ASSERT_EQ(two.solver.solve(assume),
+                          SatSolver::Result::Sat)
+                    << "pair " << p;
+                for (size_t i = 0; i < ndff; ++i) {
+                    EXPECT_EQ(two.solver.modelValue(
+                                  two.a.stateLit(kDepth, i)),
+                              stateBit(runs.final, p, i) != 0)
+                        << "pair " << p << " dff " << i;
+                    EXPECT_EQ(two.solver.modelValue(
+                                  two.b.stateLit(kDepth, i)),
+                              stateBit(runs.final, p + kB, i) != 0)
+                        << "pair " << p << " dff " << i;
+                }
+            }
+            EXPECT_EQ(checked, std::min<size_t>(live, kPairsChecked));
+        }
+    }
+
+    // Fail closed as the unrolling always has, even where simulation
+    // separates every bit and no CNF would be built.
+    auto ls = buildLoadStore4Netlist();
+    Program prog =
+        assemble(IsaKind::LoadStore4, fixtureSource("mc_ls.s"));
+    McModel badTie;
+    badTie.program = &prog;
+    badTie.ties = {{"no_such_pad", true}};
+    EXPECT_NE(panicMessage([&] { seqResetCoverage(*ls, badTie, 4); })
+                  .find("tie names unknown input 'no_such_pad'"),
+              std::string::npos);
+    Netlist bare("bare");
+    NetId in = bare.addInput("in");
+    NetId q = bare.addDff(in, "m");
+    bare.addOutput("y", q);
+    bare.elaborate();
+    McModel closed;
+    closed.program = &prog;
+    EXPECT_NE(panicMessage([&] { seqResetCoverage(bare, closed, 4); })
+                  .find("lacks the pc/instr pad buses"),
+              std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// The incremental session against a fresh build per question.
+
+/** The oracle BMC: one fresh power-on unrolling, each clean step
+ *  hardened. */
+McResult
+freshBmc(const Netlist &nl, const McModel &model, const McProperty &p,
+         unsigned depth)
+{
+    McResult r;
+    SatSolver solver;
+    CnfBuilder cnf(solver);
+    Unrolling u(cnf, nl, model);
+    u.addFrame();
+    u.assertInit();
+    unsigned w = p.window();
+    for (unsigned t = 0; t <= depth; ++t) {
+        u.ensureFrames(t + w);
+        SatLit pt = propertyLit(cnf, u, p, t);
+        if (solver.solve({~pt}) == SatSolver::Result::Sat) {
+            r.status = McStatus::Falsified;
+            r.depth = t;
+            r.detail = strfmt("'%s' violated %u cycle%s after "
+                              "power-on",
+                              p.spec.c_str(), t, t == 1 ? "" : "s");
+            return r;
+        }
+        cnf.assertLit(pt);
+    }
+    r.status = McStatus::Clean;
+    r.depth = depth;
+    r.detail = strfmt("'%s' holds for %u cycles after power-on",
+                      p.spec.c_str(), depth);
+    return r;
+}
+
+/** The oracle k-induction: a fresh solver and free-initial-state
+ *  unrolling for every k's step case, freshBmc() for the base. */
+McResult
+freshInduction(const Netlist &nl, const McModel &model,
+               const McProperty &p, unsigned maxK, bool simplePath)
+{
+    McResult r;
+    unsigned w = p.window();
+    for (unsigned k = 1; k <= maxK; ++k) {
+        SatSolver solver;
+        CnfBuilder cnf(solver);
+        Unrolling u(cnf, nl, model);
+        u.ensureFrames(k + w);
+        for (unsigned t = 0; t < k; ++t)
+            cnf.assertLit(propertyLit(cnf, u, p, t));
+        if (simplePath)
+            u.assertSimplePath();
+        SatLit pk = propertyLit(cnf, u, p, k);
+        if (solver.solve({~pk}) != SatSolver::Result::Unsat)
+            continue;
+        McResult base = freshBmc(nl, model, p, k - 1);
+        if (base.status == McStatus::Falsified)
+            return base;
+        r.status = McStatus::Proved;
+        r.depth = k;
+        r.detail = strfmt("'%s' proved by %u-induction%s",
+                          p.spec.c_str(), k,
+                          simplePath ? " (simple-path)" : "");
+        return r;
+    }
+    r.status = McStatus::Unknown;
+    r.depth = maxK;
+    r.detail = strfmt("'%s': induction did not close within k=%u",
+                      p.spec.c_str(), maxK);
+    return r;
+}
+
+/**
+ * A 2-bit counter (four states) beside a tied pad. Simple-path runs
+ * longer than four frames do not exist, so a session that let an
+ * earlier, longer question's pairs or a later frame's tie leak into a
+ * shorter one would close proofs a fresh build cannot.
+ */
+std::unique_ptr<Netlist>
+buildCounterFixture()
+{
+    auto nl = std::make_unique<Netlist>("counter");
+    Builder b(*nl, "m");
+    NetId hold = nl->addInput("hold");
+    NetId c0 = nl->addDff(nl->zero(), "m");
+    NetId c1 = nl->addDff(nl->zero(), "m");
+    nl->setDffInput(c0, b.inv(c0));
+    nl->setDffInput(c1, b.xor2(c1, c0));
+    nl->addOutput("cnt0", c0);
+    nl->addOutput("cnt1", c1);
+    nl->addOutput("h", b.inv(b.inv(hold)));
+    nl->elaborate();
+    return nl;
+}
+
+/** One (netlist, model) pair and the questions asked of it. */
+struct SessionCase
+{
+    std::string name;
+    const Netlist *nl;
+    McModel model;
+    std::vector<std::string> specs;
+};
+
+TEST(Induction, IncrementalMatchesFreshBuild)
+{
+    // One session per (case, simple-path) answers every property at
+    // every maxK, as mcLint's catalog does, so each question runs on
+    // the frames, pairs and learned clauses the earlier ones left
+    // behind. An Unknown falls back to BMC on the same session.
+    // Every answer must be the fresh build's.
+    constexpr unsigned kBmcDepth = 8;
+    std::vector<std::unique_ptr<Netlist>> cores;
+    std::vector<std::vector<Program>> programs;
+    std::vector<SessionCase> cases;
+    for (int c = 0; c < 4; ++c) {
+        cores.push_back(buildCoreByIndex(c));
+        programs.push_back(singlePageKernels(kCoreKinds[c]));
+        if (c == 0)   // a base case that fails, trace and all
+            programs.back().push_back(assemble(
+                IsaKind::FlexiCore4, fixtureSource("mc_escape.s")));
+    }
+    for (int c = 0; c < 4; ++c)
+        for (size_t k = 0; k < programs[c].size(); ++k) {
+            McModel model;
+            model.program = &programs[c][k];
+            cases.push_back({strfmt("%s program %zu",
+                                    cores[c]->name().c_str(), k),
+                             cores[c].get(), model,
+                             {"watchdog", "mmu-page", "bound:pc/7/2"}});
+        }
+    auto counter = buildCounterFixture();
+    McModel tiedHold;
+    tiedHold.ties = {{"hold", true}};
+    cases.push_back({"counter", counter.get(), tiedHold,
+                     {"bound:cnt/2/3", "bound:cnt/2/2",
+                      "assert:h=1"}});
+
+    size_t proved = 0, falsified = 0, unknown = 0;
+    for (const SessionCase &c : cases) {
+        std::vector<McProperty> props;
+        for (const std::string &spec : c.specs) {
+            McProperty p;
+            ASSERT_TRUE(parsePropertySpec(spec, p));
+            ASSERT_TRUE(validateProperty(*c.nl, c.model, p).empty());
+            props.push_back(p);
+        }
+        for (bool sp : {true, false}) {
+            McSession session(*c.nl, c.model, sp);
+            for (unsigned maxK = 1; maxK <= 4; ++maxK) {
+                for (const McProperty &p : props) {
+                    SCOPED_TRACE(strfmt("%s %s maxK %u%s",
+                                        c.name.c_str(), p.spec.c_str(),
+                                        maxK,
+                                        sp ? " simple-path" : ""));
+                    McResult got = session.induction(p, maxK);
+                    McResult want =
+                        freshInduction(*c.nl, c.model, p, maxK, sp);
+                    if (got.status == McStatus::Unknown &&
+                        want.status == McStatus::Unknown) {
+                        ++unknown;
+                        got = session.bmc(p, kBmcDepth);
+                        want = freshBmc(*c.nl, c.model, p, kBmcDepth);
+                    }
+                    EXPECT_EQ(got.status, want.status);
+                    EXPECT_EQ(got.depth, want.depth);
+                    EXPECT_EQ(got.detail, want.detail);
+                    proved += got.status == McStatus::Proved;
+                    if (got.status != McStatus::Falsified)
+                        continue;
+                    ++falsified;
+                    EXPECT_EQ(got.trace.violationStep, got.depth);
+                    EXPECT_EQ(got.trace.frames.size(),
+                              got.depth + p.window());
+                    std::string what;
+                    EXPECT_TRUE(
+                        replayMcTrace(*c.nl, p, got.trace, &what))
+                        << what;
+                }
+            }
+        }
+    }
+    EXPECT_GT(proved, 0u);
+    EXPECT_GT(falsified, 0u);
+    EXPECT_GT(unknown, 0u);
+}
 
 // ---------------------------------------------------------------
 // The lint layer.
