@@ -305,10 +305,10 @@ dataflowLint(const Netlist &nl, const DataflowOptions &opts)
     LintReport rep;
     DataflowResult df = analyzeDataflow(nl, opts);
     if (!df.ok) {
-        rep.add({Severity::Note, "dataflow-skipped", "core", {}, -1,
-                 -1,
-                 strfmt("dataflow analysis skipped: %s",
-                        df.detail.c_str())});
+        rep.add(netlistFinding(Severity::Note, "dataflow-skipped",
+                               "core", {},
+                               strfmt("dataflow analysis skipped: %s",
+                                      df.detail.c_str())));
         return rep;
     }
 
@@ -332,11 +332,11 @@ dataflowLint(const Netlist &nl, const DataflowOptions &opts)
         }
         if (idxs.size() > 6)
             list += ", ...";
-        rep.add({Severity::Warning, "dead-gate", module, nets, -1,
-                 -1,
-                 strfmt("%zu cell(s) in no observable cone (dataflow "
-                        "reachability): %s",
-                        idxs.size(), list.c_str())});
+        rep.add(netlistFinding(
+            Severity::Warning, "dead-gate", module, nets,
+            strfmt("%zu cell(s) in no observable cone (dataflow "
+                   "reachability): %s",
+                   idxs.size(), list.c_str())));
     }
 
     // constant-output: cell outputs with a proven constant value in
@@ -358,11 +358,11 @@ dataflowLint(const Netlist &nl, const DataflowOptions &opts)
         }
         if (idxs.size() > 6)
             list += ", ...";
-        rep.add({Severity::Warning, "constant-output", module, nets,
-                 -1, -1,
-                 strfmt("%zu cell output(s) provably constant in "
-                        "every reachable state: %s",
-                        idxs.size(), list.c_str())});
+        rep.add(netlistFinding(
+            Severity::Warning, "constant-output", module, nets,
+            strfmt("%zu cell output(s) provably constant in "
+                   "every reachable state: %s",
+                   idxs.size(), list.c_str())));
     }
 
     // x-after-reset: state bits never re-initialized by the logic.
@@ -381,13 +381,13 @@ dataflowLint(const Netlist &nl, const DataflowOptions &opts)
         }
         if (idxs.size() > 6)
             list += ", ...";
-        rep.add({Severity::Warning, "x-after-reset", module, nets,
-                 -1, -1,
-                 strfmt("%zu state bit(s) rely on the power-on "
-                        "value (X-pessimistic simulation from an "
-                        "undefined start never re-initializes "
-                        "them): %s",
-                        idxs.size(), list.c_str())});
+        rep.add(netlistFinding(
+            Severity::Warning, "x-after-reset", module, nets,
+            strfmt("%zu state bit(s) rely on the power-on "
+                   "value (X-pessimistic simulation from an "
+                   "undefined start never re-initializes "
+                   "them): %s",
+                   idxs.size(), list.c_str())));
     }
 
     rep.resolveNetNames(nl);

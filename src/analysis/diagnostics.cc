@@ -19,6 +19,33 @@ severityName(Severity severity)
     panic("severityName: bad Severity");
 }
 
+Diagnostic
+netlistFinding(Severity severity, std::string rule, std::string module,
+               std::vector<NetId> nets, std::string message)
+{
+    Diagnostic d;
+    d.severity = severity;
+    d.rule = std::move(rule);
+    d.module = std::move(module);
+    d.nets = std::move(nets);
+    d.message = std::move(message);
+    return d;
+}
+
+Diagnostic
+programFinding(Severity severity, std::string rule, unsigned page,
+               unsigned addr, std::string message)
+{
+    Diagnostic d;
+    d.severity = severity;
+    d.rule = std::move(rule);
+    d.module = strfmt("page%u", page);
+    d.page = static_cast<int>(page);
+    d.addr = static_cast<int>(addr);
+    d.message = std::move(message);
+    return d;
+}
+
 void
 LintReport::append(const LintReport &other)
 {

@@ -57,6 +57,16 @@ struct Diagnostic
     std::vector<std::string> netNames;
 };
 
+/** A netlist finding in @p module over @p nets (none: empty). */
+Diagnostic netlistFinding(Severity severity, std::string rule,
+                          std::string module, std::vector<NetId> nets,
+                          std::string message);
+
+/** A program finding at @p addr of @p page (module "page<N>"). */
+Diagnostic programFinding(Severity severity, std::string rule,
+                          unsigned page, unsigned addr,
+                          std::string message);
+
 /** The outcome of one lint pass (or several, concatenated). */
 class LintReport
 {

@@ -407,41 +407,45 @@ equivLint(const Netlist &nl, IsaKind kind)
 
     EquivResult plan = checkPlanEquivalence(nl);
     if (plan.proven) {
-        rep.add({Severity::Note, "equiv-proven", "plan", {}, -1, -1,
-                 strfmt("compiled word program == reference "
-                        "semantics (%llu solves, %llu conflicts)",
-                        static_cast<unsigned long long>(plan.solves),
-                        static_cast<unsigned long long>(
-                            plan.conflicts))});
+        rep.add(netlistFinding(
+            Severity::Note, "equiv-proven", "plan", {},
+            strfmt("compiled word program == reference "
+                   "semantics (%llu solves, %llu conflicts)",
+                   static_cast<unsigned long long>(plan.solves),
+                   static_cast<unsigned long long>(
+                       plan.conflicts))));
     } else {
-        rep.add({Severity::Error, "equiv-mismatch", "plan", {}, -1,
-                 -1,
-                 "compiled plan diverges from reference semantics: " +
-                     (plan.hasCex ? plan.cex.text() : plan.detail)});
+        rep.add(netlistFinding(
+            Severity::Error, "equiv-mismatch", "plan", {},
+            "compiled plan diverges from reference semantics: " +
+                (plan.hasCex ? plan.cex.text() : plan.detail)));
     }
 
     IsaEquivResult isa = checkIsaEquivalence(nl, kind);
     if (!isa.detail.empty()) {
-        rep.add({Severity::Error, "equiv-mismatch", "isa", {}, -1, -1,
-                 "ISA equivalence setup failed: " + isa.detail});
+        rep.add(netlistFinding(
+            Severity::Error, "equiv-mismatch", "isa", {},
+            "ISA equivalence setup failed: " + isa.detail));
         return rep;
     }
     for (const IsaClassCheck &chk : isa.classes) {
         if (chk.proven)
             continue;
-        rep.add({Severity::Error, "equiv-mismatch", "isa", {}, -1, -1,
-                 "instruction class '" + chk.name +
-                     "': netlist != ISA spec: " + chk.cex.text()});
+        rep.add(netlistFinding(
+            Severity::Error, "equiv-mismatch", "isa", {},
+            "instruction class '" + chk.name +
+                "': netlist != ISA spec: " + chk.cex.text()));
     }
     if (isa.proven) {
-        rep.add({Severity::Note, "equiv-proven", "isa", {}, -1, -1,
-                 strfmt("netlist == ISA behavioral spec across %zu "
-                        "instruction classes (%llu solves, %llu "
-                        "conflicts)",
-                        isa.classes.size(),
-                        static_cast<unsigned long long>(isa.solves),
-                        static_cast<unsigned long long>(
-                            isa.conflicts))});
+        rep.add(netlistFinding(
+            Severity::Note, "equiv-proven", "isa", {},
+            strfmt("netlist == ISA behavioral spec across %zu "
+                   "instruction classes (%llu solves, %llu "
+                   "conflicts)",
+                   isa.classes.size(),
+                   static_cast<unsigned long long>(isa.solves),
+                   static_cast<unsigned long long>(
+                       isa.conflicts))));
     }
     return rep;
 }

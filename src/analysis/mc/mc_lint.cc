@@ -14,12 +14,7 @@ Diagnostic
 mcDiag(Severity sev, const std::string &rule,
        const std::string &message)
 {
-    Diagnostic d;
-    d.severity = sev;
-    d.rule = rule;
-    d.module = "mc";
-    d.message = message;
-    return d;
+    return netlistFinding(sev, rule, "mc", {}, message);
 }
 
 /** Check one frame property and append its diagnostics. */

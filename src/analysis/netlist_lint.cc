@@ -44,11 +44,11 @@ checkConnectivity(const Netlist &nl, LintReport &rep)
     for (size_t i = 0; i < cells.size(); ++i) {
         for (size_t k = 0; k < realInputs(cells[i]); ++k) {
             if (cells[i].inputs[k] == kNoNet) {
-                rep.add({Severity::Error, "unconnected-input",
-                         cells[i].module, {},
-                         -1, -1,
-                         strfmt("input %zu of %s is unconnected", k,
-                                cellDesc(nl, i).c_str())});
+                rep.add(netlistFinding(
+                    Severity::Error, "unconnected-input",
+                    cells[i].module, {},
+                    strfmt("input %zu of %s is unconnected", k,
+                           cellDesc(nl, i).c_str())));
             }
         }
     }
@@ -71,13 +71,14 @@ checkConnectivity(const Netlist &nl, LintReport &rep)
             who += ", primary input";
         if (is_const)
             who += ", constant rail";
-        rep.add({Severity::Error, "multiple-drivers",
-                 drivers[net].empty()
-                     ? std::string()
-                     : cells[drivers[net].front()].module,
-                 {net}, -1, -1,
-                 strfmt("net %s has %zu drivers: %s",
-                        nl.netName(net).c_str(), total, who.c_str())});
+        rep.add(netlistFinding(
+            Severity::Error, "multiple-drivers",
+            drivers[net].empty()
+                ? std::string()
+                : cells[drivers[net].front()].module,
+            {net},
+            strfmt("net %s has %zu drivers: %s",
+                   nl.netName(net).c_str(), total, who.c_str())));
     }
 
     for (NetId net : nl.undrivenNets()) {
@@ -97,10 +98,10 @@ checkConnectivity(const Netlist &nl, LintReport &rep)
             if (n == net)
                 consumers += (consumers.empty() ? "" : ", ") +
                              ("output '" + name + "'");
-        rep.add({Severity::Error, "undriven-net", module, {net},
-                 -1, -1,
-                 strfmt("net %s is consumed by %s but never driven",
-                        nl.netName(net).c_str(), consumers.c_str())});
+        rep.add(netlistFinding(
+            Severity::Error, "undriven-net", module, {net},
+            strfmt("net %s is consumed by %s but never driven",
+                   nl.netName(net).c_str(), consumers.c_str())));
     }
 }
 
@@ -117,9 +118,9 @@ checkCombLoop(const Netlist &nl, LintReport &rep)
         nets.push_back(nl.cells()[i].output);
     }
     path += cellDesc(nl, cycle.front());
-    rep.add({Severity::Error, "comb-loop",
-             nl.cells()[cycle.front()].module, nets, -1, -1,
-             "combinational loop: " + path});
+    rep.add(netlistFinding(Severity::Error, "comb-loop",
+                           nl.cells()[cycle.front()].module, nets,
+                           "combinational loop: " + path));
 }
 
 void
@@ -165,10 +166,10 @@ checkFanout(const Netlist &nl, LintReport &rep)
             drv = "input pad '" + nl.netName(net) + "'";
         }
         if (loads[net] > limit)
-            rep.add({Severity::Error, "fanout-limit", module, {net},
-                     -1, -1,
-                     strfmt("%s drives %u loads, limit %u",
-                            drv.c_str(), loads[net], limit)});
+            rep.add(netlistFinding(
+                Severity::Error, "fanout-limit", module, {net},
+                strfmt("%s drives %u loads, limit %u",
+                       drv.c_str(), loads[net], limit)));
     }
 }
 
@@ -228,10 +229,10 @@ checkDeadLogic(const Netlist &nl, LintReport &rep)
         }
         if (idxs.size() > 6)
             list += ", ...";
-        rep.add({Severity::Warning, "dead-logic", module, nets, -1,
-                 -1,
-                 strfmt("%zu cell(s) reach no primary output: %s",
-                        idxs.size(), list.c_str())});
+        rep.add(netlistFinding(
+            Severity::Warning, "dead-logic", module, nets,
+            strfmt("%zu cell(s) reach no primary output: %s",
+                   idxs.size(), list.c_str())));
     }
 }
 
@@ -315,10 +316,11 @@ checkConstOutputs(const Netlist &nl, LintReport &rep)
             continue;
         int8_t v = val[cells[i].output];
         if (v >= 0)
-            rep.add({Severity::Warning, "const-output",
-                     cells[i].module, {cells[i].output}, -1, -1,
-                     strfmt("%s always outputs %d; fold it away",
-                            cellDesc(nl, i).c_str(), v)});
+            rep.add(netlistFinding(
+                Severity::Warning, "const-output", cells[i].module,
+                {cells[i].output},
+                strfmt("%s always outputs %d; fold it away",
+                       cellDesc(nl, i).c_str(), v)));
     }
 }
 

@@ -197,9 +197,7 @@ ProgramLinter::diag(Severity severity, const std::string &rule,
 {
     if (!posted_.emplace(rule, key(page, addr)).second)
         return;
-    rep_.add({severity, rule, strfmt("page%u", page), {},
-              static_cast<int>(page), static_cast<int>(addr),
-              message});
+    rep_.add(programFinding(severity, rule, page, addr, message));
 }
 
 AVal
@@ -594,8 +592,9 @@ LintReport
 ProgramLinter::run()
 {
     if (prog_.numPages() == 0 || fill(0) == 0) {
-        rep_.add({Severity::Warning, "empty-program", "page0", {},
-                  0, 0, "program has no content on page 0"});
+        rep_.add(programFinding(Severity::Warning, "empty-program",
+                                0, 0,
+                                "program has no content on page 0"));
         return rep_;
     }
 

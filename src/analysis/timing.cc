@@ -182,12 +182,12 @@ timingLint(const Netlist &nl, const Technology &tech, double vdd,
                                : path.steps.back().module;
 
         if (path.endpoint == EndpointKind::Floating) {
-            rep.add({Severity::Warning, "unconstrained-path", module,
-                     nets, -1, -1,
-                     strfmt("sinkless cone '%s' (%.2f units) has no "
-                            "timed endpoint; no clock constraint "
-                            "checks it",
-                            path.endName.c_str(), path.delayUnits)});
+            rep.add(netlistFinding(
+                Severity::Warning, "unconstrained-path", module, nets,
+                strfmt("sinkless cone '%s' (%.2f units) has no "
+                       "timed endpoint; no clock constraint "
+                       "checks it",
+                       path.endName.c_str(), path.delayUnits)));
             continue;
         }
 
@@ -200,11 +200,12 @@ timingLint(const Netlist &nl, const Technology &tech, double vdd,
             path.delayUnits, tau * 1e6, delay_s * 1e6, vdd,
             slack_s * 1e6, period * 1e6);
         if (slack_s < 0.0)
-            rep.add({Severity::Error, "timing-violation", module,
-                     nets, -1, -1, msg + "; path: " + path.text()});
+            rep.add(netlistFinding(Severity::Error, "timing-violation",
+                                   module, nets,
+                                   msg + "; path: " + path.text()));
         else
-            rep.add({Severity::Note, "critical-path", module, nets,
-                     -1, -1, msg});
+            rep.add(netlistFinding(Severity::Note, "critical-path",
+                                   module, nets, msg));
     }
     rep.resolveNetNames(nl);
     return rep;
