@@ -136,7 +136,9 @@ mcLint(const Netlist &nl, const McLintOptions &opts)
     }
 
     // Every frame property is a question to one session, built on
-    // the first one.
+    // the first one. xfree builds its own unrolling pair, so the
+    // session is dropped before it rather than held beside it (the
+    // default catalog checks xfree last).
     std::optional<McSession> session;
     for (McProperty &p : props) {
         std::string err = validateProperty(nl, opts.model, p);
@@ -147,6 +149,7 @@ mcLint(const Netlist &nl, const McLintOptions &opts)
             continue;
         }
         if (p.kind == McProperty::Kind::XFree) {
+            session.reset();
             checkXFree(nl, opts, p, out);
             continue;
         }
