@@ -262,6 +262,7 @@ simulateXFreeWitnesses(const Netlist &nl, const McModel &model,
     live.fill(1);
     runs.inputs.resize(depth + 1);
     for (unsigned t = 0; t <= depth; ++t) {
+        runs.inputs[t].reserve(nl.primaryInputs().size());
         for (const auto &[name, net] : nl.primaryInputs()) {
             if (own[net])
                 continue;
