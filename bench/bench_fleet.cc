@@ -30,13 +30,12 @@
  * (loose threshold — see docs/PERF.md for the snapshot contract).
  */
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <string>
 
 #include <benchmark/benchmark.h>
+
+#include "gbench_main.hh"
 
 #include "fleet/checkpoint.hh"
 #include "fleet/fleet.hh"
@@ -274,57 +273,8 @@ BENCHMARK(BM_FleetEpochCheckpointed)->Unit(benchmark::kMillisecond);
 } // namespace
 } // namespace flexi
 
-namespace
-{
-
-/** Same probe as bench_sim_throughput: the flavor the benchmark
- *  *library* was built with, read back out of its JSONReporter. */
-std::string
-benchmarkLibraryBuildType()
-{
-    benchmark::JSONReporter probe;
-    std::ostringstream out;
-    probe.SetOutputStream(&out);
-    probe.SetErrorStream(&out);
-    benchmark::BenchmarkReporter::Context ctx;
-    probe.ReportContext(ctx);
-    return out.str().find("library_build_type\": \"debug") !=
-                   std::string::npos
-               ? "debug"
-               : "release";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    // Committed snapshots must come from optimized builds; record
-    // the flavor in the JSON context so bench_compare.py can refuse
-    // debug numbers (same contract as bench_sim_throughput).
-#ifdef NDEBUG
-    benchmark::AddCustomContext("flexi_build_type", "release");
-#else
-    if (!std::getenv("FLEXI_BENCH_ALLOW_DEBUG")) {
-        std::fprintf(stderr,
-                     "bench_fleet: refusing to benchmark a debug "
-                     "build (numbers would be meaningless); "
-                     "configure with -DCMAKE_BUILD_TYPE=Release or "
-                     "set FLEXI_BENCH_ALLOW_DEBUG=1 to override\n");
-        return 1;
-    }
-    benchmark::AddCustomContext("flexi_build_type", "debug");
-#endif
-    if (benchmarkLibraryBuildType() == "debug")
-        std::fprintf(stderr,
-                     "bench_fleet: warning: the google-benchmark "
-                     "library is a debug build; measured loops are "
-                     "unaffected, but harness overhead is not "
-                     "representative\n");
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return flexi::gbenchMain("bench_fleet", argc, argv);
 }

@@ -8,13 +8,12 @@
  * emits them as BENCH_sim_throughput.json every run.
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
+
+#include "gbench_main.hh"
 
 #include "assembler/assembler.hh"
 #include "kernels/runner.hh"
@@ -236,68 +235,8 @@ BENCHMARK(BM_WaferStudyGateLevelBatched)->Arg(1)->Arg(0)
 } // namespace
 } // namespace flexi
 
-namespace
-{
-
-/**
- * The build flavor the google-benchmark *library* was compiled with
- * (its NDEBUG, not ours). There is no public getter, but the
- * library's own JSONReporter prints it in the context block, so
- * render one into a string and read it back.
- */
-std::string
-benchmarkLibraryBuildType()
-{
-    benchmark::JSONReporter probe;
-    std::ostringstream out;
-    probe.SetOutputStream(&out);
-    probe.SetErrorStream(&out);
-    benchmark::BenchmarkReporter::Context ctx;
-    probe.ReportContext(ctx);
-    return out.str().find("library_build_type\": \"debug") !=
-                   std::string::npos
-               ? "debug"
-               : "release";
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    // The committed snapshot is only meaningful from an optimized
-    // build: refuse to run from a debug (assert-enabled) build
-    // unless explicitly overridden, and record the build type in the
-    // JSON context either way. flexi_build_type is the authoritative
-    // flavor of the measured code; library_build_type (emitted by
-    // google-benchmark) describes the harness. A debug harness only
-    // adds per-batch reporting overhead outside the timed loops, so
-    // it is recorded and warned about rather than refused — some
-    // distros only ship a debug-flavored libbenchmark.
-#ifdef NDEBUG
-    benchmark::AddCustomContext("flexi_build_type", "release");
-#else
-    if (!std::getenv("FLEXI_BENCH_ALLOW_DEBUG")) {
-        std::fprintf(stderr,
-                     "bench_sim_throughput: refusing to benchmark a "
-                     "debug build (numbers would be meaningless); "
-                     "configure with -DCMAKE_BUILD_TYPE=Release or "
-                     "set FLEXI_BENCH_ALLOW_DEBUG=1 to override\n");
-        return 1;
-    }
-    benchmark::AddCustomContext("flexi_build_type", "debug");
-#endif
-    if (benchmarkLibraryBuildType() == "debug")
-        std::fprintf(stderr,
-                     "bench_sim_throughput: warning: the "
-                     "google-benchmark library is a debug build "
-                     "(library_build_type=debug in the JSON "
-                     "context); measured loops are unaffected, but "
-                     "harness overhead is not representative\n");
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return flexi::gbenchMain("bench_sim_throughput", argc, argv);
 }
