@@ -114,38 +114,44 @@ Unrolling::busLits(unsigned t, const std::vector<NetId> &nets) const
 
 /**
  * Constrain frame @p t's instruction bus to the program image word
- * at the frame's own PC pads — the lockstep harness's fetch,
- * rendered as a mux tree over the 7-bit PC. The table is
- * fetchTable()'s, the one the lockstep drivers' golden tape reads,
- * so out-of-image addresses read the idle bus's zeros here too.
+ * at the frame's own PC pads — the lockstep harness's fetch. The
+ * table is fetchTable()'s, the one the lockstep drivers' golden tape
+ * reads, so out-of-image addresses read the idle bus's zeros here
+ * too.
+ *
+ * The table is rendered as clauses over the PC literals, with no
+ * gate of its own: per instr bit, the PC space splits from the top
+ * bit down into the largest aligned blocks on which the bit is
+ * constant, and each block gets one clause "PC in block => bit". A
+ * mostly-zero image is a few blocks past its fill.
  */
 void
 Unrolling::closeRom(unsigned t)
 {
-    unsigned bits = model_.instr.size();
-
     CnfBuilder::Word pc = busLits(t, model_.pc);
-    std::vector<CnfBuilder::Word> words;
-    words.reserve(kPageSize);
-    for (unsigned v = 0; v < kPageSize; ++v)
-        words.push_back(cnf_.constWord(model_.rom[v], bits));
-    // Balanced mux tree, LSB select first; constant folding in
-    // mkMux collapses the (large) identical-subtree regions of a
-    // mostly-zero image.
-    for (unsigned level = 0; level < kPcBits; ++level) {
-        std::vector<CnfBuilder::Word> next;
-        next.reserve(words.size() / 2);
-        for (size_t i = 0; i + 1 < words.size(); i += 2)
-            next.push_back(
-                cnf_.mux(words[i], words[i + 1], pc[level]));
-        words = std::move(next);
-    }
-
     CnfBuilder::Word instr = busLits(t, model_.instr);
-    for (unsigned b = 0; b < bits; ++b) {
-        envClause(t, {~instr[b], words[0][b]});
-        envClause(t, {instr[b], ~words[0][b]});
-    }
+    std::vector<SatLit> clause;
+    // Block [lo, lo + 2^level): PC bits kPcBits-1..level are fixed.
+    auto block = [&](auto &&self, unsigned b, unsigned lo,
+                     unsigned level) -> void {
+        unsigned size = 1u << level;
+        bool first = model_.rom[lo] >> b & 1;
+        bool constant = true;
+        for (unsigned v = lo + 1; v < lo + size && constant; ++v)
+            constant = (model_.rom[v] >> b & 1) == first;
+        if (!constant) {
+            self(self, b, lo, level - 1);
+            self(self, b, lo + size / 2, level - 1);
+            return;
+        }
+        clause.clear();
+        for (unsigned i = level; i < kPcBits; ++i)
+            clause.push_back(lo >> i & 1 ? ~pc[i] : pc[i]);
+        clause.push_back(first ? instr[b] : ~instr[b]);
+        envClause(t, clause);
+    };
+    for (unsigned b = 0; b < instr.size(); ++b)
+        block(block, b, 0, kPcBits);
 }
 
 void
