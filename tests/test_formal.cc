@@ -1102,9 +1102,9 @@ TEST(SearchPin, McLintEffort)
         uint64_t solves, conflicts;
     };
     static const Case cases[] = {
-        {0, "mc_fc4.s", 6, 20},  {1, "mc_fc8.s", 9, 25},
-        {2, "mc_ext.s", 6, 46},  {3, "mc_ls.s", 4, 43},
-        {0, "mc_escape.s", 8, 11},
+        {0, "mc_fc4.s", 6, 18},  {1, "mc_fc8.s", 9, 21},
+        {2, "mc_ext.s", 6, 47},  {3, "mc_ls.s", 4, 17},
+        {0, "mc_escape.s", 8, 17},
     };
     for (const Case &c : cases) {
         auto nl = buildCore(c.core);
