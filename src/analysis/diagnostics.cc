@@ -169,7 +169,9 @@ LintReport::json(const std::string &subject) const
                                    ? d.netNames[k]
                                    : strfmt("n%u", d.nets[k]);
             out += (k ? ", " : "");
-            out += "\"" + jsonEscape(name) + "\"";
+            out += '"';
+            out += jsonEscape(name);
+            out += '"';
         }
         out += "], ";
         out += "\"message\": \"" + jsonEscape(d.message) + "\"}";
