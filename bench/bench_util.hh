@@ -5,7 +5,7 @@
  * Every binary in bench/ regenerates one table or figure from the
  * paper and prints (a) our measured/modeled values and (b) the
  * paper's published values next to them, so EXPERIMENTS.md can be
- * audited directly from `for b in build/bench/*; do $b; done`.
+ * audited directly from `for b in build/bench/bench_*; do $b; done`.
  */
 
 #ifndef FLEXI_BENCH_BENCH_UTIL_HH

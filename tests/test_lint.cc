@@ -428,7 +428,7 @@ TEST(LintReport, TextAndJsonRenderings)
 {
     LintReport rep;
     rep.add({Severity::Error, "test-rule", "mod", {3}, 1, 7,
-             "quote \" and newline\n"});
+             "quote \" and newline\n", {}});
     std::string text = rep.text("subj");
     EXPECT_NE(text.find("subj: error[test-rule] mod"),
               std::string::npos);
@@ -454,7 +454,7 @@ TEST(LintReport, JsonRendersStableNetNames)
 
     LintReport rep;
     rep.add({Severity::Warning, "test-rule", "acc", {acc0}, -1, -1,
-             "synthetic finding"});
+             "synthetic finding", {}});
     rep.resolveNetNames(*nl);
 
     ASSERT_EQ(rep.diagnostics().size(), 1u);
