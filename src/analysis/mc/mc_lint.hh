@@ -4,7 +4,11 @@
  *
  * mcLint() runs a property catalog through BMC / k-induction /
  * sequential reset coverage and renders the outcomes as structured
- * diagnostics (rules documented in docs/LINT.md):
+ * diagnostics (rules documented in docs/LINT.md). The frame
+ * properties are questions to one McSession per call, which grows
+ * its step and power-on unrollings across k and across properties;
+ * xfree runs through seqResetCoverage(), witnesses from simulation
+ * first. The rules:
  *
  *   prop-proved     Note     k-induction closed (or every state bit
  *                            sequentially covered, for xfree)
@@ -55,7 +59,8 @@ struct McLintOutcome
     LintReport report;
     /** Confirmed counterexample traces, for VCD dumping. */
     std::vector<McTrace> traces;
-    /** Solver effort summed over every property checked. */
+    /** Solver effort summed over every property checked (xfree's
+     *  simulated witnesses cost none). */
     uint64_t solves = 0;
     uint64_t conflicts = 0;
 };

@@ -136,14 +136,12 @@ class Unrolling
     SatLit activation(unsigned n) const { return act_.at(n - 1); }
     /**
      * Guarded only: append to @p assume the assumptions that switch
-     * on frames 0..@p n-1 and every later frame off (n = 0: all
-     * off), so the solver never searches the frames a question does
-     * not hold.
+     * on frames 0..@p n-1 (n >= 1) and every later frame off, so the
+     * solver never searches the frames a question does not hold.
      */
     void assumeWindow(unsigned n, std::vector<SatLit> &assume) const
     {
-        if (n > 0)
-            assume.push_back(activation(n));
+        assume.push_back(activation(n));
         if (n < act_.size())
             assume.push_back(~act_[n]);
     }
