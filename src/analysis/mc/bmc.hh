@@ -89,12 +89,12 @@ struct McResult
  * grown on demand.
  *
  * A question switches on exactly the frames a fresh unrolling of its
- * own would encode, and passes the property instances it would
- * assert as assumptions. Everything else in the solver is a pure
- * definition or a learned clause the formula implies, so each
- * (property, k) answer, and with it the closing k, is the answer a
- * fresh build gives. Only the effort, and the model a Sat answer
- * returns, can differ.
+ * own would encode, and the property instances that unrolling would
+ * assert hold under literals the question assumes. Everything else
+ * in the solver is a pure definition or a clause the formula
+ * implies, so each (property, k) answer, and with it the closing k,
+ * is the answer a fresh build gives. Only the effort, and the model
+ * a Sat answer returns, can differ.
  */
 class McSession
 {
