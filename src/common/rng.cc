@@ -108,19 +108,49 @@ Rng::chance(double p)
     return uniform() < p;
 }
 
+namespace
+{
+
+/** Largest mean one multiplication loop takes: exp(-64) is far
+ *  from underflow. */
+constexpr double kPoissonSplit = 64.0;
+
+} // namespace
+
+PoissonMean::PoissonMean(double m)
+    : mean(m)
+{
+    // Poisson is closed under addition, so a larger mean is drawn as
+    // whole kPoissonSplit parts plus this rest, and exp(-mean) never
+    // has to be representable.
+    double rest = m;
+    while (rest > kPoissonSplit)
+        rest -= kPoissonSplit;
+    limit = std::exp(-rest);
+}
+
 uint64_t
 Rng::poisson(double mean)
 {
-    if (!(mean > 0.0))
+    return poisson(PoissonMean(mean));
+}
+
+uint64_t
+Rng::poisson(const PoissonMean &m)
+{
+    if (!(m.mean > 0.0))
         return 0;
-    // Split large means additively (Poisson is closed under
-    // addition) so exp(-mean) stays representable.
+    static const double splitLimit = std::exp(-kPoissonSplit);
     uint64_t count = 0;
-    while (mean > 64.0) {
-        count += poisson(64.0);
-        mean -= 64.0;
-    }
-    double limit = std::exp(-mean);
+    for (double rest = m.mean; rest > kPoissonSplit; rest -= kPoissonSplit)
+        count += knuth(splitLimit);
+    return count + knuth(m.limit);
+}
+
+uint64_t
+Rng::knuth(double limit)
+{
+    uint64_t count = 0;
     double product = uniform();
     while (product > limit) {
         ++count;

@@ -27,6 +27,22 @@ namespace flexi
  */
 uint64_t deriveSeed(uint64_t seed, uint64_t stream);
 
+/**
+ * A Poisson mean with the exp() term of its draw computed once, for a
+ * mean drawn from many times: the fleet engine draws each of its
+ * event rates once per die and epoch. Rng::poisson(PoissonMean(m))
+ * draws exactly what Rng::poisson(m) draws, the same count from the
+ * same stream.
+ */
+struct PoissonMean
+{
+    explicit PoissonMean(double mean = 0.0);
+
+    double mean;
+    /** exp(-r), r the part of mean the additive split leaves. */
+    double limit;
+};
+
 /** Deterministic xorshift64* PRNG with convenience distributions. */
 class Rng
 {
@@ -61,12 +77,19 @@ class Rng
      * Poisson-distributed event count with the given mean (Knuth's
      * multiplication method, exact for the small means the fault
      * arrival processes draw; large means are split additively so
-     * exp(-mean) never underflows). Used by the fleet lifecycle
-     * engine to draw per-epoch in-field fault counts.
+     * exp(-mean) never underflows). Fault arrival processes draw
+     * their in-field event counts with it.
      */
     uint64_t poisson(double mean);
 
+    /** poisson(m.mean), without computing its exp(). */
+    uint64_t poisson(const PoissonMean &m);
+
   private:
+    /** Knuth's multiplication loop down to @p limit = exp(-mean). */
+    uint64_t knuth(double limit);
+
+
     uint64_t state_;
     bool haveSpare_ = false;
     double spare_ = 0.0;

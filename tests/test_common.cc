@@ -176,6 +176,50 @@ TEST(Rng, PoissonMomentsAndDeterminism)
     }
 }
 
+/** Knuth's multiplication method with the additive split above a mean
+ *  of 64, one exp() per part: the oracle both Rng entries match. */
+uint64_t
+referencePoisson(Rng &rng, double mean)
+{
+    if (!(mean > 0.0))
+        return 0;
+    uint64_t count = 0;
+    while (mean > 64.0) {
+        count += referencePoisson(rng, 64.0);
+        mean -= 64.0;
+    }
+    double limit = std::exp(-mean);
+    double product = rng.uniform();
+    while (product > limit) {
+        ++count;
+        product *= rng.uniform();
+    }
+    return count;
+}
+
+TEST(Rng, PoissonWithPrecomputedLimitMatches)
+{
+    // Every draw through a PoissonMean takes the count and the stream
+    // position poisson(mean) takes: tiny means whose limit rounds to
+    // 1, the split boundary, and means split into 64-wide parts.
+    for (double mean : {0.0, 4.9e-324, 1e-9, 0.05, 0.15, 1.0, 63.99,
+                        64.0, 64.5, 300.0, 1024.0}) {
+        const PoissonMean precomputed(mean);
+        size_t mismatches = 0;
+        for (uint64_t seed = 0; seed < 1000; ++seed) {
+            Rng ref(deriveSeed(0x9015u, seed));
+            Rng plain = ref, viaMean = ref;
+            uint64_t want = referencePoisson(ref, mean);
+            uint64_t wantNext = ref.next();
+            mismatches += plain.poisson(mean) != want ||
+                          plain.next() != wantNext ||
+                          viaMean.poisson(precomputed) != want ||
+                          viaMean.next() != wantNext;
+        }
+        EXPECT_EQ(mismatches, 0u) << "mean " << mean;
+    }
+}
+
 TEST(RunningStat, Empty)
 {
     RunningStat st;
