@@ -1070,7 +1070,7 @@ prescreenSchedules(const Netlist &golden, const Program &prog,
 PopulationResult
 runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
                      const CheckedRunConfig &cfg,
-                     const std::vector<FaultSchedule> &schedules,
+                     const std::vector<const FaultSchedule *> &schedules,
                      const std::vector<const std::vector<StuckFault> *>
                          *stuck,
                      unsigned prescreenLanes, unsigned threads,
@@ -1094,9 +1094,9 @@ runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
         const std::vector<StuckFault> *f = stuck ? (*stuck)[i] : nullptr;
         if (f && f->empty())
             f = nullptr;
-        const FaultSchedule &sched = schedules[i];
+        const FaultSchedule *sched = schedules[i];
         auto next = static_cast<uint32_t>(scheds.size());
-        if (sched.transients.empty() && sched.flips.empty()) {
+        if (sched->transients.empty() && sched->flips.empty()) {
             auto [it, fresh] = shared.try_emplace(f, next);
             pop.runOf[i] = it->second;
             if (!fresh)
@@ -1104,7 +1104,7 @@ runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
         } else {
             pop.runOf[i] = next;
         }
-        scheds.push_back(&sched);
+        scheds.push_back(sched);
         faults.push_back(f);
     }
     // The fault-free run: the event-free unfaulted dies', or one

@@ -239,19 +239,23 @@ struct PopulationResult
 /**
  * The checked runtime over a population of dies. Die i runs the
  * program @p tape was recorded from, checkedTape(prog, inputs, cfg),
- * under schedules[i], with (*stuck)[i]'s stuck-at faults installed
+ * under *schedules[i], with (*stuck)[i]'s stuck-at faults installed
  * when given (null entries allowed), and result i is what
  * runChecked() returns for a clone of @p golden — fault-free and
  * with its die clock at 0, as built — carrying those faults, cut
  * down to a CheckedRunSummary (PopulationResult::die) plus, with
  * @p captureEndState, its endDff packed (PopulationResult::endDff).
  *
- * The one tape serves the whole call. Dies whose schedules hold no
- * transient and no flip, and whose stuck-at lists are the same object
- * (or both null or empty), would run identical missions, so they
- * share one simulated run — in a fleet most dies see no in-field
- * event and most parts share a defect list, so an epoch costs in
- * proportion to its events; nothing survives the call. The runs are
+ * The one tape serves the whole call. Schedules come by pointer, so
+ * a caller may keep them in storage it reuses from call to call (the
+ * fleet's per-thread slice pools, fleet/fleet.hh) and point many dies
+ * at one: a fleet points all its event-free dies at one empty
+ * schedule. Dies whose schedules hold no transient and no flip, and
+ * whose stuck-at lists are the same object (or both null or empty),
+ * would run identical missions, so they share one simulated run — in
+ * a fleet most dies see no in-field event and most parts share a
+ * defect list, so an epoch costs in proportion to its events;
+ * nothing survives the call. The runs are
  * prescreened in blocks of @p prescreenLanes (clamped to
  * 1..LaneGroup::kMaxLanes; 1 skips the prescreen) against the tape;
  * the runs a block cannot prove clean then run the lane-parallel
@@ -264,7 +268,7 @@ struct PopulationResult
 PopulationResult
 runCheckedPopulation(const Netlist &golden, const GoldenTape &tape,
                      const CheckedRunConfig &cfg,
-                     const std::vector<FaultSchedule> &schedules,
+                     const std::vector<const FaultSchedule *> &schedules,
                      const std::vector<const std::vector<StuckFault> *>
                          *stuck,
                      unsigned prescreenLanes, unsigned threads,

@@ -183,13 +183,15 @@ runFaultCampaign(const CampaignConfig &config)
     // thread count and lane width cannot change any outcome.
     std::vector<FaultKind> kinds(config.injections);
     std::vector<FaultSchedule> sched(config.injections);
+    std::vector<const FaultSchedule *> schedOf(config.injections);
     parallelFor(config.injections, config.threads, [&](size_t i) {
         std::tie(kinds[i], sched[i]) =
             injectionSchedule(config, *golden, result.baselineCycles,
                               static_cast<unsigned>(i));
+        schedOf[i] = &sched[i];
     });
     PopulationResult runs = runCheckedPopulation(
-        *golden, tape, runCfg, sched, nullptr, config.batchLanes,
+        *golden, tape, runCfg, schedOf, nullptr, config.batchLanes,
         config.threads, false);
     result.baselineCorrect =
         runs.faultFree.outcome == CheckedOutcome::Completed &&

@@ -169,15 +169,17 @@ runSalvageStudy(const SalvageConfig &config)
                   "maxInstructions = %llu instructions", k,
                   static_cast<unsigned long long>(config.maxInstructions));
         std::vector<FaultSchedule> sched(failed.size());
+        std::vector<const FaultSchedule *> schedOf(failed.size());
         parallelFor(failed.size(), config.study.threads, [&](size_t j) {
             const DieResult &die = report.study.dies[failed[j]];
             sched[j] = salvageGlitchSchedule(
                 config, *golden, die,
                 model.glitchRate(die.sample, config.vdd), k,
                 baseline.elapsed);
+            schedOf[j] = &sched[j];
         });
         PopulationResult runs = runCheckedPopulation(
-            *golden, tape, w.runCfg, sched, &stuck,
+            *golden, tape, w.runCfg, schedOf, &stuck,
             LaneGroup::kMaxLanes, config.study.threads, false);
         if (runs.faultFree.outcome != CheckedOutcome::Completed ||
             !runs.faultFree.outputsCorrect)

@@ -450,6 +450,16 @@ TEST(CheckedLanes, GroupSizeFillsTheWorkers)
     EXPECT_EQ(checkedLanesPerGroup(1000, 2), 64u);
 }
 
+/** One pointer per schedule of @p schedules, in order. */
+std::vector<const FaultSchedule *>
+pointersTo(const std::vector<FaultSchedule> &schedules)
+{
+    std::vector<const FaultSchedule *> out;
+    for (const FaultSchedule &s : schedules)
+        out.push_back(&s);
+    return out;
+}
+
 /**
  * runCheckedPopulation() over the tape its callers record for @p prog
  * on @p inputs under @p cfg.
@@ -465,8 +475,9 @@ runCheckedPopulation(const Netlist &golden, const Program &prog,
                      bool captureEndState)
 {
     return flexi::runCheckedPopulation(
-        golden, checkedTape(prog, inputs, cfg), cfg, schedules, stuck,
-        prescreenLanes, threads, captureEndState);
+        golden, checkedTape(prog, inputs, cfg), cfg,
+        pointersTo(schedules), stuck, prescreenLanes, threads,
+        captureEndState);
 }
 
 /** Scalar endDff bytes, packed as runCheckedPopulation() packs them. */
@@ -760,7 +771,7 @@ TEST(CheckedPopulation, TapeBaselineMatchesScalarOracle)
 
         // No dies, one die whose PC pad is held high all run (it
         // cannot come back clean), and an event-free die beside it.
-        FaultSchedule pcHeld;
+        FaultSchedule pcHeld, quiet;
         for (const auto &[name, net] : rig.golden->primaryOutputs())
             if (name == "pc0")
                 pcHeld.transients.push_back({net, true, 0, ~0ull});
@@ -775,16 +786,16 @@ TEST(CheckedPopulation, TapeBaselineMatchesScalarOracle)
             EXPECT_TRUE(cleanRun(none.faultFree, want)) << at;
 
             PopulationResult alone = flexi::runCheckedPopulation(
-                *rig.golden, tape, rig.cfg, {pcHeld}, nullptr, width, 1,
-                true);
+                *rig.golden, tape, rig.cfg, {&pcHeld}, nullptr, width,
+                1, true);
             EXPECT_EQ(alone.runs.size(), 1u) << at;
             EXPECT_EQ(alone.endState.size(), alone.stateWords) << at;
             EXPECT_FALSE(cleanRun(alone.die(0), want)) << at;
             EXPECT_TRUE(cleanRun(alone.faultFree, want)) << at;
 
             PopulationResult beside = flexi::runCheckedPopulation(
-                *rig.golden, tape, rig.cfg, {pcHeld, {}}, nullptr, width,
-                1, false);
+                *rig.golden, tape, rig.cfg, {&pcHeld, &quiet}, nullptr,
+                width, 1, false);
             ASSERT_EQ(beside.runs.size(), 2u) << at;
             EXPECT_TRUE(cleanRun(beside.faultFree, want)) << at;
             EXPECT_TRUE(cleanRun(beside.die(1), want)) << at;
@@ -809,7 +820,8 @@ TEST(CheckedPopulation, ShortTapeEndsEveryLaneOutOfBudget)
     scheds[2].transients.push_back({0, true, 3, 6});
     for (unsigned width : {1u, 512u}) {
         PopulationResult pop = flexi::runCheckedPopulation(
-            *rig.golden, tape, rig.cfg, scheds, nullptr, width, 1, false);
+            *rig.golden, tape, rig.cfg, pointersTo(scheds), nullptr,
+            width, 1, false);
         for (size_t i = 0; i < pop.size(); ++i) {
             EXPECT_EQ(pop.die(i).outcome,
                       CheckedOutcome::BudgetExhausted)
