@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
@@ -76,6 +77,44 @@ constexpr auto kFnvBits = [] {
     }
     return t;
 }();
+
+/** Fixed die slices of an epoch's draw and merge: enough to spread
+ *  over any worker count, few enough that their per-slice state is
+ *  small. */
+constexpr size_t kDieSlices = 64;
+
+/** The schedule every die without an in-field event points at. */
+const FaultSchedule kNoEvents;
+
+/**
+ * What an epoch leaves for the next epoch run on the same calling
+ * thread, so that once it has grown an epoch allocates nothing per
+ * die; per thread, not per engine or per run() call (fleet.hh says
+ * why). Threads running engines at once each have their own.
+ */
+struct EpochWorkspace
+{
+    std::vector<uint32_t> live;
+    std::vector<const FaultSchedule *> sched;
+    std::vector<const std::vector<StuckFault> *> faults;
+    /** Per study die: its glitch mean over the epoch's horizon. */
+    std::vector<PoissonMean> glitch;
+    /**
+     * Per die slice: the schedules its event dies were drawn into, as
+     * many as the slice has needed in one epoch plus the one the next
+     * die is drawn into. A deque keeps every entry's address (and
+     * capacity) while it grows.
+     */
+    std::array<std::deque<FaultSchedule>, kDieSlices> pools;
+};
+
+/** One die slice's share of an epoch's fleet-wide counters. */
+struct SliceCounts
+{
+    /** Outcome histogram per deployment bin (Functional, Salvaged). */
+    std::array<std::array<uint64_t, kNumFaultOutcomes>, 2> bins{};
+    uint64_t deaths = 0;
+};
 
 bool
 configsMatch(const FleetConfig &a, const FleetConfig &b)
@@ -178,11 +217,16 @@ struct FleetEngine::Impl
     size_t targetOutputs = 0;
 
     std::vector<uint8_t> epochInputs(uint32_t epoch) const;
-    FaultSchedule makeSchedule(uint32_t die, uint32_t epoch,
-                               uint64_t horizon,
-                               double glitchRate) const;
-    /** One epoch of missions, merged into @p state; its per-die
-     *  temporaries are gone before the caller checkpoints. */
+    /** Die @p die's in-field schedule for @p epoch over @p horizon
+     *  cycles, drawn into @p sched (emptied first; its vectors keep
+     *  their capacity). */
+    void drawSchedule(FaultSchedule &sched, uint32_t die,
+                      uint32_t epoch, uint64_t horizon,
+                      const PoissonMean &transients,
+                      const PoissonMean &glitches,
+                      const PoissonMean &flips) const;
+    /** One epoch of missions, merged into @p state; the schedules
+     *  stay in the calling thread's pools for the next epoch. */
     void runEpoch(FleetState &state, uint32_t epoch) const;
 };
 
@@ -198,42 +242,38 @@ FleetEngine::Impl::epochInputs(uint32_t epoch) const
     return kernelInputs(cfg.kernel, cfg.workUnits, s);
 }
 
-FaultSchedule
-FleetEngine::Impl::makeSchedule(uint32_t die, uint32_t epoch,
-                                uint64_t horizon,
-                                double glitchRate) const
+void
+FleetEngine::Impl::drawSchedule(FaultSchedule &sched, uint32_t die,
+                                uint32_t epoch, uint64_t horizon,
+                                const PoissonMean &transients,
+                                const PoissonMean &glitches,
+                                const PoissonMean &flips) const
 {
     Rng rng(deriveSeed(cfg.seed ^ kFaultSalt,
                        die * kEpochStride + epoch));
     size_t nets = golden->numNets();
     size_t dffs = golden->numDffs() ? golden->numDffs() : 1;
 
-    FaultSchedule sched;
-    // Environmental upsets: Poisson arrivals on the mission clock.
-    uint64_t nT = rng.poisson(cfg.transientsPerEpoch);
-    for (uint64_t i = 0; i < nT; ++i) {
-        NetId net = static_cast<NetId>(rng.below(nets));
-        bool value = rng.chance(0.5);
-        uint64_t at = rng.below(horizon);
-        sched.transients.push_back({net, value, at, at + 1});
-    }
-    // Timing marginality of the part itself (salvaged-die physics).
-    if (glitchRate > 0) {
-        uint64_t nG = rng.poisson(glitchRate *
-                                  static_cast<double>(horizon));
-        for (uint64_t i = 0; i < nG; ++i) {
+    sched.transients.clear();
+    sched.flips.clear();
+    auto upsets = [&](uint64_t n) {
+        for (uint64_t i = 0; i < n; ++i) {
             NetId net = static_cast<NetId>(rng.below(nets));
             bool value = rng.chance(0.5);
             uint64_t at = rng.below(horizon);
             sched.transients.push_back({net, value, at, at + 1});
         }
-    }
-    uint64_t nF = rng.poisson(cfg.flipsPerEpoch);
+    };
+    // Environmental upsets: Poisson arrivals on the mission clock.
+    upsets(rng.poisson(transients));
+    // Timing marginality of the part itself (salvaged-die physics);
+    // a part that never glitches has mean 0, which draws nothing.
+    upsets(rng.poisson(glitches));
+    uint64_t nF = rng.poisson(flips);
     for (uint64_t i = 0; i < nF; ++i) {
         uint64_t at = rng.below(horizon);
         sched.flips.push_back({at, rng.below(dffs)});
     }
-    return sched;
 }
 
 void
@@ -257,25 +297,53 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
               epoch, static_cast<unsigned long long>(cfg.maxInstructions));
     uint64_t horizon = 2 * mission.elapsed + 64;
 
-    std::vector<uint32_t> live;
-    live.reserve(state.dies.size());
+    // The pool workers reach the calling thread's workspace through
+    // this reference; naming the thread_local inside a worker would
+    // give that worker's own.
+    thread_local EpochWorkspace workspace;
+    EpochWorkspace &ws = workspace;
+    ws.live.clear();
     for (uint32_t d = 0; d < state.dies.size(); ++d)
         if (state.dies[d].alive)
-            live.push_back(d);
+            ws.live.push_back(d);
+    size_t n = ws.live.size();
+    ws.sched.resize(n);
+    ws.faults.resize(n);
+    auto sliceBegin = [n](size_t s) { return n * s / kDieSlices; };
+
+    // Every Poisson mean of the epoch's draws, with its exp() taken
+    // once: the two fleet rates, and each deployable part's glitch
+    // rate over the horizon.
+    const PoissonMean transients(cfg.transientsPerEpoch);
+    const PoissonMean flips(cfg.flipsPerEpoch);
+    ws.glitch.assign(glitchRates.size(), PoissonMean());
+    for (uint32_t pi : pool)
+        ws.glitch[pi] = PoissonMean(glitchRates[pi] *
+                                    static_cast<double>(horizon));
 
     // Every live die's mission through the population runner: its
     // part's manufacturing stuck-ats plus its in-field schedule,
-    // drawn once per die.
-    std::vector<FaultSchedule> sched(live.size());
-    std::vector<const std::vector<StuckFault> *> faults(live.size());
-    parallelFor(live.size(), cfg.threads, [&](size_t k) {
-        uint32_t pi = state.dies[live[k]].poolIndex;
-        sched[k] =
-            makeSchedule(live[k], epoch, horizon, glitchRates[pi]);
-        faults[k] = &report.study.dies[pi].faults;
+    // drawn once per die into its slice's pool. Event-free dies, most
+    // of them, take the shared empty schedule and leave the entry
+    // they were drawn into for the next die.
+    parallelFor(kDieSlices, cfg.threads, [&](size_t s) {
+        std::deque<FaultSchedule> &slicePool = ws.pools[s];
+        size_t used = 0;
+        for (size_t k = sliceBegin(s); k < sliceBegin(s + 1); ++k) {
+            uint32_t pi = state.dies[ws.live[k]].poolIndex;
+            if (used == slicePool.size())
+                slicePool.emplace_back();
+            FaultSchedule &sc = slicePool[used];
+            drawSchedule(sc, ws.live[k], epoch, horizon, transients,
+                         ws.glitch[pi], flips);
+            bool events = !sc.transients.empty() || !sc.flips.empty();
+            ws.sched[k] = events ? &sc : &kNoEvents;
+            used += events;
+            ws.faults[k] = &report.study.dies[pi].faults;
+        }
     });
     PopulationResult pop = runCheckedPopulation(
-        *golden, tape, runCfg, sched, &faults, cfg.batchLanes,
+        *golden, tape, runCfg, ws.sched, &ws.faults, cfg.batchLanes,
         cfg.threads, true);
     if (pop.faultFree.outcome != CheckedOutcome::Completed ||
         !pop.faultFree.outputsCorrect)
@@ -284,45 +352,53 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
     // Merge each die's mission into its own record: digest, packed
     // end state and escalation ladder read and write only that die,
     // so any thread count gives the same records. The digest and
-    // dffBits come straight from the packed end state.
+    // dffBits come straight from the packed end state. Each slice
+    // counts its own share of the fleet-wide histograms.
     uint32_t dffs = static_cast<uint32_t>(golden->numDffs());
-    std::vector<uint8_t> outcomes(live.size());
-    parallelFor(live.size(), cfg.threads, [&](size_t k) {
-        const CheckedRunSummary &run = pop.die(k);
-        auto outcome = static_cast<uint8_t>(
-            classifyCheckedRun(run, cfg.detectors));
-        outcomes[k] = outcome;
-        FleetDie &die = state.dies[live[k]];
-        ++die.epochsRun;
-        ++die.outcomes[outcome];
-        die.lifeCycles += run.cycles;
+    std::array<SliceCounts, kDieSlices> counts{};
+    parallelFor(kDieSlices, cfg.threads, [&](size_t s) {
+        SliceCounts &c = counts[s];
+        for (size_t k = sliceBegin(s); k < sliceBegin(s + 1); ++k) {
+            const CheckedRunSummary &run = pop.die(k);
+            auto outcome = static_cast<uint8_t>(
+                classifyCheckedRun(run, cfg.detectors));
+            FleetDie &die = state.dies[ws.live[k]];
+            ++die.epochsRun;
+            ++die.outcomes[outcome];
+            die.lifeCycles += run.cycles;
 
-        const uint64_t *end = pop.endDff(k);
-        uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
-        h = fnvU64(h, epoch);
-        h = fnvU64(h, outcome);
-        h = fnvU64(h, run.cycles);
-        die.digest = fnv1aBits(h, end, dffs);
-        die.dffCount = dffs;
-        die.dffBits.resize((dffs + 7) / 8);
-        for (size_t j = 0; j < die.dffBits.size(); ++j)
-            die.dffBits[j] =
-                static_cast<uint8_t>(end[j / 8] >> (8 * (j % 8)));
+            const uint64_t *end = pop.endDff(k);
+            uint64_t h = die.epochsRun == 1 ? kFnvOffset : die.digest;
+            h = fnvU64(h, epoch);
+            h = fnvU64(h, outcome);
+            h = fnvU64(h, run.cycles);
+            die.digest = fnv1aBits(h, end, dffs);
+            die.dffCount = dffs;
+            die.dffBits.resize((dffs + 7) / 8);
+            for (size_t j = 0; j < die.dffBits.size(); ++j)
+                die.dffBits[j] =
+                    static_cast<uint8_t>(end[j / 8] >> (8 * (j % 8)));
 
-        // Fleet-level escalation: a Degraded mission burns one
-        // firmware re-page; past the budget the die fail-stops.
-        if (run.outcome == CheckedOutcome::Degraded &&
-            ++die.repages > cfg.maxRepages)
-            die.alive = false;
+            // Fleet-level escalation: a Degraded mission burns one
+            // firmware re-page; past the budget the die fail-stops.
+            if (run.outcome == CheckedOutcome::Degraded &&
+                ++die.repages > cfg.maxRepages)
+                die.alive = false;
+
+            ++c.bins[die.bin == DieBin::Functional ? 0 : 1][outcome];
+            c.deaths += !die.alive;
+        }
     });
 
-    // Fleet-wide counters, summed in die order.
-    for (size_t k = 0; k < live.size(); ++k) {
-        const FleetDie &die = state.dies[live[k]];
-        ++state.epochOutcomes[epoch][outcomes[k]];
-        size_t binIdx = die.bin == DieBin::Functional ? 0 : 1;
-        ++state.binOutcomes[binIdx][outcomes[k]];
-        state.deaths += !die.alive;
+    // Fleet-wide counters, summed in slice order.
+    for (const SliceCounts &c : counts) {
+        for (size_t b = 0; b < 2; ++b) {
+            for (size_t o = 0; o < kNumFaultOutcomes; ++o) {
+                state.epochOutcomes[epoch][o] += c.bins[b][o];
+                state.binOutcomes[b][o] += c.bins[b][o];
+            }
+        }
+        state.deaths += c.deaths;
     }
 }
 

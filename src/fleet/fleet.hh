@@ -38,6 +38,23 @@
  * checksummed file after every epoch, so a killed run resumed from
  * its checkpoint is bit-identical to an uninterrupted one (see
  * checkpoint.hh).
+ *
+ * Once it has grown, an epoch allocates nothing per die. The live
+ * dies split into 64 fixed slices. Each slice draws its event dies'
+ * schedules into its own pool of FaultSchedules, whose entries keep
+ * their addresses and capacity; every event-free die points at one
+ * shared empty schedule, and runCheckedPopulation() takes the
+ * schedules by pointer. The same slices merge the records and count
+ * the epoch's outcome histograms and deaths, which join in slice
+ * order. The pools live in a thread_local workspace of the thread
+ * that calls run(), not in the engine: a process may hold many
+ * engines (a campaign each, another to resume one), each advancing
+ * one epoch per run() call, so pools per engine would be repeated in
+ * every engine and pools local to run() would never be reused. The
+ * pools are sized by the event dies of the busiest epoch the thread
+ * has run, and they last as long as the thread. Every Poisson mean of
+ * the draw has its exp() taken once per epoch (PoissonMean in
+ * common/rng.hh).
  */
 
 #ifndef FLEXI_FLEET_FLEET_HH

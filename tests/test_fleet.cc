@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -315,6 +316,73 @@ TEST(Fleet, ThreadCountAndBatchLanesDoNotChangeAnything)
         FleetState st = eng.init();
         eng.run(st);
         expectStateEq(ref, st);
+    }
+}
+
+TEST(Fleet, EpochPoolsCarryOverBetweenCampaignsAndThreads)
+{
+    // Every epoch run on one calling thread draws its schedules into
+    // that thread's slice pools. Alternating a 700-die and an 8-die
+    // campaign grows the pools on the first and hands them, mostly
+    // unused, to the second; under saturating pressure and a zero
+    // re-page budget dies are pulled, so every live count shrinks. A
+    // third campaign runs meanwhile on a second thread. Each must be
+    // what a fresh engine runs straight through on a fresh thread.
+    auto config = [](uint32_t dies, unsigned threads) {
+        FleetConfig cfg = smallConfig();
+        cfg.numDies = dies;
+        cfg.epochs = 4;
+        cfg.transientsPerEpoch = 3.0;
+        cfg.flipsPerEpoch = 1.0;
+        cfg.recovery.maxRetries = 1;
+        cfg.recovery.allowRestart = false;
+        cfg.maxRepages = 0;
+        cfg.threads = threads;
+        return cfg;
+    };
+    auto straight = [](const FleetConfig &cfg) {
+        FleetState st;
+        std::thread([&] {
+            FleetEngine engine(cfg);
+            st = engine.init();
+            engine.run(st);
+        }).join();
+        return st;
+    };
+    auto expectSame = [](const FleetState &got, const FleetState &want,
+                         const char *what) {
+        EXPECT_EQ(fleetDigest(got), fleetDigest(want)) << what;
+        EXPECT_EQ(encodeFleetState(got), encodeFleetState(want)) << what;
+    };
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(strfmt("%u threads", threads));
+        FleetConfig big = config(700, threads);
+        FleetConfig small = config(8, threads);
+        FleetConfig third = config(300, threads);
+        third.seed = 11;
+        FleetState wantBig = straight(big);
+        FleetState wantSmall = straight(small);
+        FleetState wantThird = straight(third);
+        EXPECT_GT(wantThird.deaths, 0u);
+        uint64_t ranLast = 0;
+        for (uint64_t n : wantBig.epochOutcomes.back())
+            ranLast += n;
+        EXPECT_LT(ranLast, big.numDies);
+
+        FleetEngine bigEngine(big), smallEngine(small), thirdEngine(third);
+        FleetState bigState = bigEngine.init();
+        FleetState smallState = smallEngine.init();
+        FleetState thirdState = thirdEngine.init();
+        std::thread second([&] { thirdEngine.run(thirdState); });
+        for (uint32_t e = 1; e <= big.epochs; ++e) {
+            bigEngine.run(bigState, e);
+            smallEngine.run(smallState, e);
+        }
+        second.join();
+        expectSame(bigState, wantBig, "700 dies");
+        expectSame(smallState, wantSmall, "8 dies");
+        expectSame(thirdState, wantThird, "second thread");
+        checkInvariants(bigState);
     }
 }
 
