@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "common/logging.hh"
@@ -35,9 +36,11 @@ main()
     for (const auto &c : cfgs) {
         double one = memoryArea(c.words, c.width, 1);
         double two = memoryArea(c.words, c.width, 2);
+        std::string secondPort = "+";
+        secondPort += pct(two / one - 1.0);
         t.addRow({strfmt("%2u x %u", c.words, c.width),
-                  fmtDouble(one, 0), fmtDouble(two, 0),
-                  "+" + pct(two / one - 1.0), c.note});
+                  fmtDouble(one, 0), fmtDouble(two, 0), secondPort,
+                  c.note});
     }
     std::printf("%s", t.str().c_str());
 

@@ -448,8 +448,9 @@ TEST(Sweep, BaselinePointIsUnity)
     for (const auto &c : all) {
         pareto += c.pareto;
         for (const auto &other : all)
-            if (other.dominates(c))
+            if (other.dominates(c)) {
                 EXPECT_FALSE(c.pareto);
+            }
     }
     EXPECT_GT(pareto, 0u);
 }
@@ -508,8 +509,9 @@ TEST(Sweep, LowVoltageStaticallyRejectsSlowPoints)
         EXPECT_LT(r.timing.slackS, 0.0);
         EXPECT_GT(r.timing.delayUnits, 0.0);
         // Netlist-backed rejections carry a named worst path.
-        if (std::string(r.timing.source) == "netlist")
+        if (std::string(r.timing.source) == "netlist") {
             EXPECT_FALSE(r.timing.worstPath.empty());
+        }
     }
 
     // Points backed by real netlists report STA-derived paths; the

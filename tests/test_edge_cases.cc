@@ -291,7 +291,7 @@ TEST(CellTruth, AllCombinationalCellsExhaustive)
         Netlist nl("truth");
         std::vector<NetId> ins;
         for (unsigned i = 0; i < info.numInputs; ++i)
-            ins.push_back(nl.addInput("i" + std::to_string(i)));
+            ins.push_back(nl.addInput(strfmt("i%u", i)));
         NetId y = nl.addCell(info.type, ins, "m");
         nl.addOutput("y", y);
         nl.elaborate();
@@ -329,7 +329,7 @@ TEST(CellTruth, ReduceTreesMatchReference)
         Builder b(nl, "m");
         std::vector<NetId> ins;
         for (unsigned i = 0; i < width; ++i)
-            ins.push_back(nl.addInput("i" + std::to_string(i)));
+            ins.push_back(nl.addInput(strfmt("i%u", i)));
         nl.addOutput("and", b.andReduce(ins));
         nl.addOutput("or", b.orReduce(ins));
         nl.elaborate();

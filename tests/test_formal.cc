@@ -271,8 +271,9 @@ TEST(Sat, DifferentialAgainstBruteForce)
         ASSERT_EQ(r == Result::Sat, brute_sat)
             << "iter " << iter << " vars " << num_vars << " clauses "
             << num_clauses;
-        if (trivially_unsat)
+        if (trivially_unsat) {
             ASSERT_EQ(r, Result::Unsat);
+        }
         if (r == Result::Sat) {
             for (const auto &cl : clauses) {
                 bool any = false;

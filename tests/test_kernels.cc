@@ -157,8 +157,9 @@ TEST(Inputs, CalculatorDivisorsNonZero)
 {
     auto in = kernelInputs(KernelId::Calculator, 300, 7);
     for (size_t i = 0; i < in.size(); i += 3)
-        if (in[i] == 3)
+        if (in[i] == 3) {
             EXPECT_NE(in[i + 2], 0);
+        }
 }
 
 TEST(Inputs, ExhaustiveCalculatorCoversSpace)

@@ -172,14 +172,14 @@ TEST_P(AdderTest, ExhaustiveFourBit)
     Builder b(nl, "m");
     Word a, c;
     for (int i = 0; i < width; ++i) {
-        a.push_back(nl.addInput("a" + std::to_string(i)));
-        c.push_back(nl.addInput("b" + std::to_string(i)));
+        a.push_back(nl.addInput(strfmt("a%d", i)));
+        c.push_back(nl.addInput(strfmt("b%d", i)));
     }
     auto out = b.rippleAdder(a, c, nl.zero());
     for (int i = 0; i < width; ++i) {
-        nl.addOutput("s" + std::to_string(i), out.sum[i]);
-        nl.addOutput("p" + std::to_string(i), out.propagate[i]);
-        nl.addOutput("g" + std::to_string(i), out.nandOut[i]);
+        nl.addOutput(strfmt("s%d", i), out.sum[i]);
+        nl.addOutput(strfmt("p%d", i), out.propagate[i]);
+        nl.addOutput(strfmt("g%d", i), out.nandOut[i]);
     }
     nl.addOutput("cout", out.carryOut);
     nl.elaborate();
@@ -208,10 +208,10 @@ TEST(BuilderComponents, IncrementerWraps)
     Builder b(nl, "m");
     Word a;
     for (int i = 0; i < 7; ++i)
-        a.push_back(nl.addInput("a" + std::to_string(i)));
+        a.push_back(nl.addInput(strfmt("a%d", i)));
     Word out = b.incrementer(a);
     for (int i = 0; i < 7; ++i)
-        nl.addOutput("y" + std::to_string(i), out[i]);
+        nl.addOutput(strfmt("y%d", i), out[i]);
     nl.elaborate();
     for (unsigned v = 0; v < 128; ++v) {
         nl.setBus("a", 7, v);
@@ -226,10 +226,10 @@ TEST(BuilderComponents, OneHotDecoder)
     Builder b(nl, "m");
     Word sel;
     for (int i = 0; i < 3; ++i)
-        sel.push_back(nl.addInput("s" + std::to_string(i)));
+        sel.push_back(nl.addInput(strfmt("s%d", i)));
     auto hot = b.decodeOneHot(sel);
     for (int i = 0; i < 8; ++i)
-        nl.addOutput("h" + std::to_string(i), hot[i]);
+        nl.addOutput(strfmt("h%d", i), hot[i]);
     nl.elaborate();
     for (unsigned v = 0; v < 8; ++v) {
         nl.setBus("s", 3, v);
@@ -245,16 +245,15 @@ TEST(BuilderComponents, MuxTreeSelects)
     std::vector<Word> words(4);
     for (int w = 0; w < 4; ++w)
         for (int i = 0; i < 4; ++i)
-            words[w].push_back(nl.addInput(
-                "w" + std::to_string(w) + "_" + std::to_string(i)));
+            words[w].push_back(nl.addInput(strfmt("w%d_%d", w, i)));
     Word sel = {nl.addInput("s0"), nl.addInput("s1")};
     Word out = b.muxTree(words, sel);
     for (int i = 0; i < 4; ++i)
-        nl.addOutput("y" + std::to_string(i), out[i]);
+        nl.addOutput(strfmt("y%d", i), out[i]);
     nl.elaborate();
 
     for (int w = 0; w < 4; ++w)
-        nl.setBus("w" + std::to_string(w) + "_", 4, 3 + w * 4);
+        nl.setBus(strfmt("w%d_", w), 4, 3 + w * 4);
     for (unsigned s = 0; s < 4; ++s) {
         nl.setInput("s0", s & 1);
         nl.setInput("s1", (s >> 1) & 1);
@@ -269,11 +268,11 @@ TEST(BuilderComponents, RegisterWordHoldsWithoutEnable)
     Builder b(nl, "m");
     Word d;
     for (int i = 0; i < 4; ++i)
-        d.push_back(nl.addInput("d" + std::to_string(i)));
+        d.push_back(nl.addInput(strfmt("d%d", i)));
     NetId we = nl.addInput("we");
     Word q = b.registerWord(d, we);
     for (int i = 0; i < 4; ++i)
-        nl.addOutput("q" + std::to_string(i), q[i]);
+        nl.addOutput(strfmt("q%d", i), q[i]);
     nl.elaborate();
 
     nl.setBus("d", 4, 0xA);

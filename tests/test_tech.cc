@@ -62,8 +62,9 @@ TEST(CellLibrary, DffIsLargestCell)
     // The master-slave flop dominates every combinational cell.
     double dff = cellInfo(CellType::DFF_X1).nand2Area;
     for (const auto &info : cellLibrary()) {
-        if (!isSequential(info.type))
+        if (!isSequential(info.type)) {
             EXPECT_LT(info.nand2Area, dff) << info.name;
+        }
     }
 }
 

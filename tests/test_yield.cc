@@ -155,8 +155,9 @@ TEST_F(DieModelTest, TimingErrorsGrowWithShortfall)
     hopeless.speedFactor = 2.0;
     double e_m = model.expectedTimingErrors(marginal, kVddLow, 1000);
     double e_h = model.expectedTimingErrors(hopeless, kVddLow, 1000);
-    if (e_m > 0)
+    if (e_m > 0) {
         EXPECT_GT(e_h, e_m);
+    }
     DieSample nominal;
     EXPECT_EQ(model.expectedTimingErrors(nominal, kVddNominal, 1000),
               0.0);
@@ -381,8 +382,9 @@ TEST(WaferStudy, TimingMarginalPinnedSeed)
         } else {
             EXPECT_EQ(die.at3V.errors, 0u);
         }
-        if (e45 <= 0)
+        if (e45 <= 0) {
             EXPECT_EQ(die.at45V.errors, 0u);
+        }
     }
     // Exact regression pin, same contract as PinnedSeedRegression:
     // regenerate only for an intentional sampling-scheme change.
