@@ -18,12 +18,13 @@
  *    timing row guards the prescreen/checked-runtime split from
  *    regressing under fault pressure.
  *
- *  - BM_FleetCheckpointEncode/<threads> and BM_FleetEpochCheckpointed:
- *    the per-epoch checkpoint of perfbench's fleet_field unit. The
- *    first encodes an 8,192-die FC4 image on 1 or 4 threads; the
- *    second runs one 8,192-die FC4 epoch per iteration through
- *    FleetEngine::run with a checkpoint path, so each epoch's queued
- *    write overlaps the next, as in fleet_field.
+ *  - BM_FleetEpoch/<threads>, BM_FleetCheckpointEncode/<threads> and
+ *    BM_FleetEpochCheckpointed: perfbench's fleet_field unit and its
+ *    checkpoint. The first runs one 8,192-die FC4 epoch per
+ *    iteration through FleetEngine::run on 1 or 4 threads without a
+ *    checkpoint; the second encodes that fleet's image on 1 or 4
+ *    threads; the third runs the epoch with a checkpoint path, so
+ *    each epoch's queued write overlaps the next, as in fleet_field.
  *
  * CI re-emits BENCH_fleet.json every run and diffs the timing
  * metrics against the committed snapshot with bench_compare.py
@@ -242,18 +243,18 @@ BENCHMARK(BM_FleetCheckpointEncode)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * One field-fleet epoch per iteration through FleetEngine::run with
- * a checkpoint path (perfbench's fleet_field unit); a finished
- * campaign restarts untimed. One item = one deployed die's epoch.
+ * One field-fleet epoch per iteration through FleetEngine::run on
+ * @p threads threads (0 = auto), checkpointing to @p path when not
+ * empty; a finished campaign restarts untimed. One item = one
+ * deployed die's epoch.
  */
 void
-BM_FleetEpochCheckpointed(benchmark::State &state)
+timeFieldEpochs(benchmark::State &state, unsigned threads,
+                const std::string &path)
 {
     FleetConfig cfg = fieldConfig();
+    cfg.threads = threads;
     FleetEngine engine(cfg);
-    std::string path =
-        (std::filesystem::temp_directory_path() / "bench_fleet.ckpt")
-            .string();
     FleetState st = engine.init();
     for (auto _ : state) {
         if (st.epochsDone == cfg.epochs) {
@@ -262,11 +263,30 @@ BM_FleetEpochCheckpointed(benchmark::State &state)
             state.ResumeTiming();
         }
         engine.run(st, st.epochsDone + 1, path);
+        benchmark::DoNotOptimize(st.deaths);
     }
-    flushFleetCheckpoints();
-    std::filesystem::remove(path);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * cfg.numDies));
+}
+
+/** The epoch alone, on range(0) threads: no checkpoint to save. */
+void
+BM_FleetEpoch(benchmark::State &state)
+{
+    timeFieldEpochs(state, static_cast<unsigned>(state.range(0)), {});
+}
+BENCHMARK(BM_FleetEpoch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/** perfbench's fleet_field unit: the epoch and its queued save. */
+void
+BM_FleetEpochCheckpointed(benchmark::State &state)
+{
+    std::string path =
+        (std::filesystem::temp_directory_path() / "bench_fleet.ckpt")
+            .string();
+    timeFieldEpochs(state, 0, path);
+    flushFleetCheckpoints();
+    std::filesystem::remove(path);
 }
 BENCHMARK(BM_FleetEpochCheckpointed)->Unit(benchmark::kMillisecond);
 
