@@ -36,7 +36,7 @@ uint64_t deriveSeed(uint64_t seed, uint64_t stream);
  */
 struct PoissonMean
 {
-    explicit PoissonMean(double mean = 0.0);
+    explicit PoissonMean(double mean);
 
     double mean;
     /** exp(-r), r the part of mean the additive split leaves. */

@@ -316,7 +316,7 @@ FleetEngine::Impl::runEpoch(FleetState &state, uint32_t epoch) const
     // rate over the horizon.
     const PoissonMean transients(cfg.transientsPerEpoch);
     const PoissonMean flips(cfg.flipsPerEpoch);
-    ws.glitch.assign(glitchRates.size(), PoissonMean());
+    ws.glitch.assign(glitchRates.size(), PoissonMean(0.0));
     for (uint32_t pi : pool)
         ws.glitch[pi] = PoissonMean(glitchRates[pi] *
                                     static_cast<double>(horizon));
