@@ -9,7 +9,7 @@
  * the unswept per-class loop, on clean and seeded stuck-at dies),
  * the checkers run concurrently, and the search pin (the solver's
  * effort and models on scripted incremental workloads, and the
- * checkers' solve and conflict counts).
+ * checkers' and certified prunes' solve and conflict counts).
  */
 
 #include <cmath>
@@ -24,7 +24,9 @@
 #include "analysis/cnf_encoder.hh"
 #include "analysis/equiv.hh"
 #include "analysis/isa_spec.hh"
+#include "analysis/dataflow/prune.hh"
 #include "analysis/mc/mc_lint.hh"
+#include "analysis/mc/seq_prune.hh"
 #include "analysis/sat.hh"
 #include "assembler/assembler.hh"
 #include "common/rng.hh"
@@ -1117,6 +1119,30 @@ TEST(SearchPin, McLintEffort)
         McLintOutcome r = mcLint(*nl, mo);
         EXPECT_EQ(r.solves, c.solves) << c.fixture;
         EXPECT_EQ(r.conflicts, c.conflicts) << c.fixture;
+    }
+}
+
+TEST(SearchPin, PruneEffort)
+{
+    // (solves, conflicts) of prune()'s certification and of the
+    // default seqPrune() (its three certifications plus the sweep
+    // and invariant discovery between them) on each core.
+    static const uint64_t want[4][4] = {{447, 429, 1478, 1296},
+                                        {557, 564, 1794, 1720},
+                                        {966, 804, 3271, 2420},
+                                        {1106, 917, 3632, 2663}};
+    for (int which = 0; which < 4; ++which) {
+        auto nl = buildCore(which);
+        PruneResult p = prune(*nl);
+        EXPECT_TRUE(p.certified) << nl->name();
+        EXPECT_EQ(p.certification.solves, want[which][0]) << nl->name();
+        EXPECT_EQ(p.certification.conflicts, want[which][1])
+            << nl->name();
+        SeqPruneResult s = seqPrune(*nl);
+        EXPECT_TRUE(s.certified) << nl->name();
+        EXPECT_EQ(s.certification.solves, want[which][2]) << nl->name();
+        EXPECT_EQ(s.certification.conflicts, want[which][3])
+            << nl->name();
     }
 }
 
