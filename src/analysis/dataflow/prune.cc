@@ -1,14 +1,322 @@
 #include "prune.hh"
 
-#include <algorithm>
 #include <map>
 
 #include "analysis/cnf_encoder.hh"
 #include "common/logging.hh"
-#include "tech/cell_library.hh"
 
 namespace flexi
 {
+
+namespace
+{
+
+/** The claims a prune rests on, read off the dataflow facts. */
+SeqInvariants
+pruneClaims(const Netlist &nl, const DataflowResult &df)
+{
+    SeqInvariants inv;
+    if (!nl.elaborated())
+        return inv;   // certifyRewrite() refuses the netlist
+    auto dffs = nl.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i)
+        if (df.netConst(dffs[i].q))
+            inv.consts.push_back({i, df.netConstValue(dffs[i].q)});
+    for (const auto &step : nl.planSteps()) {
+        NetId net = nl.cells()[step.cell].output;
+        if (df.netConst(net))
+            inv.nets.push_back({net, df.netConstValue(net)});
+    }
+    return inv;
+}
+
+} // namespace
+
+std::unique_ptr<Netlist>
+rebuild(const Netlist &nl, const RewritePlan &plan,
+        const std::string &name, std::vector<size_t> &dffMap,
+        std::vector<NetId> &netMap, std::string &err)
+{
+    const auto &cells = nl.cells();
+    auto dffs = nl.dffs();
+
+    auto out = std::make_unique<Netlist>(name);
+    netMap.assign(nl.numNets(), kNoNet);
+    netMap[nl.zero()] = out->zero();
+    netMap[nl.one()] = out->one();
+
+    // An aliased net reads its alias's rebuilt net, through a new
+    // INV_X1 in the net's own module when inverted.
+    auto takeAlias = [&](NetId n, const std::string &module) {
+        NetId a = netMap[plan.alias[n]];
+        if (a == kNoNet) {
+            err = strfmt("alias of %s is unmapped",
+                         nl.netName(n).c_str());
+            return false;
+        }
+        netMap[n] = plan.inverted[n]
+            ? out->addCell(CellType::INV_X1, {a}, module) : a;
+        return true;
+    };
+
+    // The pad interface survives verbatim; an aliased (tied) pad's
+    // consumers read the alias instead (the pad stays, dangling).
+    for (const auto &[pad, net] : nl.primaryInputs()) {
+        netMap[net] = out->addInput(pad);
+        if (plan.alias[net] != kNoNet && !takeAlias(net, ""))
+            return nullptr;
+    }
+
+    // Surviving DFFs next (D wired after the comb cells exist).
+    dffMap.assign(dffs.size(), kPrunedAway);
+    size_t next_dff = 0;
+    for (size_t i = 0; i < dffs.size(); ++i) {
+        const CellInst &cell = cells[dffs[i].cell];
+        if (plan.alias[dffs[i].q] != kNoNet) {
+            if (!takeAlias(dffs[i].q, cell.module))
+                return nullptr;
+            continue;
+        }
+        if (plan.dead[dffs[i].cell])
+            continue;
+        netMap[dffs[i].q] =
+            out->addDff(out->zero(), cell.module, dffs[i].init,
+                        cell.type == CellType::DFF_X2);
+        dffMap[i] = next_dff++;
+    }
+
+    // Combinational cells in plan (topological) order, so every
+    // kept cell's inputs and every alias already exist.
+    for (const auto &step : nl.planSteps()) {
+        const CellInst &cell = cells[step.cell];
+        if (plan.alias[cell.output] != kNoNet) {
+            if (!takeAlias(cell.output, cell.module))
+                return nullptr;
+            continue;
+        }
+        if (plan.dead[step.cell])
+            continue;
+        std::vector<NetId> ins;
+        ins.reserve(cell.inputs.size());
+        for (NetId in : cell.inputs) {
+            if (in == kNoNet || netMap[in] == kNoNet) {
+                err = strfmt("cell #%u reads an unmapped net",
+                             step.cell);
+                return nullptr;
+            }
+            ins.push_back(netMap[in]);
+        }
+        netMap[cell.output] = out->addCell(cell.type, ins, cell.module);
+    }
+
+    // Close the sequential feedback and the pad interface.
+    for (size_t i = 0; i < dffs.size(); ++i) {
+        if (dffMap[i] == kPrunedAway)
+            continue;
+        NetId d = netMap[dffs[i].d];
+        if (d == kNoNet) {
+            err = strfmt("surviving DFF %zu has an unmapped D cone", i);
+            return nullptr;
+        }
+        out->setDffInput(netMap[dffs[i].q], d);
+    }
+    for (const auto &[pad, net] : nl.primaryOutputs()) {
+        if (netMap[net] == kNoNet) {
+            err = strfmt("output '%s' has an unmapped net",
+                         pad.c_str());
+            return nullptr;
+        }
+        out->addOutput(pad, netMap[net]);
+    }
+
+    out->elaborate();
+    return out;
+}
+
+bool
+assertTies(CnfBuilder &cnf, const Netlist &nl,
+           const DataflowOptions &opts, const NetlistEncoding &enc,
+           std::string &err)
+{
+    for (const PadTie &tie : opts.ties) {
+        auto it = nl.primaryInputs().find(tie.input);
+        if (it == nl.primaryInputs().end()) {
+            err = strfmt("tie names unknown input '%s'",
+                         tie.input.c_str());
+            return false;
+        }
+        SatLit l = enc.lit(it->second);
+        cnf.assertLit(tie.value ? l : ~l);
+    }
+    return true;
+}
+
+EquivResult
+certifyRewrite(const Netlist &orig, const Netlist &rewritten,
+               const SeqInvariants &inv,
+               const std::vector<size_t> &dffMap,
+               const std::vector<NetId> &netMap,
+               const DataflowOptions &opts)
+{
+    EquivResult res;
+    if (!orig.elaborated() || !rewritten.elaborated()) {
+        res.detail = "certifyRewrite requires elaborated netlists";
+        return res;
+    }
+    auto odffs = orig.dffs();
+    if (dffMap.size() != odffs.size()) {
+        res.detail = "dffMap does not cover the original state";
+        return res;
+    }
+
+    // Induction base case: the power-on state satisfies every state
+    // claim.
+    for (const auto &c : inv.consts) {
+        if (c.value != odffs[c.index].init) {
+            res.detail = strfmt(
+                "constant state bit %s disagrees with its power-on "
+                "value (base case)",
+                orig.netName(odffs[c.index].q).c_str());
+            return res;
+        }
+    }
+    for (const auto &p : inv.pairs) {
+        if (odffs[p.drop].init != (odffs[p.keep].init != p.inverted)) {
+            res.detail = strfmt(
+                "pair %s/%s disagrees at power-on (base case)",
+                orig.netName(odffs[p.keep].q).c_str(),
+                orig.netName(odffs[p.drop].q).c_str());
+            return res;
+        }
+    }
+
+    SatSolver solver;
+    CnfBuilder cnf(solver);
+    NetlistEncodeOptions enc_opts;
+    enc_opts.mode = NetlistEncodeMode::Reference;
+    NetlistEncoding eo = encodeNetlist(cnf, orig, enc_opts);
+    if (!assertTies(cnf, orig, opts, eo, res.detail))
+        return res;
+
+    auto fail = [&](const std::string &who) {
+        res.hasCex = true;
+        res.cex = extractCex(solver, orig, eo);
+        res.cex.mismatched.push_back(who);
+        res.conflicts = solver.stats().conflicts;
+    };
+
+    // Induction step: assume the state claims on the current
+    // state...
+    for (const auto &c : inv.consts)
+        cnf.assertLit(c.value ? eo.dffQ[c.index]
+                              : ~eo.dffQ[c.index]);
+    for (const auto &p : inv.pairs)
+        cnf.bindEqual(eo.dffQ[p.drop],
+                      p.inverted ? ~eo.dffQ[p.keep]
+                                 : eo.dffQ[p.keep]);
+
+    // ...prove them on the next state, then every folded net equal
+    // to its rail in topological order (each proof hardens into a
+    // unit clause the later cones reuse).
+    for (const auto &c : inv.consts) {
+        if (!proveConst(cnf, eo.dffD[c.index], c.value,
+                        res.solves)) {
+            fail(orig.netName(odffs[c.index].q) +
+                 " (constant induction)");
+            return res;
+        }
+    }
+    for (const auto &p : inv.pairs) {
+        SatLit want = p.inverted ? ~eo.dffD[p.keep]
+                                 : eo.dffD[p.keep];
+        if (!proveEqual(cnf, eo.dffD[p.drop], want, res.solves)) {
+            fail(orig.netName(odffs[p.drop].q) +
+                 " (pair induction)");
+            return res;
+        }
+    }
+    for (const auto &c : inv.nets) {
+        if (!eo.hasLit(c.net))
+            continue;
+        if (!proveConst(cnf, eo.lit(c.net), c.value, res.solves)) {
+            fail(orig.netName(c.net) + " (constant fold)");
+            return res;
+        }
+    }
+
+    // Observable miter: pads shared by name, surviving state shared
+    // through the rewrite's DFF map.
+    NetlistEncoding er = encodeNetlist(cnf, rewritten, enc_opts);
+    for (const auto &[name, onet] : orig.primaryInputs()) {
+        auto it = rewritten.primaryInputs().find(name);
+        if (it == rewritten.primaryInputs().end()) {
+            res.detail = strfmt("rewritten netlist lost input '%s'",
+                                name.c_str());
+            return res;
+        }
+        cnf.bindEqual(eo.lit(onet), er.lit(it->second));
+    }
+    for (size_t i = 0; i < odffs.size(); ++i) {
+        if (dffMap[i] == kPrunedAway)
+            continue;
+        if (dffMap[i] >= rewritten.numDffs()) {
+            res.detail = "dffMap points past the rewritten state";
+            return res;
+        }
+        cnf.bindEqual(eo.dffQ[i], er.dffQ[dffMap[i]]);
+    }
+
+    // Interior sweep: prove original nets equal to their rewritten
+    // counterparts cone by cone, hardening as we go, so the
+    // observable proofs below are effectively local. Best effort: a
+    // failed interior proof only forfeits its hardening.
+    for (const auto &step : orig.planSteps()) {
+        NetId onet = orig.cells()[step.cell].output;
+        if (onet >= netMap.size() || netMap[onet] == kNoNet)
+            continue;
+        NetId rnet = netMap[onet];
+        if (eo.hasLit(onet) && er.hasLit(rnet))
+            proveEqual(cnf, eo.lit(onet), er.lit(rnet), res.solves);
+    }
+
+    for (const auto &[name, onet] : orig.primaryOutputs()) {
+        auto it = rewritten.primaryOutputs().find(name);
+        if (it == rewritten.primaryOutputs().end()) {
+            res.detail = strfmt("rewritten netlist lost output '%s'",
+                                name.c_str());
+            return res;
+        }
+        if (!proveEqual(cnf, eo.lit(onet), er.lit(it->second),
+                        res.solves)) {
+            fail(name);
+            return res;
+        }
+    }
+    for (size_t i = 0; i < odffs.size(); ++i) {
+        if (dffMap[i] == kPrunedAway)
+            continue;
+        if (!proveEqual(cnf, eo.dffD[i], er.dffD[dffMap[i]],
+                        res.solves)) {
+            fail(orig.netName(odffs[i].q) + " (next-state)");
+            return res;
+        }
+    }
+
+    res.proven = true;
+    res.conflicts = solver.stats().conflicts;
+    return res;
+}
+
+EquivResult
+certifyPrune(const Netlist &orig, const Netlist &pruned,
+             const DataflowResult &df,
+             const std::vector<size_t> &dffMap,
+             const std::vector<NetId> &netMap,
+             const DataflowOptions &opts)
+{
+    return certifyRewrite(orig, pruned, pruneClaims(orig, df), dffMap,
+                          netMap, opts);
+}
 
 PruneResult
 prune(const Netlist &nl, const DataflowOptions &opts, bool certify)
@@ -27,279 +335,50 @@ prune(const Netlist &nl, const DataflowOptions &opts, bool certify)
         return res;
     }
 
-    const auto &cells = nl.cells();
-    size_t num_nets = nl.numNets();
+    // Every constant net folds onto its rail (a tied pad included)
+    // and every cell outside the observable cones is dropped. The
+    // ascending analysis starts at the power-on state, so a constant
+    // DFF's value necessarily equals its init.
+    SeqInvariants claims = pruneClaims(nl, df);
+    RewritePlan plan(nl);
+    for (NetId n = 0; n < nl.numNets(); ++n)
+        if (df.netConst(n))
+            plan.alias[n] = df.netConstValue(n) ? nl.one() : nl.zero();
+    for (size_t i = 0; i < nl.numCells(); ++i)
+        plan.dead[i] = !df.liveCell[i];
     auto dffs = nl.dffs();
-
-    auto out = std::make_unique<Netlist>(nl.name() + "-pruned");
-    std::vector<NetId> net_map(num_nets, kNoNet);
-    net_map[nl.zero()] = out->zero();
-    net_map[nl.one()] = out->one();
-
-    // The pad interface survives verbatim; a tied pad's consumers
-    // read the rail instead (the pad itself stays, dangling).
-    for (const auto &[name, net] : nl.primaryInputs())
-        net_map[net] = out->addInput(name);
-    for (NetId n = 0; n < num_nets; ++n)
-        if (df.constVal[n] != Ternary::X)
-            net_map[n] = df.constVal[n] == Ternary::One
-                ? out->one() : out->zero();
-
-    // Surviving DFFs first (D wired after the comb cells exist).
-    // The ascending analysis starts at the power-on state, so a
-    // constant DFF's value necessarily equals its init.
-    res.dffMap.assign(dffs.size(), kPrunedAway);
-    size_t next_dff = 0;
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        bool is_const = df.constVal[dffs[i].q] != Ternary::X;
-        if (is_const &&
-            (df.constVal[dffs[i].q] == Ternary::One) !=
-                dffs[i].init)
+    for (const auto &c : claims.consts)
+        if (c.value != dffs[c.index].init)
             panic("prune: constant DFF disagrees with its init");
-        if (is_const) {
-            ++res.stats.constDffs;
-            continue;
-        }
-        if (!df.liveCell[dffs[i].cell])
-            continue;
-        bool x2 = cells[dffs[i].cell].type == CellType::DFF_X2;
-        NetId q = out->addDff(out->zero(),
-                              cells[dffs[i].cell].module,
-                              dffs[i].init, x2);
-        net_map[dffs[i].q] = q;
-        res.dffMap[i] = next_dff++;
-    }
-
-    // Surviving combinational cells, in plan (topological) order so
-    // every mapped input already exists.
-    for (const auto &step : nl.planSteps()) {
-        size_t i = step.cell;
-        const CellInst &cell = cells[i];
-        if (df.constVal[cell.output] != Ternary::X) {
-            ++res.stats.constCells;
-            continue;
-        }
-        if (!df.liveCell[i]) {
+    res.stats.constDffs = claims.consts.size();
+    res.stats.constCells = claims.nets.size();
+    for (const auto &step : nl.planSteps())
+        if (plan.alias[nl.cells()[step.cell].output] == kNoNet &&
+            plan.dead[step.cell])
             ++res.stats.deadCells;
-            continue;
-        }
-        std::vector<NetId> ins;
-        ins.reserve(cell.inputs.size());
-        for (NetId in : cell.inputs) {
-            if (in == kNoNet || net_map[in] == kNoNet) {
-                res.detail = strfmt(
-                    "live cell #%zu reads an unmapped net", i);
-                return res;
-            }
-            ins.push_back(net_map[in]);
-        }
-        net_map[cell.output] =
-            out->addCell(cell.type, ins, cell.module);
-    }
 
-    // Close the sequential feedback and the pad interface.
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        if (res.dffMap[i] == kPrunedAway)
-            continue;
-        NetId d = net_map[dffs[i].d];
-        if (d == kNoNet) {
-            res.detail = strfmt(
-                "surviving DFF %zu has an unmapped D cone", i);
-            return res;
-        }
-        out->setDffInput(net_map[dffs[i].q], d);
+    std::string err;
+    res.netlist = rebuild(nl, plan, nl.name() + "-pruned", res.dffMap,
+                          res.netMap, err);
+    if (!res.netlist) {
+        res.detail = err;
+        return res;
     }
-    for (const auto &[name, net] : nl.primaryOutputs()) {
-        if (net_map[net] == kNoNet) {
-            res.detail = strfmt("output '%s' has an unmapped net",
-                                name.c_str());
-            return res;
-        }
-        out->addOutput(name, net_map[net]);
-    }
-
-    out->elaborate();
 
     res.stats.cellsBefore = nl.numCells();
-    res.stats.cellsAfter = out->numCells();
+    res.stats.cellsAfter = res.netlist->numCells();
     res.stats.dffsBefore = dffs.size();
-    res.stats.dffsAfter = next_dff;
+    res.stats.dffsAfter = res.netlist->numDffs();
     res.stats.nand2AreaBefore = nl.totalNand2Area();
-    res.stats.nand2AreaAfter = out->totalNand2Area();
-
-    res.netlist = std::move(out);
-    res.netMap = std::move(net_map);
+    res.stats.nand2AreaAfter = res.netlist->totalNand2Area();
     res.ok = true;
 
     if (certify) {
-        res.certification = certifyPrune(nl, *res.netlist, df,
-                                         res.dffMap, res.netMap,
-                                         opts);
+        res.certification = certifyRewrite(nl, *res.netlist, claims,
+                                           res.dffMap, res.netMap,
+                                           opts);
         res.certified = res.certification.proven;
     }
-    return res;
-}
-
-EquivResult
-certifyPrune(const Netlist &orig, const Netlist &pruned,
-             const DataflowResult &df,
-             const std::vector<size_t> &dffMap,
-             const std::vector<NetId> &netMap,
-             const DataflowOptions &opts)
-{
-    EquivResult res;
-    if (!orig.elaborated() || !pruned.elaborated()) {
-        res.detail = "certifyPrune requires elaborated netlists";
-        return res;
-    }
-    auto odffs = orig.dffs();
-    auto pdffs = pruned.dffs();
-    if (dffMap.size() != odffs.size()) {
-        res.detail = "dffMap does not cover the original state";
-        return res;
-    }
-
-    SatSolver solver;
-    CnfBuilder cnf(solver);
-    NetlistEncodeOptions enc_opts;
-    enc_opts.mode = NetlistEncodeMode::Reference;
-    NetlistEncoding eo = encodeNetlist(cnf, orig, enc_opts);
-
-    auto fail = [&](const std::string &who) {
-        res.hasCex = true;
-        res.cex = extractCex(solver, orig, eo);
-        res.cex.mismatched.push_back(who);
-    };
-
-    // Environment: the tie assumptions hold on both sides (pads are
-    // shared below, so asserting them once on the original pins the
-    // pruned pads too).
-    for (const PadTie &tie : opts.ties) {
-        auto it = orig.primaryInputs().find(tie.input);
-        if (it == orig.primaryInputs().end()) {
-            res.detail = strfmt("tie names unknown input '%s'",
-                                tie.input.c_str());
-            return res;
-        }
-        SatLit l = eo.lit(it->second);
-        cnf.assertLit(tie.value ? l : ~l);
-    }
-
-    // Step 1a: pin the constant DFFs (the induction hypothesis) and
-    // check the base case against the power-on values.
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (df.constVal[odffs[i].q] == Ternary::X)
-            continue;
-        bool v = df.constVal[odffs[i].q] == Ternary::One;
-        if (v != odffs[i].init) {
-            res.detail = strfmt(
-                "constant state bit %s disagrees with its power-on "
-                "value (base case)",
-                orig.netName(odffs[i].q).c_str());
-            return res;
-        }
-        cnf.assertLit(v ? eo.dffQ[i] : ~eo.dffQ[i]);
-    }
-
-    // Step 1b: the inductive step — every constant DFF's captured
-    // next-state equals its constant under the pins.
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (df.constVal[odffs[i].q] == Ternary::X)
-            continue;
-        bool v = df.constVal[odffs[i].q] == Ternary::One;
-        if (!proveConst(cnf, eo.dffD[i], v, res.solves)) {
-            fail(orig.netName(odffs[i].q) + " (constant induction)");
-            res.conflicts = solver.stats().conflicts;
-            return res;
-        }
-    }
-
-    // Step 1c: every folded combinational net is proven equal to its
-    // rail, in topological order (each proof hardens into a unit
-    // clause the later cones reuse).
-    for (const auto &step : orig.planSteps()) {
-        NetId net = orig.cells()[step.cell].output;
-        if (df.constVal[net] == Ternary::X || !eo.hasLit(net))
-            continue;
-        bool v = df.constVal[net] == Ternary::One;
-        if (!proveConst(cnf, eo.lit(net), v, res.solves)) {
-            fail(orig.netName(net) + " (constant fold)");
-            res.conflicts = solver.stats().conflicts;
-            return res;
-        }
-    }
-
-    // Step 2: the observable miter. Pads shared by name, surviving
-    // state shared through the prune's DFF map.
-    NetlistEncoding ep = encodeNetlist(cnf, pruned, enc_opts);
-    for (const auto &[name, onet] : orig.primaryInputs()) {
-        auto it = pruned.primaryInputs().find(name);
-        if (it == pruned.primaryInputs().end()) {
-            res.detail = strfmt("pruned netlist lost input '%s'",
-                                name.c_str());
-            return res;
-        }
-        SatLit a = eo.lit(onet), b = ep.lit(it->second);
-        solver.addClause({~a, b});
-        solver.addClause({a, ~b});
-    }
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (dffMap[i] == kPrunedAway)
-            continue;
-        if (dffMap[i] >= pdffs.size()) {
-            res.detail = "dffMap points past the pruned state";
-            return res;
-        }
-        SatLit a = eo.dffQ[i], b = ep.dffQ[dffMap[i]];
-        solver.addClause({~a, b});
-        solver.addClause({a, ~b});
-    }
-
-    // Interior sweep: prove original nets equal to their pruned
-    // counterparts cone by cone, hardening as we go, so the
-    // observable proofs below are effectively local.
-    if (!netMap.empty()) {
-        for (const auto &step : orig.planSteps()) {
-            NetId onet = orig.cells()[step.cell].output;
-            if (onet >= netMap.size() || netMap[onet] == kNoNet)
-                continue;
-            NetId pnet = netMap[onet];
-            if (!eo.hasLit(onet) || !ep.hasLit(pnet))
-                continue;
-            // Best effort: a failed interior proof is not itself a
-            // certification failure (only observables are), it just
-            // forfeits the hardening.
-            proveEqual(cnf, eo.lit(onet), ep.lit(pnet), res.solves);
-        }
-    }
-
-    for (const auto &[name, onet] : orig.primaryOutputs()) {
-        auto it = pruned.primaryOutputs().find(name);
-        if (it == pruned.primaryOutputs().end()) {
-            res.detail = strfmt("pruned netlist lost output '%s'",
-                                name.c_str());
-            return res;
-        }
-        if (!proveEqual(cnf, eo.lit(onet), ep.lit(it->second),
-                        res.solves)) {
-            fail(name);
-            res.conflicts = solver.stats().conflicts;
-            return res;
-        }
-    }
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (dffMap[i] == kPrunedAway)
-            continue;
-        if (!proveEqual(cnf, eo.dffD[i], ep.dffD[dffMap[i]],
-                        res.solves)) {
-            fail(orig.netName(odffs[i].q) + " (next-state)");
-            res.conflicts = solver.stats().conflicts;
-            return res;
-        }
-    }
-
-    res.proven = true;
-    res.conflicts = solver.stats().conflicts;
     return res;
 }
 

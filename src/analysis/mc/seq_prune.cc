@@ -1,7 +1,6 @@
 #include "seq_prune.hh"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "analysis/cnf_encoder.hh"
@@ -31,46 +30,15 @@ struct Rng
     bool bit() { return (next() >> 33) & 1; }
 };
 
-bool
-assertTies(CnfBuilder &cnf, const Netlist &nl,
-           const DataflowOptions &opts, const NetlistEncoding &enc,
-           std::string *err)
-{
-    for (const PadTie &tie : opts.ties) {
-        auto it = nl.primaryInputs().find(tie.input);
-        if (it == nl.primaryInputs().end()) {
-            if (err)
-                *err = strfmt("tie names unknown input '%s'",
-                              tie.input.c_str());
-            return false;
-        }
-        SatLit l = enc.lit(it->second);
-        cnf.assertLit(tie.value ? l : ~l);
-    }
-    return true;
-}
-
-/** What the merge stage will do to each net of the stage-1 netlist. */
-struct MergePlan
-{
-    /** Class leader this net's value is taken from; kNoNet keeps
-     *  the net's own driver. */
-    std::vector<NetId> repNet;
-    /** This net keeps its identity but its driver is rewritten to
-     *  INV_X1(repNet) — the class's anti-polarity keeper. */
-    std::vector<uint8_t> toInv;
-    SeqInvariants inv;
-};
-
 /**
  * Universal net-equivalence sweep: 64-sample random signatures over
  * free state and inputs nominate candidate classes; SAT proofs
- * (under the tie environment) make them real. Populates
- * plan.repNet / plan.toInv.
+ * (under the tie environment) make them real. Each member whose
+ * driver goes takes an alias in @p plan.
  */
 void
 universalSweep(const Netlist &nl, const SeqPruneOptions &opts,
-               MergePlan &plan, SeqMergeStats &stats,
+               RewritePlan &plan, SeqMergeStats &stats,
                uint64_t &solves)
 {
     size_t num_nets = nl.numNets();
@@ -129,7 +97,7 @@ universalSweep(const Netlist &nl, const SeqPruneOptions &opts,
     enc_opts.mode = NetlistEncodeMode::Reference;
     NetlistEncoding enc = encodeNetlist(cnf, nl, enc_opts);
     std::string err;
-    if (!assertTies(cnf, nl, opts.dataflow, enc, &err))
+    if (!assertTies(cnf, nl, opts.dataflow, enc, err))
         panic("universalSweep: %s", err.c_str());
 
     struct Class
@@ -160,10 +128,10 @@ universalSweep(const Netlist &nl, const SeqPruneOptions &opts,
                 if (driver[m] < 0)
                     break;   // pads / state can't drop drivers
                 if (!anti) {
-                    plan.repNet[m] = cls.leader;
+                    plan.alias[m] = cls.leader;
                     ++stats.mergedNets;
                 } else if (cls.antiKeeper != kNoNet) {
-                    plan.repNet[m] = cls.antiKeeper;
+                    plan.alias[m] = cls.antiKeeper;
                     ++stats.mergedNets;
                 } else {
                     // First anti member: it becomes the class's
@@ -172,8 +140,8 @@ universalSweep(const Netlist &nl, const SeqPruneOptions &opts,
                     cls.antiKeeper = m;
                     if (cells[driver[m]].type != CellType::INV_X1 &&
                         cells[driver[m]].type != CellType::INV_X2) {
-                        plan.repNet[m] = cls.leader;
-                        plan.toInv[m] = 1;
+                        plan.alias[m] = cls.leader;
+                        plan.inverted[m] = 1;
                         ++stats.invDrivers;
                     }
                 }
@@ -272,7 +240,7 @@ discoverInvariants(const Netlist &nl, const SeqPruneOptions &opts,
     enc_opts.mode = NetlistEncodeMode::Reference;
     NetlistEncoding enc = encodeNetlist(cnf, nl, enc_opts);
     std::string err;
-    if (!assertTies(cnf, nl, opts.dataflow, enc, &err))
+    if (!assertTies(cnf, nl, opts.dataflow, enc, err))
         panic("discoverInvariants: %s", err.c_str());
 
     std::vector<SatLit> const_act(const_cands.size());
@@ -352,284 +320,7 @@ discoverInvariants(const Netlist &nl, const SeqPruneOptions &opts,
     return inv;
 }
 
-/**
- * Rebuild the netlist with the merge applied: class members read
- * their leader (through the INV keeper for anti polarity), constant
- * DFFs become rails, pair drops alias the surviving register. The
- * stage-3 prune() sweeps the dead cones this leaves behind.
- */
-std::unique_ptr<Netlist>
-applyMerge(const Netlist &nl, const MergePlan &plan,
-           std::vector<size_t> &dff_map, std::vector<NetId> &net_map,
-           SeqMergeStats &stats, std::string *err)
-{
-    const auto &cells = nl.cells();
-    auto dffs = nl.dffs();
-    size_t num_nets = nl.numNets();
-
-    auto out = std::make_unique<Netlist>(nl.name() + "-seq");
-    net_map.assign(num_nets, kNoNet);
-    net_map[nl.zero()] = out->zero();
-    net_map[nl.one()] = out->one();
-    for (const auto &[name, net] : nl.primaryInputs())
-        net_map[net] = out->addInput(name);
-
-    std::vector<int8_t> const_val(dffs.size(), -1);
-    for (const auto &c : plan.inv.consts)
-        const_val[c.index] = c.value;
-    std::vector<ptrdiff_t> pair_keep(dffs.size(), -1);
-    std::vector<uint8_t> pair_inv(dffs.size(), 0);
-    for (const auto &p : plan.inv.pairs) {
-        pair_keep[p.drop] = static_cast<ptrdiff_t>(p.keep);
-        pair_inv[p.drop] = p.inverted;
-    }
-
-    dff_map.assign(dffs.size(), kPrunedAway);
-    size_t next_dff = 0;
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        if (const_val[i] >= 0) {
-            net_map[dffs[i].q] =
-                const_val[i] ? out->one() : out->zero();
-            ++stats.constDffs;
-            continue;
-        }
-        if (pair_keep[i] >= 0) {
-            NetId keep_q = net_map[dffs[pair_keep[i]].q];
-            if (keep_q == kNoNet) {
-                *err = strfmt("pair keeper %zu unmapped",
-                              static_cast<size_t>(pair_keep[i]));
-                return nullptr;
-            }
-            net_map[dffs[i].q] =
-                pair_inv[i]
-                    ? out->addCell(CellType::INV_X1, {keep_q},
-                                   cells[dffs[i].cell].module)
-                    : keep_q;
-            ++stats.pairDffs;
-            continue;
-        }
-        bool x2 = cells[dffs[i].cell].type == CellType::DFF_X2;
-        NetId q = out->addDff(out->zero(),
-                              cells[dffs[i].cell].module,
-                              dffs[i].init, x2);
-        net_map[dffs[i].q] = q;
-        dff_map[i] = next_dff++;
-    }
-
-    for (const auto &step : nl.planSteps()) {
-        const CellInst &cell = cells[step.cell];
-        NetId m = cell.output;
-        if (plan.repNet[m] != kNoNet && !plan.toInv[m]) {
-            net_map[m] = net_map[plan.repNet[m]];
-            if (net_map[m] == kNoNet) {
-                *err = strfmt("merge leader of %s unmapped",
-                              nl.netName(m).c_str());
-                return nullptr;
-            }
-            continue;
-        }
-        if (plan.toInv[m]) {
-            NetId rep = net_map[plan.repNet[m]];
-            if (rep == kNoNet) {
-                *err = strfmt("merge leader of %s unmapped",
-                              nl.netName(m).c_str());
-                return nullptr;
-            }
-            net_map[m] = out->addCell(CellType::INV_X1, {rep},
-                                      cell.module);
-            continue;
-        }
-        std::vector<NetId> ins;
-        ins.reserve(cell.inputs.size());
-        for (NetId in : cell.inputs) {
-            if (in == kNoNet || net_map[in] == kNoNet) {
-                *err = strfmt("cell #%u reads an unmapped net",
-                              step.cell);
-                return nullptr;
-            }
-            ins.push_back(net_map[in]);
-        }
-        net_map[m] = out->addCell(cell.type, ins, cell.module);
-    }
-
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        if (dff_map[i] == kPrunedAway)
-            continue;
-        NetId d = net_map[dffs[i].d];
-        if (d == kNoNet) {
-            *err = strfmt("surviving DFF %zu has an unmapped D "
-                          "cone", i);
-            return nullptr;
-        }
-        out->setDffInput(net_map[dffs[i].q], d);
-    }
-    for (const auto &[name, net] : nl.primaryOutputs()) {
-        if (net_map[net] == kNoNet) {
-            *err = strfmt("output '%s' has an unmapped net",
-                          name.c_str());
-            return nullptr;
-        }
-        out->addOutput(name, net_map[net]);
-    }
-
-    out->elaborate();
-    return out;
-}
-
 } // namespace
-
-EquivResult
-certifySeqPrune(const Netlist &orig, const Netlist &merged,
-                const SeqInvariants &inv,
-                const std::vector<size_t> &dffMap,
-                const std::vector<NetId> &netMap,
-                const std::vector<uint8_t> &netInv,
-                const DataflowOptions &opts)
-{
-    EquivResult res;
-    if (!orig.elaborated() || !merged.elaborated()) {
-        res.detail = "certifySeqPrune requires elaborated netlists";
-        return res;
-    }
-    auto odffs = orig.dffs();
-    auto mdffs = merged.dffs();
-    if (dffMap.size() != odffs.size()) {
-        res.detail = "dffMap does not cover the original state";
-        return res;
-    }
-
-    // Induction base case: the power-on state satisfies every
-    // invariant the merge relies on.
-    for (const auto &c : inv.consts) {
-        if (c.value != odffs[c.index].init) {
-            res.detail = strfmt(
-                "constant state bit %s disagrees with its power-on "
-                "value (base case)",
-                orig.netName(odffs[c.index].q).c_str());
-            return res;
-        }
-    }
-    for (const auto &p : inv.pairs) {
-        bool want = p.inverted ? !odffs[p.keep].init
-                               : odffs[p.keep].init;
-        if (odffs[p.drop].init != want) {
-            res.detail = strfmt(
-                "pair %s/%s disagrees at power-on (base case)",
-                orig.netName(odffs[p.keep].q).c_str(),
-                orig.netName(odffs[p.drop].q).c_str());
-            return res;
-        }
-    }
-
-    SatSolver solver;
-    CnfBuilder cnf(solver);
-    NetlistEncodeOptions enc_opts;
-    enc_opts.mode = NetlistEncodeMode::Reference;
-    NetlistEncoding eo = encodeNetlist(cnf, orig, enc_opts);
-    if (!assertTies(cnf, orig, opts, eo, &res.detail))
-        return res;
-
-    auto fail = [&](const std::string &who) {
-        res.hasCex = true;
-        res.cex = extractCex(solver, orig, eo);
-        res.cex.mismatched.push_back(who);
-        res.conflicts = solver.stats().conflicts;
-    };
-
-    // Assume the invariants on the current state...
-    for (const auto &c : inv.consts)
-        cnf.assertLit(c.value ? eo.dffQ[c.index]
-                              : ~eo.dffQ[c.index]);
-    for (const auto &p : inv.pairs)
-        cnf.bindEqual(eo.dffQ[p.drop],
-                      p.inverted ? ~eo.dffQ[p.keep]
-                                 : eo.dffQ[p.keep]);
-
-    // ...and prove them on the next state (the induction step).
-    for (const auto &c : inv.consts) {
-        if (!proveConst(cnf, eo.dffD[c.index], c.value,
-                        res.solves)) {
-            fail(orig.netName(odffs[c.index].q) +
-                 " (constant induction)");
-            return res;
-        }
-    }
-    for (const auto &p : inv.pairs) {
-        SatLit want = p.inverted ? ~eo.dffD[p.keep]
-                                 : eo.dffD[p.keep];
-        if (!proveEqual(cnf, eo.dffD[p.drop], want, res.solves)) {
-            fail(orig.netName(odffs[p.drop].q) +
-                 " (pair induction)");
-            return res;
-        }
-    }
-
-    // Observable miter: pads shared by name, surviving state shared
-    // through the merge's DFF map.
-    NetlistEncoding em = encodeNetlist(cnf, merged, enc_opts);
-    for (const auto &[name, onet] : orig.primaryInputs()) {
-        auto it = merged.primaryInputs().find(name);
-        if (it == merged.primaryInputs().end()) {
-            res.detail = strfmt("merged netlist lost input '%s'",
-                                name.c_str());
-            return res;
-        }
-        cnf.bindEqual(eo.lit(onet), em.lit(it->second));
-    }
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (dffMap[i] == kPrunedAway)
-            continue;
-        if (dffMap[i] >= mdffs.size()) {
-            res.detail = "dffMap points past the merged state";
-            return res;
-        }
-        cnf.bindEqual(eo.dffQ[i], em.dffQ[dffMap[i]]);
-    }
-
-    // Interior sweep (best effort, with polarity): harden original
-    // nets onto their merged counterparts cone by cone.
-    if (!netMap.empty()) {
-        for (const auto &step : orig.planSteps()) {
-            NetId onet = orig.cells()[step.cell].output;
-            if (onet >= netMap.size() || netMap[onet] == kNoNet)
-                continue;
-            NetId mnet = netMap[onet];
-            if (!eo.hasLit(onet) || !em.hasLit(mnet))
-                continue;
-            SatLit b = em.lit(mnet);
-            if (onet < netInv.size() && netInv[onet])
-                b = ~b;
-            proveEqual(cnf, eo.lit(onet), b, res.solves);
-        }
-    }
-
-    for (const auto &[name, onet] : orig.primaryOutputs()) {
-        auto it = merged.primaryOutputs().find(name);
-        if (it == merged.primaryOutputs().end()) {
-            res.detail = strfmt("merged netlist lost output '%s'",
-                                name.c_str());
-            return res;
-        }
-        if (!proveEqual(cnf, eo.lit(onet), em.lit(it->second),
-                        res.solves)) {
-            fail(name);
-            return res;
-        }
-    }
-    for (size_t i = 0; i < odffs.size(); ++i) {
-        if (dffMap[i] == kPrunedAway)
-            continue;
-        if (!proveEqual(cnf, eo.dffD[i], em.dffD[dffMap[i]],
-                        res.solves)) {
-            fail(orig.netName(odffs[i].q) + " (next-state)");
-            return res;
-        }
-    }
-
-    res.proven = true;
-    res.conflicts = solver.stats().conflicts;
-    return res;
-}
 
 SeqPruneResult
 seqPrune(const Netlist &nl, const SeqPruneOptions &opts)
@@ -656,30 +347,36 @@ seqPrune(const Netlist &nl, const SeqPruneOptions &opts)
     uint64_t solves = p1.certification.solves;
     uint64_t conflicts = p1.certification.conflicts;
 
-    // Stage 2: sequential merge.
+    // Stage 2: sequential merge. Swept members alias their class
+    // leader or keeper; constant DFFs alias their rail and pair
+    // drops their keeper (through an INV_X1 when inverted).
     const Netlist &base = *p1.netlist;
-    MergePlan plan;
-    plan.repNet.assign(base.numNets(), kNoNet);
-    plan.toInv.assign(base.numNets(), 0);
+    RewritePlan plan(base);
     universalSweep(base, opts, plan, res.seq, solves);
-    plan.inv = discoverInvariants(base, opts, solves);
-    res.invariants = plan.inv;
+    res.invariants = discoverInvariants(base, opts, solves);
+    auto dffs = base.dffs();
+    for (const auto &c : res.invariants.consts)
+        plan.alias[dffs[c.index].q] = c.value ? base.one() : base.zero();
+    for (const auto &p : res.invariants.pairs) {
+        plan.alias[dffs[p.drop].q] = dffs[p.keep].q;
+        plan.inverted[dffs[p.drop].q] = p.inverted;
+    }
+    res.seq.constDffs = res.invariants.consts.size();
+    res.seq.pairDffs = res.invariants.pairs.size();
 
     std::vector<size_t> dff_map2;
     std::vector<NetId> net_map2;
     std::string err;
-    auto merged = applyMerge(base, plan, dff_map2, net_map2,
-                             res.seq, &err);
+    auto merged = rebuild(base, plan, base.name() + "-seq", dff_map2,
+                          net_map2, err);
     if (!merged) {
-        res.detail = strfmt("merge rebuild failed: %s",
-                            err.c_str());
+        res.detail = strfmt("merge rebuild failed: %s", err.c_str());
         return res;
     }
-    std::vector<uint8_t> net_inv2(base.numNets(), 0);
     if (opts.certify) {
-        EquivResult cert = certifySeqPrune(base, *merged, plan.inv,
-                                           dff_map2, net_map2,
-                                           net_inv2, opts.dataflow);
+        EquivResult cert = certifyRewrite(base, *merged, res.invariants,
+                                          dff_map2, net_map2,
+                                          opts.dataflow);
         solves += cert.solves;
         conflicts += cert.conflicts;
         if (!cert.proven) {
@@ -720,7 +417,6 @@ seqPrune(const Netlist &nl, const SeqPruneOptions &opts)
         res.dffMap[i] = p2.dffMap[b];
     }
     res.netMap.assign(nl.numNets(), kNoNet);
-    res.netInv.assign(nl.numNets(), 0);
     for (NetId n = 0; n < nl.numNets(); ++n) {
         NetId a = p1.netMap[n];
         if (a == kNoNet)

@@ -36,14 +36,15 @@
  *  3. prune() again — the merge leaves dead D cones and unread
  *     drivers behind; the ternary engine sweeps them up.
  *
- * Every stage is SAT-certified: the two prune() calls by
- * certifyPrune(), the merge by certifySeqPrune() — an invariant-
- * aware observable miter that first discharges the state invariants
- * by induction (base case against power-on values, step case under
- * the invariant assumptions), then proves primary outputs and every
- * surviving DFF's next-state equal with the invariants asserted,
- * interior-sweeping the net map (with polarity) for incremental
- * hardening. A failed proof carries a replayable counterexample.
+ * Every stage is one rebuild() and one certifyRewrite()
+ * (analysis/dataflow/prune.hh). The merge fills the rebuild plan
+ * from the sweep's classes and the invariants, and its
+ * certification first proves the invariants by induction (base case
+ * against power-on values, step case under the invariant
+ * assumptions), then proves primary outputs and every surviving
+ * DFF's next-state equal with the invariants asserted,
+ * interior-sweeping the net map for incremental hardening. A failed
+ * proof carries a replayable counterexample.
  */
 
 #ifndef FLEXI_ANALYSIS_MC_SEQ_PRUNE_HH
@@ -57,26 +58,6 @@
 
 namespace flexi
 {
-
-/** Inductive state invariants the merge relies on. */
-struct SeqInvariants
-{
-    struct ConstDff
-    {
-        size_t index;   ///< DFF commit index
-        bool value;     ///< == init; proven never to change
-    };
-    struct PairDff
-    {
-        size_t keep;      ///< surviving DFF (commit index)
-        size_t drop;      ///< redundant DFF, folded onto keep
-        bool inverted;    ///< drop == ~keep in every reachable state
-    };
-    std::vector<ConstDff> consts;
-    std::vector<PairDff> pairs;
-
-    bool empty() const { return consts.empty() && pairs.empty(); }
-};
 
 struct SeqPruneOptions
 {
@@ -111,14 +92,15 @@ struct SeqPruneResult
     /** Original -> ternary-only prune (the PR-6 baseline). */
     PruneStats baseline;
     SeqMergeStats seq;
+    /** The merge's invariants; their DFF indices are commit indices
+     *  of the stage-1 (ternary-pruned) netlist. */
     SeqInvariants invariants;
 
     /** Original DFF index -> final index (composed over stages). */
     std::vector<size_t> dffMap;
-    /** Original net -> final net; kNoNet when swept away. */
+    /** Original net -> final net (same value); kNoNet when swept
+     *  away. */
     std::vector<NetId> netMap;
-    /** Parallel to netMap: final net carries the inverted value. */
-    std::vector<uint8_t> netInv;
 
     /** All three stage certifications proved. */
     bool certified = false;
@@ -132,23 +114,6 @@ struct SeqPruneResult
  */
 SeqPruneResult seqPrune(const Netlist &nl,
                         const SeqPruneOptions &opts = {});
-
-/**
- * Discharge a merge: induction on @p inv (base case against
- * power-on values, step case under the invariant assumptions), then
- * the observable miter between @p orig and @p merged with the
- * invariants asserted. @p dffMap maps orig DFF indices to merged
- * ones (kPrunedAway for folded state); @p netMap / @p netInv map
- * orig nets to merged nets with polarity. Exposed so tests can
- * certify tampered merges and exercise the counterexample path.
- */
-EquivResult certifySeqPrune(const Netlist &orig,
-                            const Netlist &merged,
-                            const SeqInvariants &inv,
-                            const std::vector<size_t> &dffMap,
-                            const std::vector<NetId> &netMap,
-                            const std::vector<uint8_t> &netInv,
-                            const DataflowOptions &opts = {});
 
 } // namespace flexi
 

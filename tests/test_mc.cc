@@ -6,7 +6,7 @@
  * of the watchdog and MMU page
  * invariants on all four shipped cores, the sequential reset-
  * coverage refinement, and the certified sequential prune with its
- * tamper check.
+ * inverted-pair fold and tamper checks.
  */
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "analysis/mc/seq_prune.hh"
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/kernels.hh"
 #include "netlist/builder.hh"
@@ -950,8 +951,8 @@ TEST(SeqPrune, TamperedInvariantsFailCertification)
 
     // The untampered arguments re-certify standalone.
     EquivResult good =
-        certifySeqPrune(*nl, *sp.netlist, sp.invariants, sp.dffMap,
-                        sp.netMap, sp.netInv);
+        certifyRewrite(*nl, *sp.netlist, sp.invariants, sp.dffMap,
+                       sp.netMap);
     EXPECT_TRUE(good.proven) << good.detail;
 
     // Claiming a register constant when it can change must be
@@ -961,8 +962,8 @@ TEST(SeqPrune, TamperedInvariantsFailCertification)
     size_t keeper = sp.invariants.pairs[0].keep;
     overclaim.consts.push_back({keeper, nl->dffs()[keeper].init});
     EquivResult step =
-        certifySeqPrune(*nl, *sp.netlist, overclaim, sp.dffMap,
-                        sp.netMap, sp.netInv);
+        certifyRewrite(*nl, *sp.netlist, overclaim, sp.dffMap,
+                       sp.netMap);
     EXPECT_FALSE(step.proven);
 
     // A pair claimed with the wrong polarity already contradicts
@@ -970,10 +971,104 @@ TEST(SeqPrune, TamperedInvariantsFailCertification)
     SeqInvariants flipped = sp.invariants;
     flipped.pairs[0].inverted = !flipped.pairs[0].inverted;
     EquivResult base =
-        certifySeqPrune(*nl, *sp.netlist, flipped, sp.dffMap,
-                        sp.netMap, sp.netInv);
+        certifyRewrite(*nl, *sp.netlist, flipped, sp.dffMap,
+                       sp.netMap);
     EXPECT_FALSE(base.proven);
     EXPECT_FALSE(base.detail.empty());
+}
+
+/**
+ * A constant-0 DFF fed by AND(x, ~x), and a register pair with
+ * q2 == ~q1 in every reachable state: q1 reloads NAND(in, q1) from 0
+ * and q2 reloads AND(in, ~q2) from 1. Output b reads q2, so once q2
+ * is folded onto q1 it must read q1 through an INV_X1.
+ */
+std::unique_ptr<Netlist>
+buildInvertedPairFixture()
+{
+    auto nl = std::make_unique<Netlist>("invpair");
+    Builder b(*nl, "m");
+    NetId x = nl->addInput("x");
+    NetId in = nl->addInput("in");
+    NetId qc = nl->addDff(b.and2(x, b.inv(x)), "m", false);
+    NetId q1 = nl->addDff(nl->zero(), "m", false);
+    NetId q2 = nl->addDff(nl->zero(), "m", true);
+    nl->setDffInput(q1, b.nand2(in, q1));
+    nl->setDffInput(q2, b.and2(in, b.inv(q2)));
+    nl->addOutput("a", q1);
+    nl->addOutput("b", b.nand2(q2, in));
+    nl->addOutput("c", b.nand2(qc, in));
+    nl->elaborate();
+    return nl;
+}
+
+TEST(SeqPrune, FoldsAnInvertedRegisterPair)
+{
+    auto nl = buildInvertedPairFixture();
+    SeqPruneResult sp = seqPrune(*nl);
+    ASSERT_TRUE(sp.ok) << sp.detail;
+    EXPECT_TRUE(sp.certified) << sp.certification.detail;
+    ASSERT_EQ(sp.invariants.consts.size(), 1u);
+    EXPECT_FALSE(sp.invariants.consts[0].value);
+    ASSERT_EQ(sp.invariants.pairs.size(), 1u);
+    EXPECT_TRUE(sp.invariants.pairs[0].inverted);
+    EXPECT_EQ(sp.seq.constDffs, 1u);
+    EXPECT_EQ(sp.seq.pairDffs, 1u);
+    ASSERT_EQ(sp.stats.dffsAfter, 1u);
+
+    // The folded half is read through an INV_X1 off the survivor.
+    NetId q = sp.netlist->dffs()[0].q;
+    bool inverted_read = false;
+    for (const CellInst &cell : sp.netlist->cells())
+        if (cell.type == CellType::INV_X1 && cell.inputs[0] == q)
+            inverted_read = true;
+    EXPECT_TRUE(inverted_read);
+
+    // Both netlists agree on every output from power-on.
+    auto orig = nl->clone();
+    auto folded = sp.netlist->clone();
+    orig->reset();
+    folded->reset();
+    Rng rng(7);
+    for (int cycle = 0; cycle < 64; ++cycle) {
+        for (const char *pad : {"x", "in"}) {
+            bool v = rng.chance(0.5);
+            orig->setInput(pad, v);
+            folded->setInput(pad, v);
+        }
+        orig->evaluate();
+        folded->evaluate();
+        for (const char *out : {"a", "b", "c"})
+            ASSERT_EQ(folded->output(out), orig->output(out))
+                << out << " at cycle " << cycle;
+        orig->clockEdge();
+        folded->clockEdge();
+    }
+}
+
+TEST(SeqPrune, TamperedMergeYieldsReplayableCounterexample)
+{
+    // A rebuild that aliases a live net to a net it does not equal
+    // must be refuted, and the counterexample must reproduce in
+    // plain simulation.
+    auto nl = buildSeqRedundantFixture();
+    RewritePlan plan(*nl);
+    plan.alias[nl->primaryOutputs().at("y")] = nl->dffs()[1].q;
+    std::vector<size_t> dff_map;
+    std::vector<NetId> net_map;
+    std::string err;
+    auto tampered =
+        rebuild(*nl, plan, "tampered", dff_map, net_map, err);
+    ASSERT_NE(tampered, nullptr) << err;
+
+    EquivResult res =
+        certifyRewrite(*nl, *tampered, {}, dff_map, net_map);
+    EXPECT_FALSE(res.proven);
+    ASSERT_TRUE(res.hasCex);
+
+    std::string what;
+    EXPECT_TRUE(replayPruneCex(*nl, *tampered, dff_map, res.cex, &what));
+    EXPECT_NE(what.find("y"), std::string::npos) << what;
 }
 
 } // namespace
