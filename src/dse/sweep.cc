@@ -1,8 +1,7 @@
 #include "sweep.hh"
 
 #include "analysis/dataflow/struct_hash.hh"
-#include "analysis/mc/bmc.hh"
-#include "analysis/mc/property.hh"
+#include "analysis/mc/mc_lint.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "dse/area_model.hh"
@@ -109,51 +108,29 @@ runSweep(const SweepConfig &cfg)
     // Sequential property gate, next to the static timing gate: the
     // base core netlist behind each operand model must satisfy
     // every configured property. The verdict depends only on the
-    // operand model, so it is computed once and shared by every
-    // point that uses that core. Empty verdict = all properties
-    // hold (or none configured).
+    // operand model, so it is computed once, by one mcLint() call
+    // (k-induction with a BMC fallback, both at propertyDepth), and
+    // shared by every point that uses that core. The verdict is the
+    // first error or sequential x-after-reset finding; empty = all
+    // properties hold (or none configured).
     std::map<OperandModel, std::string> prop_verdicts;
     auto propertyFailure =
         [&](OperandModel om) -> const std::string & {
         auto it = prop_verdicts.find(om);
         if (it != prop_verdicts.end())
             return it->second;
-        std::string fail;
         auto nl = om == OperandModel::LoadStore
                       ? buildLoadStore4Netlist()
                       : buildExtAcc4Netlist();
-        McModel model;
-        for (const std::string &spec : cfg.properties) {
-            McProperty p;
-            std::string err;
-            if (!parsePropertySpec(spec, p, &err)) {
-                fail = strfmt("'%s': %s", spec.c_str(),
-                              err.c_str());
-                break;
-            }
-            std::string invalid = validateProperty(*nl, model, p);
-            if (!invalid.empty()) {
-                fail = strfmt("'%s': %s", spec.c_str(),
-                              invalid.c_str());
-                break;
-            }
-            if (p.kind == McProperty::Kind::XFree) {
-                SeqResetCoverageResult cov =
-                    seqResetCoverage(*nl, model, p.param);
-                if (!cov.ok) {
-                    fail = strfmt("'%s': %s", spec.c_str(),
-                                  cov.detail.c_str());
-                    break;
-                }
-                continue;
-            }
-            McResult r = checkInduction(*nl, model, p,
-                                        cfg.propertyDepth);
-            if (r.status == McStatus::Unknown)
-                r = checkBmc(*nl, model, p, cfg.propertyDepth);
-            if (r.status == McStatus::Falsified ||
-                r.status == McStatus::Invalid) {
-                fail = r.detail;
+        McLintOptions lint;
+        lint.bmcDepth = lint.inductDepth = cfg.propertyDepth;
+        lint.props = cfg.properties;
+        McLintOutcome out = mcLint(*nl, lint);
+        std::string fail;
+        for (const Diagnostic &d : out.report.diagnostics()) {
+            if (d.severity == Severity::Error ||
+                d.rule == "x-after-reset-seq") {
+                fail = d.message;
                 break;
             }
         }

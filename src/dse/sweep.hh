@@ -94,12 +94,12 @@ struct SweepConfig
     SweepCache *cache = nullptr;
     /**
      * Sequential properties (the flexilint --prop grammar) every
-     * point's base core netlist must satisfy, checked by
-     * k-induction with a BMC fallback before any simulation. A
-     * falsified or inapplicable property rejects the point next to
-     * the static timing gate. Like vddOperating, the list is not
-     * part of the cache key: it gates which points are simulated,
-     * never their metrics.
+     * point's base core netlist must satisfy, checked by one
+     * mcLint() call per core (k-induction with a BMC fallback)
+     * before any simulation. A falsified or inapplicable property
+     * rejects the point next to the static timing gate. Like
+     * vddOperating, the list is not part of the cache key: it gates
+     * which points are simulated, never their metrics.
      */
     std::vector<std::string> properties;
     /** Induction k / BMC bound for the property gate. */
@@ -115,8 +115,9 @@ struct RejectedPoint
 {
     DesignPoint point;
     StaticTimingCheck timing;
-    /** Set when the property gate rejected the point: the failing
-     *  spec's verdict. Empty for static-timing rejections. */
+    /** Set when the property gate rejected the point: the message
+     *  of the first failing spec's finding. Empty for static-timing
+     *  rejections. */
     std::string property;
 };
 
