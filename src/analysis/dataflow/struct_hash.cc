@@ -136,8 +136,17 @@ hashCellFrom(const CellInst &cell, const std::vector<uint64_t> &h)
         ins[k] = (n != kNoNet && n < h.size()) ? h[n]
                                                : mix64(kTagFree);
     }
-    if (symmetricInputs(cell.type))
-        std::sort(ins, ins + arity);
+    if (symmetricInputs(cell.type)) {
+        // Three compare-and-swaps sort up to three entries (and
+        // keep std::sort's 16-entry insertion sort off the array).
+        auto order = [&](size_t a, size_t b) {
+            if (b < arity && ins[b] < ins[a])
+                std::swap(ins[a], ins[b]);
+        };
+        order(0, 1);
+        order(1, 2);
+        order(0, 1);
+    }
     uint64_t v = mix2(kTagCell,
                       static_cast<uint64_t>(cell.type) * 251 + arity);
     for (size_t k = 0; k < arity; ++k)
