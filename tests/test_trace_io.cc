@@ -1,15 +1,11 @@
 /**
  * @file
- * Tests for the execution tracer and the binary program-image
- * container.
+ * Tests for the execution tracer.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "assembler/assembler.hh"
-#include "assembler/program_io.hh"
 #include "common/logging.hh"
 #include "kernels/kernels.hh"
 #include "sim/core_sim.hh"
@@ -86,104 +82,6 @@ TEST(Trace, SinkBeforeProgramFails)
 {
     FlexiChip chip(IsaKind::FlexiCore4);
     EXPECT_THROW(chip.setTraceSink(TraceBuffer().sink()), FatalError);
-}
-
-// ---------------------------------------------------------------
-// Program images
-// ---------------------------------------------------------------
-
-TEST(ProgramIo, RoundTripSinglePage)
-{
-    Program p = assemble(IsaKind::FlexiCore4,
-                         "load r0\naddi 3\nstore r1\nx: nandi 0\n"
-                         "br x\n");
-    std::stringstream buf;
-    saveProgram(p, buf);
-    Program q = loadProgram(buf);
-    EXPECT_EQ(q.isa(), IsaKind::FlexiCore4);
-    ASSERT_EQ(q.numPages(), 1u);
-    EXPECT_EQ(q.page(0), p.page(0));
-    EXPECT_EQ(q.staticInstructions(), p.staticInstructions());
-    EXPECT_EQ(q.codeSizeBits(), p.codeSizeBits());
-}
-
-TEST(ProgramIo, RoundTripMultiPage)
-{
-    Program p = assemble(IsaKind::FlexiCore4,
-                         kernelSource(KernelId::Calculator,
-                                      IsaKind::FlexiCore4));
-    std::stringstream buf;
-    saveProgram(p, buf);
-    Program q = loadProgram(buf);
-    ASSERT_EQ(q.numPages(), p.numPages());
-    for (unsigned i = 0; i < p.numPages(); ++i)
-        EXPECT_EQ(q.page(i), p.page(i)) << "page " << i;
-}
-
-TEST(ProgramIo, RoundTripAllIsas)
-{
-    for (IsaKind isa : {IsaKind::FlexiCore4, IsaKind::ExtAcc4,
-                        IsaKind::LoadStore4}) {
-        Program p = assemble(isa, kernelSource(KernelId::IntAvg, isa));
-        std::stringstream buf;
-        saveProgram(p, buf);
-        Program q = loadProgram(buf);
-        EXPECT_EQ(q.isa(), isa);
-        EXPECT_EQ(q.page(0), p.page(0));
-    }
-}
-
-TEST(ProgramIo, LoadedProgramRuns)
-{
-    Program p = assemble(IsaKind::FlexiCore4,
-                         "loop: load r0\naddi 1\nstore r1\n"
-                         "nandi 0\nbr loop\n");
-    std::stringstream buf;
-    saveProgram(p, buf);
-
-    FlexiChip chip(IsaKind::FlexiCore4);
-    chip.loadProgram(loadProgram(buf));
-    chip.pushInputs({7});
-    chip.runUntilOutputs(1);
-    EXPECT_EQ(chip.outputs().front(), 8);
-}
-
-TEST(ProgramIo, RejectsBadMagic)
-{
-    std::stringstream buf("NOPE....");
-    EXPECT_THROW(loadProgram(buf), FatalError);
-}
-
-TEST(ProgramIo, RejectsTruncatedImage)
-{
-    Program p = assemble(IsaKind::FlexiCore4, "addi 1\naddi 2\n");
-    std::stringstream buf;
-    saveProgram(p, buf);
-    std::string data = buf.str();
-    std::stringstream cut(data.substr(0, data.size() - 1));
-    EXPECT_THROW(loadProgram(cut), FatalError);
-}
-
-TEST(ProgramIo, RejectsBadIsaByte)
-{
-    std::string data = "FLXC";
-    data += '\x01';   // version
-    data += '\x09';   // bad isa
-    data += '\x00';   // pages
-    std::stringstream buf(data);
-    EXPECT_THROW(loadProgram(buf), FatalError);
-}
-
-TEST(ProgramIo, FileRoundTrip)
-{
-    Program p = assemble(IsaKind::LoadStore4,
-                         "movi r2, 5\nx: br.nzp x\n");
-    std::string path = "/tmp/flexi_test_prog.bin";
-    saveProgramFile(p, path);
-    Program q = loadProgramFile(path);
-    EXPECT_EQ(q.isa(), IsaKind::LoadStore4);
-    EXPECT_EQ(q.page(0), p.page(0));
-    EXPECT_THROW(loadProgramFile("/nonexistent/x.bin"), FatalError);
 }
 
 } // namespace
