@@ -1,7 +1,8 @@
 /**
  * @file
- * google-benchmark harness for the sequential model checker, the
- * layer behind perfbench's formal_lint `mc` span.
+ * google-benchmark harness for the sequential model checker and the
+ * certified sequential prune, the layers behind perfbench's
+ * formal_lint `mc` and `seqprune` spans.
  *
  *  - BM_McLint/<core>: one mcLint call with the default catalog
  *    (watchdog, mmu-page, xfree) at --induct 4, closed over one
@@ -11,6 +12,9 @@
  *  - BM_SeqResetCoverage/<core>: the xfree pass alone at depth 4,
  *    over the same kernel: the simulated witness pairs, and the
  *    two-copy unrolling only when some bit survives them.
+ *  - BM_SeqPrune/<core>: one default seqPrune() on the open core
+ *    netlist: the certified ternary prune, the sweep and invariant
+ *    discovery, the certified merge and the certified second prune.
  *
  * The kernel is the first single-page one of the core's suite (the
  * first FlexiCore8 program). Each row carries the call's solves and
@@ -28,6 +32,7 @@
 
 #include "analysis/mc/bmc.hh"
 #include "analysis/mc/mc_lint.hh"
+#include "analysis/mc/seq_prune.hh"
 #include "assembler/assembler.hh"
 #include "kernels/fc8_programs.hh"
 #include "kernels/kernels.hh"
@@ -100,6 +105,21 @@ BM_SeqResetCoverage(benchmark::State &state, IsaKind isa)
     state.counters["conflicts"] = static_cast<double>(r.conflicts);
 }
 
+void
+BM_SeqPrune(benchmark::State &state, IsaKind isa)
+{
+    CoreCase c = coreCase(isa);
+    SeqPruneResult r;
+    for (auto _ : state) {
+        r = seqPrune(*c.nl);
+        benchmark::DoNotOptimize(r.stats.cellsAfter);
+    }
+    state.counters["solves"] =
+        static_cast<double>(r.certification.solves);
+    state.counters["conflicts"] =
+        static_cast<double>(r.certification.conflicts);
+}
+
 BENCHMARK_CAPTURE(BM_McLint, fc4, IsaKind::FlexiCore4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_McLint, fc8, IsaKind::FlexiCore8)
@@ -115,6 +135,14 @@ BENCHMARK_CAPTURE(BM_SeqResetCoverage, fc8, IsaKind::FlexiCore8)
 BENCHMARK_CAPTURE(BM_SeqResetCoverage, ext, IsaKind::ExtAcc4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SeqResetCoverage, ls, IsaKind::LoadStore4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SeqPrune, fc4, IsaKind::FlexiCore4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SeqPrune, fc8, IsaKind::FlexiCore8)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SeqPrune, ext, IsaKind::ExtAcc4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SeqPrune, ls, IsaKind::LoadStore4)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace
