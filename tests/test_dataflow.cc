@@ -429,6 +429,37 @@ TEST(Prune, TamperedResultYieldsReplayableCounterexample)
     EXPECT_NE(what.find("y"), std::string::npos) << what;
 }
 
+TEST(Prune, OverclaimedFoldFailsCertification)
+{
+    // A net claimed constant must be proven so, even when the
+    // rewrite is an exact copy that the miter alone would accept.
+    Netlist orig("t");
+    NetId y;
+    {
+        Builder b(orig, "m");
+        y = b.and2(orig.addInput("a"), orig.addInput("b"));
+        orig.addOutput("y", y);
+        orig.elaborate();
+    }
+    std::vector<size_t> dff_map;
+    std::vector<NetId> net_map;
+    std::string err;
+    auto copy =
+        rebuild(orig, RewritePlan(orig), "copy", dff_map, net_map, err);
+    ASSERT_NE(copy, nullptr) << err;
+
+    SeqInvariants claims;
+    claims.nets.push_back({y, false});
+    EquivResult res =
+        certifyRewrite(orig, *copy, claims, dff_map, net_map);
+    EXPECT_FALSE(res.proven);
+    ASSERT_TRUE(res.hasCex);
+    ASSERT_FALSE(res.cex.mismatched.empty());
+    EXPECT_NE(res.cex.mismatched[0].find("constant fold"),
+              std::string::npos)
+        << res.cex.mismatched[0];
+}
+
 // ---------------------------------------------------------------
 // Bespoke-core derivation
 // ---------------------------------------------------------------
